@@ -2,20 +2,20 @@
 
 Three iterations for one extreme or targeted eigenpair of a symmetric
 matrix: the tangent-space Newton update (solve, project, roll back onto the
-sphere), the classical quotient iteration (solve and renormalize), and a
-conjugate-gradient ascent of the quotient with closed-form geodesic line
-maximization.
+sphere), the classical quotient iteration (solve and renormalize), which
+share one driver loop, and the generic geodesic conjugate gradient run on
+the quotient with its closed-form line search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import IterationTrace
-from .solvers import SolverConfig
-from .sphere import SHIFT_CONDITION_LIMIT, _line_rotation, project_tangent, sphere_distance
+from .solvers import SolverConfig, conjugate_gradient
+from .sphere import SHIFT_CONDITION_LIMIT, RayleighObjective, project_tangent, sphere_distance
 
 
 @dataclass
@@ -66,6 +66,68 @@ def _residual(Q, x):
     return rho, r
 
 
+def _residual_norm(Q):
+    return lambda p: float(np.linalg.norm(Q @ p - (p @ Q @ p) * p))
+
+
+def _shift_iteration(Q, x0, config, error_fn, step) -> EigenResult:
+    """Driver loop shared by :func:`newton_rayleigh` and :func:`rqi`.
+
+    Each iteration solves ``y = (Q - rho I)^{-1} x`` and hands ``(x, y)``
+    to ``step``, which returns ``(x_next, length)``, or ``(None,
+    converged)`` to stop without a step.  A flagged (singular) shift takes
+    its step and then stops as converged.
+    """
+    config = config or SolverConfig()
+    Q = np.asarray(Q, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    x = x / np.linalg.norm(x)
+    scale = np.linalg.norm(Q)
+    error_fn = error_fn or _residual_norm(Q)
+
+    trace = IterationTrace()
+    converged = False
+    rho, r = _residual(Q, x)
+    trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
+    for _ in range(config.max_iter):
+        if np.linalg.norm(r) <= config.grad_tol * scale:
+            converged = True
+            break
+        y, flagged = _shift_solve(Q, rho, x)
+        x_next, length = step(x, y)
+        if x_next is None:
+            converged = length
+            break
+        trace.record_step(length)
+        x = x_next
+        rho, r = _residual(Q, x)
+        trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
+        if flagged:
+            converged = True
+            break
+    return EigenResult(rho, x, trace, converged, trace.iterations)
+
+
+def _newton_update(x, y):
+    pivot = float(x @ y)
+    if pivot == 0.0:
+        return None, False  # tangent step undefined at this iterate
+    alpha = 1.0 / pivot
+    H = project_tangent(x, -x + alpha * y)
+    theta = float(np.linalg.norm(H))
+    if theta == 0.0:
+        return None, True  # x is already an eigenvector
+    x_next = x * np.cos(theta) + (H / theta) * np.sin(theta)
+    return x_next / np.linalg.norm(x_next), theta
+
+
+def _rqi_update(x, y):
+    x_next = y / np.linalg.norm(y)
+    if float(x_next @ x) < 0.0:
+        x_next = -x_next
+    return x_next, sphere_distance(x, x_next)
+
+
 def newton_rayleigh(Q, x0, config=None, error_fn=None) -> EigenResult:
     """Tangent-space Newton iteration for an eigenpair of symmetric ``Q``.
 
@@ -74,136 +136,37 @@ def newton_rayleigh(Q, x0, config=None, error_fn=None) -> EigenResult:
     ``x cos|H| + (H/|H|) sin|H|``.  A singular shift is success: ``rho`` is
     an eigenvalue to working precision.
     """
-    config = config or SolverConfig()
-    Q = np.asarray(Q, dtype=float)
-    x = np.asarray(x0, dtype=float)
-    x = x / np.linalg.norm(x)
-    scale = np.linalg.norm(Q)
-    error_fn = error_fn or (lambda p: float(np.linalg.norm(Q @ p - (p @ Q @ p) * p)))
-
-    trace = IterationTrace()
-    converged = False
-    rho, r = _residual(Q, x)
-    trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
-    for _ in range(config.max_iter):
-        if np.linalg.norm(r) <= config.grad_tol * scale:
-            converged = True
-            break
-        y, flagged = _shift_solve(Q, rho, x)
-        pivot = float(x @ y)
-        if pivot == 0.0:
-            break  # tangent step undefined at this iterate
-        alpha = 1.0 / pivot
-        H = project_tangent(x, -x + alpha * y)
-        theta = float(np.linalg.norm(H))
-        if theta == 0.0:
-            converged = True
-            break
-        x_next = x * np.cos(theta) + (H / theta) * np.sin(theta)
-        x_next /= np.linalg.norm(x_next)
-        trace.record_step(theta)
-        x = x_next
-        rho, r = _residual(Q, x)
-        trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
-        if flagged:
-            converged = True
-            break
-    return EigenResult(rho, x, trace, converged, trace.iterations)
+    return _shift_iteration(Q, x0, config, error_fn, _newton_update)
 
 
 def rqi(Q, x0, config=None, error_fn=None) -> EigenResult:
     """Rayleigh quotient iteration: ``x <- y / |y|`` for
     ``y = (Q - rho I)^{-1} x``, with the sign fixed so successive iterates
     keep a positive inner product."""
-    config = config or SolverConfig()
-    Q = np.asarray(Q, dtype=float)
-    x = np.asarray(x0, dtype=float)
-    x = x / np.linalg.norm(x)
-    scale = np.linalg.norm(Q)
-    error_fn = error_fn or (lambda p: float(np.linalg.norm(Q @ p - (p @ Q @ p) * p)))
-
-    trace = IterationTrace()
-    converged = False
-    rho, r = _residual(Q, x)
-    trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
-    for _ in range(config.max_iter):
-        if np.linalg.norm(r) <= config.grad_tol * scale:
-            converged = True
-            break
-        y, flagged = _shift_solve(Q, rho, x)
-        x_next = y / np.linalg.norm(y)
-        if float(x_next @ x) < 0.0:
-            x_next = -x_next
-        trace.record_step(sphere_distance(x, x_next))
-        x = x_next
-        rho, r = _residual(Q, x)
-        trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
-        if flagged:
-            converged = True
-            break
-    return EigenResult(rho, x, trace, converged, trace.iterations)
+    return _shift_iteration(Q, x0, config, error_fn, _rqi_update)
 
 
 def cg_extreme_eigen(Q, x0, config=None, which="max", error_fn=None) -> EigenResult:
-    """Conjugate-gradient ascent of the Rayleigh quotient.
+    """Conjugate-gradient ascent (``which='max'``) or descent
+    (``which='min'``) of the Rayleigh quotient.
 
-    Converges to the eigenpair of the largest eigenvalue; the smallest is
-    obtained by running the identical ascent on ``-Q``.  Per iteration this
-    costs one matrix-vector product, a closed-form geodesic line
-    maximization, and O(n) vector updates.  The direction resets every n-th
-    step (n the matrix size, overridable through ``config.reset_period``)
-    and whenever the gamma denominator vanishes.
+    Runs :func:`~riemopt.solvers.conjugate_gradient` on
+    :class:`~riemopt.sphere.RayleighObjective` with its closed-form
+    geodesic line search.  The direction resets every n-th step (n the
+    matrix size, overridable through ``config.reset_period``).  The
+    solver's gradient is ``2(Qx - rho x)``, so the residual tolerance
+    ``grad_tol * |Q|_F`` becomes ``2 grad_tol |Q|_F`` on the gradient.
     """
-    if which not in ("max", "min"):
-        raise ValueError("which must be 'max' or 'min'")
+    objective = RayleighObjective(Q, which)
+    Q = objective.problem.Q
     config = config or SolverConfig()
-    Q = np.asarray(Q, dtype=float)
-    sign = 1.0 if which == "max" else -1.0
-    A = sign * Q
-    n = A.shape[0]
-    reset_period = config.reset_period or n
+    # a zero Q still needs a positive tolerance (its every point is critical)
+    scale = max(float(np.linalg.norm(Q)), np.finfo(float).tiny)
+    config = replace(config, line_search="exact",
+                     reset_period=config.reset_period or objective.problem.n,
+                     grad_tol=2.0 * config.grad_tol * scale)
     x = np.asarray(x0, dtype=float)
-    x = x / np.linalg.norm(x)
-    scale = np.linalg.norm(Q)
-    error_fn = error_fn or (lambda p: float(np.linalg.norm(Q @ p - (p @ Q @ p) * p)))
-
-    trace = IterationTrace()
-    w = A @ x
-    rho = float(x @ w)
-    G = project_tangent(x, w - rho * x)
-    trace.append(x, sign * rho, 2.0 * np.linalg.norm(G), error_fn(x))
-    if np.linalg.norm(G) == 0.0:
-        # the start is already an eigenvector
-        return EigenResult(sign * rho, x, trace, True, 0)
-    H = G
-    converged = False
-    for i in range(config.max_iter):
-        if np.linalg.norm(G) <= config.grad_tol * scale:
-            converged = True
-            break
-        nH = float(np.linalg.norm(H))
-        if nH == 0.0:
-            H = G
-            nH = float(np.linalg.norm(H))
-        h = H / nH
-        qh = A @ h
-        a = 2.0 * float(x @ qh)
-        b = rho - float(h @ qh)
-        c, s, v = _line_rotation(a, b)
-        x_next = x * c + h * s
-        x_next /= np.linalg.norm(x_next)
-        tau_H = H * c - x * (nH * s)
-        tau_G = G - (h @ G) * (x * s + h * v)
-        w2 = A @ x_next
-        rho_next = float(x_next @ w2)
-        G_next = project_tangent(x_next, w2 - rho_next * x_next)
-        denom = float(G @ H)
-        if (i % reset_period) == reset_period - 1 or denom == 0.0:
-            H_next = G_next
-        else:
-            gamma = float((G_next - tau_G) @ G_next) / denom
-            H_next = G_next + gamma * tau_H
-        trace.record_step(float(np.arctan2(s, c)))
-        x, rho, G, H = x_next, rho_next, G_next, H_next
-        trace.append(x, sign * rho, 2.0 * np.linalg.norm(G), error_fn(x))
-    return EigenResult(sign * rho, x, trace, converged, trace.iterations)
+    trace = conjugate_gradient(objective, x / np.linalg.norm(x), config,
+                               error_fn=error_fn or _residual_norm(Q))
+    converged = trace.grad_norms[-1] < config.grad_tol
+    return EigenResult(trace.values[-1], trace.points[-1], trace, converged, trace.iterations)

@@ -97,19 +97,7 @@ class LineSearchFailed(SolverError):
     pass
 
 
-class ZeroDenominator(SolverError):
-    pass
-
-
 class Diverged(SolverError):
-    pass
-
-
-class ZeroGradient(SolverError):
-    pass
-
-
-class MaxIterations(SolverError):
     pass
 
 

@@ -340,26 +340,26 @@ class JacobiProblem:
         return self.Q.shape[0]
 
 
-def jacobi_conjugated(prob, T):
-    H = T.T @ prob.Q @ T
-    return 0.5 * (H + H.T)
+#: ``H = T^T Q T`` for the diagonalization objective: the same map as for
+#: the trace objective, since it reads only ``prob.Q``.
+jacobi_conjugated = conjugated_matrix
 
 
 def jacobi_value(prob, T):
-    H = jacobi_conjugated(prob, T)
+    H = conjugated_matrix(prob, T)
     return float(np.sum(np.diag(H) ** 2))
 
 
 def jacobi_gradient(prob, T):
     """Ascent gradient ``2 [H, pi(H)]`` in algebra coordinates."""
-    H = jacobi_conjugated(prob, T)
+    H = conjugated_matrix(prob, T)
     return 2.0 * commutator(H, diag_part(H))
 
 
 def jacobi_hessian_operator(prob, T, X):
     """``M(X) = [H, [X, pi(H)]] - [[X, H], pi(H)] - 2 [H, pi([X, H])]``;
     the second-differential form is ``-tr(M(X) Y)``."""
-    H = jacobi_conjugated(prob, T)
+    H = conjugated_matrix(prob, T)
     P = diag_part(H)
     adXH = commutator(X, H)
     return (commutator(H, commutator(X, P))
@@ -371,7 +371,7 @@ def jacobi_newton_direction(prob, T, rel_tol=1e-12):
     """Newton direction: the skew ``X`` with ``M(X) = -2 [H, pi(H)]``,
     solved as ``(-M)(X) = 2 [H, pi(H)]`` against the operator that is
     positive definite near a diagonalizer."""
-    H = jacobi_conjugated(prob, T)
+    H = conjugated_matrix(prob, T)
     P = diag_part(H)
     b = 2.0 * commutator(H, P)
 
@@ -411,4 +411,4 @@ class JacobiObjective(GeodesicObjective):
         return jacobi_newton_direction(self.problem, T)
 
     def error_metric(self, T):
-        return off_diagonal_norm(jacobi_conjugated(self.problem, T))
+        return off_diagonal_norm(conjugated_matrix(self.problem, T))

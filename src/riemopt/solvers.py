@@ -26,6 +26,11 @@ from .errors import (
 )
 
 _INV_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
+#: Golden search: bracket growth factor, first trial step when the problem
+#: has no step estimate, and the budget of objective evaluations.
+GOLDEN_GROWTH = 2.0
+INITIAL_STEP = 1.0
+MAX_EVALUATIONS = 200
 
 
 @dataclass
@@ -42,9 +47,6 @@ class SolverConfig:
     max_iter: int = 1000
     line_search: str = "golden"
     golden_tol: float = 1e-10
-    golden_growth: float = 2.0
-    initial_step: float = 1.0
-    max_evaluations: int = 200
     reset_period: int | None = None
     beta_rule: str = "polak-ribiere"
     pr_clamp: bool = False
@@ -65,16 +67,19 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LineSearchResult:
+    """Accepted step, objective evaluations spent, and the value at and the
+    location of the accepted point ``exp(p, H, step)``."""
     step: float
     evaluations: int
     value: float
+    point: object
 
 
-def _initial_scale(objective, p, H, config):
+def _initial_scale(objective, p, H):
     try:
         return objective.step_estimate(p, H)
     except (NotImplementedError, NotAscentDirection, DegenerateCommutator):
-        return config.initial_step
+        return INITIAL_STEP
 
 
 def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> LineSearchResult:
@@ -95,70 +100,72 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> L
         except NotImplementedError:
             raise LineSearchFailed(
                 "problem provides no closed-form line step; use 'golden'") from None
-        return LineSearchResult(t, 1, objective.value(M.exp(p, H, t)))
-    if config.line_search == "estimate":
+    elif config.line_search == "estimate":
         try:
             t = objective.step_estimate(p, H)
         except NotImplementedError:
             raise LineSearchFailed(
                 "problem provides no step estimate; use 'golden'") from None
-        return LineSearchResult(t, 1, objective.value(M.exp(p, H, t)))
+    if config.line_search != "golden":
+        q = M.exp(p, H, t)
+        return LineSearchResult(t, 1, objective.value(q), q)
 
     evals = 0
 
     def fun(t):
         nonlocal evals
         evals += 1
-        return objective.value(M.exp(p, H, t))
+        q = M.exp(p, H, t)
+        return objective.value(q), q
 
     f0 = objective.value(p)
-    t1 = _initial_scale(objective, p, H, config)
-    growth = config.golden_growth
+    t1 = _initial_scale(objective, p, H)
 
-    f1 = fun(t1)
+    f1, q1 = fun(t1)
     if f1 < f0:
         a, fa = 0.0, f0
-        b, fb = t1, f1
-        c, fc = growth * t1, fun(growth * t1)
+        b, fb, qb = t1, f1, q1
+        c = GOLDEN_GROWTH * t1
+        fc, qc = fun(c)
         while fc < fb:
-            if evals >= config.max_evaluations:
+            if evals >= MAX_EVALUATIONS:
                 raise MaxEvaluations("bracketing exhausted the evaluation budget")
             a, fa = b, fb
-            b, fb = c, fc
-            c = growth * c
-            fc = fun(c)
+            b, fb, qb = c, fc, qc
+            c = GOLDEN_GROWTH * c
+            fc, qc = fun(c)
     else:
         # shrink toward zero until the function decreases at all
         while f1 >= f0:
-            if evals >= config.max_evaluations or t1 < 1e-300:
+            if evals >= MAX_EVALUATIONS or t1 < 1e-300:
                 raise NoDecrease("no sampled step decreased the objective")
-            t1 /= growth
-            f1 = fun(t1)
-        a, b, c = 0.0, t1, growth * t1
-        fb = f1
+            t1 /= GOLDEN_GROWTH
+            f1, q1 = fun(t1)
+        a, b, c = 0.0, t1, GOLDEN_GROWTH * t1
+        fb, qb = f1, q1
 
     # golden section on [a, c]
     x1 = c - _INV_GOLD * (c - a)
     x2 = a + _INV_GOLD * (c - a)
-    fx1, fx2 = fun(x1), fun(x2)
+    (fx1, q1), (fx2, q2) = fun(x1), fun(x2)
     while (c - a) > config.golden_tol * max(abs(c), 1e-30):
-        if evals >= config.max_evaluations:
+        if evals >= MAX_EVALUATIONS:
             raise MaxEvaluations("golden section exhausted the evaluation budget")
         if fx1 < fx2:
-            c, x2, fx2 = x2, x1, fx1
+            c, x2, fx2, q2 = x2, x1, fx1, q1
             x1 = c - _INV_GOLD * (c - a)
-            fx1 = fun(x1)
+            fx1, q1 = fun(x1)
         else:
-            a, x1, fx1 = x1, x2, fx2
+            a, x1, fx1, q1 = x1, x2, fx2, q2
             x2 = a + _INV_GOLD * (c - a)
-            fx2 = fun(x2)
+            fx2, q2 = fun(x2)
     if fx1 < fx2:
-        t, ft = x1, fx1
+        t, ft, q = x1, fx1, q1
     else:
-        t, ft = x2, fx2
+        t, ft, q = x2, fx2, q2
     if fb < ft:
-        t, ft = b, fb
-    return LineSearchResult(float(t), evals, float(ft))
+        t, ft, q = b, fb, qb
+    return LineSearchResult(float(t), evals, float(ft), q)
 
 
 def _start_trace(objective, p, error_fn):
@@ -188,7 +195,7 @@ def steepest_descent(objective: GeodesicObjective, p0, config=None, error_fn=Non
                 LineSearchFailed) as exc:
             raise LineSearchFailed(str(exc), trace=trace) from exc
         trace.record_step(ls.step)
-        p = M.exp(p, G, ls.step)
+        p = ls.point
         g = objective.gradient(p)
         gn = M.norm(p, g)
         trace.append(p, objective.report_value(p), gn, error_fn(p))
@@ -216,19 +223,19 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
             break
         try:
             H = objective.newton_direction(p)
-            step = 1.0
         except SingularShift:
             break
         except (IndefiniteOperator, SingularHessian, np.linalg.LinAlgError) as exc:
             if config.newton_fallback != "gradient":
                 raise SingularHessian(str(exc), trace=trace) from exc
-            H = -g
             try:
-                step = line_minimize_geodesic(objective, p, H, config).step
+                ls = line_minimize_geodesic(objective, p, -g, config)
             except (NoDecrease, MaxEvaluations, LineSearchFailed) as exc2:
                 raise LineSearchFailed(str(exc2), trace=trace) from exc2
+            step, p = ls.step, ls.point
+        else:
+            step, p = 1.0, M.exp(p, H, 1.0)
         trace.record_step(step)
-        p = M.exp(p, H, step)
         g = objective.gradient(p)
         gn_new = M.norm(p, g)
         grow_count = grow_count + 1 if gn_new > gn else 0
@@ -272,8 +279,7 @@ def conjugate_gradient(objective: GeodesicObjective, p0, config=None, error_fn=N
             except (NoDecrease, MaxEvaluations, NotAscentDirection, DegenerateCommutator,
                     LineSearchFailed) as exc2:
                 raise LineSearchFailed(str(exc2), trace=trace) from exc2
-        lam = ls.step
-        p_next = M.exp(p, H, lam)
+        lam, p_next = ls.step, ls.point
         tau_G = M.transport(p, H, lam, G)
         tau_H = M.transport(p, H, lam, H)
         g_next = objective.gradient(p_next)

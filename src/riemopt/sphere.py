@@ -296,20 +296,13 @@ class RayleighObjective(GeodesicObjective):
         nh = np.linalg.norm(h)
         if nh == 0.0:
             raise ZeroTangent("line search direction is zero")
-        hu = h / nh
-        if self.which == "max":
-            c, s, _ = rayleigh_line_max(self.problem, x, hu)
-        else:
-            c, s, _ = _rayleigh_line_min(self.problem, x, hu)
+        c, s, _ = rayleigh_line_max(self.problem, x, h / nh)
         t = float(np.arctan2(s, c))
+        if self.which == "min":
+            t += 0.5 * np.pi  # the minimum lies a quarter turn past the maximum
+        # rho has period pi along great circles
         if t < 0.0:
-            t += np.pi  # rho has period pi along great circles
+            t += np.pi
+        elif t >= np.pi:
+            t -= np.pi
         return t / nh
-
-
-def _rayleigh_line_min(prob, x, h):
-    # minimizing rho is maximizing -rho: flip both line coefficients
-    qh = prob.Q @ h
-    a = -2.0 * float(x @ qh)
-    b = float(h @ qh) - float(x @ (prob.Q @ x))
-    return _line_rotation(a, b)

@@ -3,6 +3,7 @@ import pytest
 
 from _oracles import axis_angle, rand_sym, rand_tangent, rand_unit
 from riemopt import SolverConfig, cg_extreme_eigen, newton_rayleigh, rqi
+from riemopt.experiments import ExperimentSpec, run_fig1
 from riemopt.sphere import _line_rotation
 
 
@@ -197,3 +198,31 @@ def test_max_iter_returns_unconverged():
     res = cg_extreme_eigen(Q, rand_unit(rng, n), SolverConfig(max_iter=2))
     assert not res.converged
     assert res.iterations == 2
+
+
+def test_cg_rejects_nonsymmetric_matrix():
+    Q = np.diag([3.0, 2.0, 1.0])
+    Q[0, 1] = 1e-3
+    with pytest.raises(ValueError):
+        cg_extreme_eigen(Q, np.ones(3))
+
+
+# (method, seed) -> (iterations, final error, step taken from the last but
+# one row); the zero-length last rqi step is a row of its own
+_SHIFT_PINS = {
+    ("rqi", 0): (3, 0.0, 0.0),
+    ("rqi", 3): (3, 0.0, 0.0),
+    ("newton-rq", 0): (3, 4.1359030627651384e-25, 5.9036160190249095e-09),
+    ("newton-rq", 3): (3, 0.0, 4.6268335921344237e-09),
+}
+
+
+@pytest.mark.parametrize("method, seed", sorted(_SHIFT_PINS))
+def test_shift_drivers_keep_every_row(method, seed):
+    iterations, final_error, last_step = _SHIFT_PINS[method, seed]
+    report, trace = run_fig1(ExperimentSpec("fig1", n=5, method=method, seed=seed))
+    assert report.converged
+    assert report.iterations == iterations
+    assert report.final_error == pytest.approx(final_error, rel=1e-6, abs=1e-30)
+    assert trace.steps[-2] == pytest.approx(last_step, rel=1e-6, abs=1e-30)
+    assert trace.steps[-1] == 0.0

@@ -97,6 +97,40 @@ def test_line_search_exact_vs_golden_on_sphere():
     assert golden.value == pytest.approx(exact.value, abs=1e-9)
 
 
+class _ExactBrockett(BrockettObjective):
+    """Brockett ascent whose curvature-bound step stands in for a closed
+    form, so the 'exact' kind can run on SO(n)."""
+
+    def exact_line_step(self, T, X):
+        return self.step_estimate(T, X)
+
+
+class _EstimateRayleigh(RayleighObjective):
+    """Rayleigh extremization that offers its closed-form step as the
+    problem's estimate, so the 'estimate' kind can run on the sphere."""
+
+    def step_estimate(self, x, h):
+        return self.exact_line_step(x, h)
+
+
+@pytest.mark.parametrize("kind", ["exact", "golden", "estimate"])
+@pytest.mark.parametrize("manifold", ["sphere", "rotation"])
+def test_line_search_returns_accepted_point(kind, manifold):
+    rng = np.random.default_rng(14)
+    n = 6
+    Q = rand_sym(rng, n)
+    if manifold == "sphere":
+        obj = _EstimateRayleigh(Q, which="max")
+        p = rand_unit(rng, n)
+    else:
+        obj = _ExactBrockett(Q, np.diag(np.arange(n, 0, -1.0)))
+        p = rand_rotation(rng, n)
+    H = -obj.gradient(p)
+    res = line_minimize_geodesic(obj, p, H, SolverConfig(line_search=kind))
+    assert np.array_equal(res.point, obj.manifold.exp(p, H, res.step))
+    assert res.value == obj.value(res.point)
+
+
 def test_steepest_descent_stops_at_critical_point():
     n = 6
     Q = np.diag(np.arange(n, 0, -1.0))
