@@ -109,7 +109,9 @@ class IterationTrace:
 
     Row ``i`` stores the iterate ``points[i]``, the reported objective
     value, the gradient norm, the error metric, and the step taken *from*
-    this iterate (0.0 on the final row).
+    this iterate (0.0 on the final row).  ``converged`` is set by the loop
+    that produced the trace, when it stops; a trace handed out with a
+    solver error keeps ``False``.
     """
 
     points: list = field(default_factory=list)
@@ -117,6 +119,7 @@ class IterationTrace:
     grad_norms: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     steps: list = field(default_factory=list)
+    converged: bool = False
 
     def append(self, point, value, grad_norm, error, step=0.0):
         error = float(error)

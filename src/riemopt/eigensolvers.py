@@ -15,48 +15,21 @@ import numpy as np
 
 from .core import IterationTrace
 from .solvers import SolverConfig, conjugate_gradient
-from .sphere import SHIFT_CONDITION_LIMIT, RayleighObjective, project_tangent, sphere_distance
+# the shift solve is looked up here by name, so that it can be wrapped
+from .sphere import RayleighObjective, project_tangent, sphere_distance
+from .sphere import shift_solve as _shift_solve
 
 
 @dataclass
 class EigenResult:
-    """Eigenpair estimate; convergence means the residual ``|Qx - rho x|``
-    fell below ``grad_tol * |Q|_F``."""
+    """Eigenpair estimate; ``converged`` is the loop's ``trace.converged``:
+    the residual ``|Qx - rho x|`` fell below ``grad_tol * |Q|_F``, or the
+    shift became singular to working precision."""
     eigenvalue: float
     eigenvector: np.ndarray
     trace: IterationTrace
     converged: bool
     iterations: int
-
-
-def _shift_solve(Q, rho, x):
-    """Solve ``(Q - rho I) y = x`` and flag a shift singular to working
-    precision (condition above 1e14).
-
-    A flagged solve is still usable: it is backward stable and its solution
-    is dominated by the target eigenvector, so the drivers take one last
-    step from it and then declare convergence (``rho`` is an eigenvalue to
-    working precision).  When the shift is exactly singular or the solve
-    overflows, the limiting direction is the null singular vector, which is
-    the same step at infinite amplification.
-    """
-    A = Q - rho * np.eye(Q.shape[0])
-    _, sv, Vt = np.linalg.svd(A)
-    flagged = sv[-1] == 0.0 or sv[0] / sv[-1] > SHIFT_CONDITION_LIMIT
-    y = None
-    if sv[-1] > 0.0:
-        try:
-            y = np.linalg.solve(A, x)
-        except np.linalg.LinAlgError:
-            y = None
-        if y is not None and not np.all(np.isfinite(y)):
-            y = None
-    if y is None:
-        y = Vt[-1].copy()
-        if float(y @ x) < 0.0:
-            y = -y
-        flagged = True
-    return y, flagged
 
 
 def _residual(Q, x):
@@ -86,26 +59,25 @@ def _shift_iteration(Q, x0, config, error_fn, step) -> EigenResult:
     error_fn = error_fn or _residual_norm(Q)
 
     trace = IterationTrace()
-    converged = False
     rho, r = _residual(Q, x)
     trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
     for _ in range(config.max_iter):
         if np.linalg.norm(r) <= config.grad_tol * scale:
-            converged = True
+            trace.converged = True
             break
         y, flagged = _shift_solve(Q, rho, x)
         x_next, length = step(x, y)
         if x_next is None:
-            converged = length
+            trace.converged = length
             break
         trace.record_step(length)
         x = x_next
         rho, r = _residual(Q, x)
         trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
         if flagged:
-            converged = True
+            trace.converged = True
             break
-    return EigenResult(rho, x, trace, converged, trace.iterations)
+    return EigenResult(rho, x, trace, trace.converged, trace.iterations)
 
 
 def _newton_update(x, y):
@@ -168,5 +140,4 @@ def cg_extreme_eigen(Q, x0, config=None, which="max", error_fn=None) -> EigenRes
     x = np.asarray(x0, dtype=float)
     trace = conjugate_gradient(objective, x / np.linalg.norm(x), config,
                                error_fn=error_fn or _residual_norm(Q))
-    converged = trace.grad_norms[-1] < config.grad_tol
-    return EigenResult(trace.values[-1], trace.points[-1], trace, converged, trace.iterations)
+    return EigenResult(trace.values[-1], trace.points[-1], trace, trace.converged, trace.iterations)

@@ -242,15 +242,53 @@ def _emit(spec, trace, report, value_label):
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers
+# experiment drivers; they look the solvers up by their module-level names at
+# call time, so that a wrapped solver (a tracer, a test double) is the one
+# that runs
 
 
-def _finish(spec, trace, converged, value_label, t0, extra=None, error_message=None):
-    report = RunReport(spec)
-    report.error_message = error_message
-    report.converged = converged
-    report.extra = extra or {}
+def _start(spec, rng, default_init, default_eps, random_start, near_start):
+    """Start point: ``random_start(rng)`` or ``near_start(rng, eps)``, per
+    the spec's init mode, or per the method's default when it has none."""
+    init = default_init if spec.init == "default" else spec.init
+    if init == "random":
+        return random_start(rng)
+    return near_start(rng, spec.init_eps if spec.init_eps is not None else default_eps)
+
+
+def _rotation_start(spec, T_hat, default_eps):
+    """Random rotation, or a unit-speed geodesic step of length eps away
+    from ``T_hat``, drawn independently of the seed's matrix draw."""
+    return _start(spec, rng_from_seed(spec.seed + 1), "near", default_eps,
+                  lambda rng: random_rotation(rng, spec.n),
+                  lambda rng, eps: so_geodesic(T_hat, random_unit_skew(rng, spec.n), eps))
+
+
+def _config(spec, max_iter, line_search):
+    """Solver knobs from the spec, with the experiment's defaults for the
+    iteration cap and the line search."""
+    return SolverConfig(
+        grad_tol=spec.tol,
+        max_iter=spec.max_iter if spec.max_iter is not None else max_iter,
+        line_search=spec.line_search or line_search,
+        reset_period=spec.reset_period,
+    )
+
+
+def _run(solve):
+    """``(trace, None)`` from ``solve()``; a solver error gives its partial
+    trace and a message for the report instead."""
+    try:
+        return solve(), None
+    except SolverError as exc:
+        return exc.trace, f"{type(exc).__name__}: {exc}"
+
+
+def _finish(spec, run, value_label, t0):
+    trace, error_message = run
+    report = RunReport(spec, error_message=error_message)
     if trace is not None and len(trace) > 0:
+        report.converged = trace.converged
         report.final_value = trace.values[-1]
         report.final_error = trace.errors[-1]
         report.iterations = trace.iterations
@@ -268,143 +306,46 @@ def run_fig1(spec):
     Q = fig1_matrix(n)
     axis = np.zeros(n)
     axis[0] = 1.0
-    rng = rng_from_seed(spec.seed)
-
-    init = spec.init
-    if init == "default":
-        init = "random" if spec.method in ("sd", "cg") else "near"
-    if init == "random":
-        x0 = random_unit_vector(rng, n)
-    else:
-        eps = spec.init_eps if spec.init_eps is not None else 1e-1
-        u = random_unit_tangent(rng, axis)
-        x0 = axis * np.cos(eps) + u * np.sin(eps)
+    x0 = _start(spec, rng_from_seed(spec.seed),
+                "random" if spec.method in ("sd", "cg") else "near", 1e-1,
+                lambda rng: random_unit_vector(rng, n),
+                lambda rng, eps: axis * np.cos(eps) + random_unit_tangent(rng, axis) * np.sin(eps))
 
     def error_fn(x):
         return axis_angle(x, axis)
 
-    max_iter = spec.max_iter if spec.max_iter is not None else (2000 if spec.method in ("sd", "cg") else 100)
-    config = SolverConfig(
-        grad_tol=spec.tol,
-        max_iter=max_iter,
-        line_search=spec.line_search or "exact",
-        reset_period=spec.reset_period,
-    )
-
-    converged = False
-    message = None
-    trace = None
-    try:
-        if spec.method == "sd":
-            objective = RayleighObjective(Q, which="max")
-            trace = steepest_descent(objective, x0, config, error_fn=error_fn)
-            converged = trace.grad_norms[-1] < config.grad_tol
-        elif spec.method == "newton":
-            objective = RayleighObjective(Q, which="max")
-            trace = newton(objective, x0, config, error_fn=error_fn)
-            # an early stop without exception is either the tolerance or a
-            # singular shift, and the latter is convergence as well
-            converged = trace.grad_norms[-1] < config.grad_tol or trace.iterations < max_iter
-        elif spec.method == "cg":
-            result = cg_extreme_eigen(Q, x0, config, error_fn=error_fn)
-            trace, converged = result.trace, result.converged
-        elif spec.method == "rqi":
-            result = rqi(Q, x0, config, error_fn=error_fn)
-            trace, converged = result.trace, result.converged
-        else:  # newton-rq
-            result = newton_rayleigh(Q, x0, config, error_fn=error_fn)
-            trace, converged = result.trace, result.converged
-    except SolverError as exc:
-        trace = exc.trace
-        message = f"{type(exc).__name__}: {exc}"
-    return _finish(spec, trace, converged, "rho", t0, error_message=message)
+    config = _config(spec, 2000 if spec.method in ("sd", "cg") else 100, "exact")
+    if spec.method in ("sd", "newton"):
+        solver = steepest_descent if spec.method == "sd" else newton
+        objective = RayleighObjective(Q, which="max")
+        run = _run(lambda: solver(objective, x0, config, error_fn=error_fn))
+    else:
+        driver = {"cg": cg_extreme_eigen, "rqi": rqi, "newton-rq": newton_rayleigh}[spec.method]
+        run = _run(lambda: driver(Q, x0, config, error_fn=error_fn).trace)
+    return _finish(spec, run, "rho", t0)
 
 
 def run_fig2(spec):
     """Trace-objective ascent on SO(n) with seeded Q and N = diag(n..1)."""
     assert spec.experiment == "fig2"
     t0 = time.perf_counter()
-    n = spec.n
-    Q, N, T_hat = fig2_matrices(n, spec.seed)
+    Q, N, T_hat = fig2_matrices(spec.n, spec.seed)
     objective = BrockettObjective(Q, N)
-    rng = rng_from_seed(spec.seed + 1)  # independent of the Q draw
-
-    init = spec.init
-    if init == "default":
-        init = "near"
-    if init == "random":
-        T0 = random_rotation(rng, n)
-    else:
-        eps = spec.init_eps
-        if eps is None:
-            eps = 1e-2 if spec.method == "newton" else 1e-1
-        X = random_unit_skew(rng, n)
-        T0 = so_geodesic(T_hat, X, eps)
-
-    max_iter = spec.max_iter if spec.max_iter is not None else (4000 if spec.method in ("sd", "cg") else 50)
-    config = SolverConfig(
-        grad_tol=spec.tol,
-        max_iter=max_iter,
-        line_search=spec.line_search or "estimate",
-        reset_period=spec.reset_period,
-    )
-
-    converged = False
-    message = None
-    trace = None
-    try:
-        if spec.method == "sd":
-            trace = steepest_descent(objective, T0, config)
-            converged = trace.grad_norms[-1] < config.grad_tol
-        elif spec.method == "cg":
-            trace = conjugate_gradient(objective, T0, config)
-            converged = trace.grad_norms[-1] < config.grad_tol
-        else:
-            trace = newton(objective, T0, config)
-            converged = trace.grad_norms[-1] < config.grad_tol or trace.iterations < max_iter
-    except SolverError as exc:
-        trace = exc.trace
-        message = f"{type(exc).__name__}: {exc}"
-    return _finish(spec, trace, converged, "f", t0, error_message=message)
+    T0 = _rotation_start(spec, T_hat, 1e-2 if spec.method == "newton" else 1e-1)
+    config = _config(spec, 4000 if spec.method in ("sd", "cg") else 50, "estimate")
+    solver = {"sd": steepest_descent, "cg": conjugate_gradient, "newton": newton}[spec.method]
+    return _finish(spec, _run(lambda: solver(objective, T0, config)), "f", t0)
 
 
 def run_jacobi(spec):
     """Newton diagonalization of a seeded symmetric matrix."""
     assert spec.experiment == "jacobi"
     t0 = time.perf_counter()
-    n = spec.n
-    Q, T_hat = jacobi_matrices(n, spec.seed)
+    Q, T_hat = jacobi_matrices(spec.n, spec.seed)
     objective = JacobiObjective(Q)
-    rng = rng_from_seed(spec.seed + 1)
-
-    init = spec.init
-    if init == "default":
-        init = "near"
-    if init == "random":
-        T0 = random_rotation(rng, n)
-    else:
-        eps = spec.init_eps if spec.init_eps is not None else 1e-1
-        X = random_unit_skew(rng, n)
-        T0 = so_geodesic(T_hat, X, eps)
-
-    max_iter = spec.max_iter if spec.max_iter is not None else 50
-    config = SolverConfig(
-        grad_tol=spec.tol,
-        max_iter=max_iter,
-        line_search=spec.line_search or "golden",
-        reset_period=spec.reset_period,
-    )
-
-    converged = False
-    message = None
-    trace = None
-    try:
-        trace = newton(objective, T0, config)
-        converged = trace.grad_norms[-1] < config.grad_tol or trace.iterations < max_iter
-    except SolverError as exc:
-        trace = exc.trace
-        message = f"{type(exc).__name__}: {exc}"
-    return _finish(spec, trace, converged, "f", t0, error_message=message)
+    T0 = _rotation_start(spec, T_hat, 1e-1)
+    config = _config(spec, 50, "golden")
+    return _finish(spec, _run(lambda: newton(objective, T0, config)), "f", t0)
 
 
 def run_fd_check(spec):

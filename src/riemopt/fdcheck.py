@@ -8,6 +8,8 @@ truncation error is quadratic in the step.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .rotation import (
@@ -51,69 +53,60 @@ def relative_error(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _direction_checks(manifold, value_fn, grad, hess_form, p, directions):
-    grad_err = 0.0
-    hess_err = 0.0
-    for u in directions:
-        slope = geodesic_slope(value_fn, manifold, p, u)
-        grad_err = max(grad_err, relative_error(manifold.inner(p, grad, u), slope))
-        curv = geodesic_curvature(value_fn, manifold, p, u)
-        hess_err = max(hess_err, relative_error(hess_form(u), curv))
+def _family_check(manifold, seed, instances, directions, draw_problem, draw_point, draw_direction):
+    """Max relative gradient/Hessian-form errors over seeded instances.
+
+    Each instance draws, in this order, a problem ``(value, gradient,
+    form)`` from ``draw_problem(rng)``, a point from ``draw_point(rng)`` and
+    ``directions`` tangents from ``draw_direction(rng, p)``.  ``form(p, u)``
+    is the second covariant differential of ``value`` against ``(u, u)``.
+    """
+    rng = rng_from_seed(seed)
+    grad_err, hess_err = 0.0, 0.0
+    for _ in range(instances):
+        value, gradient, form = draw_problem(rng)
+        p = draw_point(rng)
+        dirs = [draw_direction(rng, p) for _ in range(directions)]
+        g = gradient(p)
+        for u in dirs:
+            slope = geodesic_slope(value, manifold, p, u)
+            grad_err = max(grad_err, relative_error(manifold.inner(p, g, u), slope))
+            curv = geodesic_curvature(value, manifold, p, u)
+            hess_err = max(hess_err, relative_error(form(p, u), curv))
     return grad_err, hess_err
 
 
 def rayleigh_family_check(n=8, seed=0, instances=20, directions=8):
     """Max relative gradient/Hessian-form errors over seeded quotient instances."""
-    rng = rng_from_seed(seed)
-    manifold = Sphere(n)
-    worst_g, worst_h = 0.0, 0.0
-    for _ in range(instances):
+
+    def draw_problem(rng):
         prob = RayleighProblem(random_symmetric(rng, n))
-        x = random_unit_vector(rng, n)
-        dirs = [random_unit_tangent(rng, x) for _ in range(directions)]
-        g = rayleigh_gradient(prob, x)
+        return (partial(rayleigh_value, prob), partial(rayleigh_gradient, prob),
+                lambda x, u: float(rayleigh_hessian_apply(prob, x, u) @ u))
 
-        def form(u):
-            return float(rayleigh_hessian_apply(prob, x, u) @ u)
-
-        eg, eh = _direction_checks(manifold, lambda p: rayleigh_value(prob, p), g, form, x, dirs)
-        worst_g, worst_h = max(worst_g, eg), max(worst_h, eh)
-    return worst_g, worst_h
+    return _family_check(Sphere(n), seed, instances, directions, draw_problem,
+                         lambda rng: random_unit_vector(rng, n), random_unit_tangent)
 
 
 def brockett_family_check(n=6, seed=0, instances=20, directions=8):
-    rng = rng_from_seed(seed)
-    manifold = SpecialOrthogonal(n)
     N = np.diag(np.arange(n, 0, -1.0))
-    worst_g, worst_h = 0.0, 0.0
-    for _ in range(instances):
+
+    def draw_problem(rng):
         prob = BrockettProblem(random_symmetric(rng, n), N)
-        T = random_rotation(rng, n)
-        dirs = [random_unit_skew(rng, n) for _ in range(directions)]
-        g = brockett_gradient(prob, T)
+        # second differential against (X, X) is -1/2 tr(L(X) X)
+        return (partial(brockett_value, prob), partial(brockett_gradient, prob),
+                lambda T, X: -0.5 * float(np.trace(brockett_hessian_operator(prob, T, X) @ X)))
 
-        def form(X):
-            # second differential against (X, X) is -1/2 tr(L(X) X)
-            return -0.5 * float(np.trace(brockett_hessian_operator(prob, T, X) @ X))
-
-        eg, eh = _direction_checks(manifold, lambda p: brockett_value(prob, p), g, form, T, dirs)
-        worst_g, worst_h = max(worst_g, eg), max(worst_h, eh)
-    return worst_g, worst_h
+    return _family_check(SpecialOrthogonal(n), seed, instances, directions, draw_problem,
+                         lambda rng: random_rotation(rng, n), lambda rng, T: random_unit_skew(rng, n))
 
 
 def jacobi_family_check(n=5, seed=0, instances=20, directions=8):
-    rng = rng_from_seed(seed)
-    manifold = SpecialOrthogonal(n)
-    worst_g, worst_h = 0.0, 0.0
-    for _ in range(instances):
+
+    def draw_problem(rng):
         prob = JacobiProblem(random_symmetric(rng, n))
-        T = random_rotation(rng, n)
-        dirs = [random_unit_skew(rng, n) for _ in range(directions)]
-        g = jacobi_gradient(prob, T)
+        return (partial(jacobi_value, prob), partial(jacobi_gradient, prob),
+                lambda T, X: -float(np.trace(jacobi_hessian_operator(prob, T, X) @ X)))
 
-        def form(X):
-            return -float(np.trace(jacobi_hessian_operator(prob, T, X) @ X))
-
-        eg, eh = _direction_checks(manifold, lambda p: jacobi_value(prob, p), g, form, T, dirs)
-        worst_g, worst_h = max(worst_g, eg), max(worst_h, eh)
-    return worst_g, worst_h
+    return _family_check(SpecialOrthogonal(n), seed, instances, directions, draw_problem,
+                         lambda rng: random_rotation(rng, n), lambda rng, T: random_unit_skew(rng, n))

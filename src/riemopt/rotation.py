@@ -27,9 +27,7 @@ from .errors import (
 )
 
 SKEW_TOL = 1e-12
-ORTHO_TOL = 1e-10
 DRIFT_TOL = 1e-12
-DET_TOL = 1e-8
 
 
 def commutator(A, B):
@@ -56,18 +54,6 @@ def check_skew(X, tol=SKEW_TOL):
     if dev > tol * max(1.0, np.linalg.norm(X)):
         raise ValueError(f"matrix is not skew-symmetric (deviation {dev:.3e})")
     return X
-
-
-def check_rotation(T, tol=ORTHO_TOL):
-    T = np.asarray(T, dtype=float)
-    n = T.shape[0]
-    dev = np.linalg.norm(T.T @ T - np.eye(n))
-    if dev > tol:
-        raise ValueError(f"matrix is not orthogonal (residual {dev:.3e})")
-    det = np.linalg.det(T)
-    if abs(det - 1.0) > DET_TOL:
-        raise ValueError(f"determinant {det!r} is not +1")
-    return T
 
 
 def polar_orthonormalize(T):
@@ -222,11 +208,15 @@ def brockett_step_estimate(prob, T, Omega):
     return num / den
 
 
+def _brockett_neg_L(H, N, X):
+    # -L(X) in the form the Newton solve applies
+    return commutator(commutator(X, H), N) - commutator(H, commutator(X, N))
+
+
 def brockett_hessian_operator(prob, T, X):
     """``L(X) = [H, [X, N]] - [[X, H], N]``; the second-differential form is
     ``-1/2 tr(L(X) Y)`` against a tangent ``T Y``."""
-    H = conjugated_matrix(prob, T)
-    return commutator(H, commutator(X, prob.N)) - commutator(commutator(X, H), prob.N)
+    return -_brockett_neg_L(conjugated_matrix(prob, T), prob.N, X)
 
 
 def brockett_newton_direction(prob, T, rel_tol=1e-12):
@@ -238,11 +228,7 @@ def brockett_newton_direction(prob, T, rel_tol=1e-12):
     """
     H = conjugated_matrix(prob, T)
     b = 2.0 * commutator(H, prob.N)
-
-    def neg_L(X):
-        return commutator(commutator(X, H), prob.N) - commutator(H, commutator(X, prob.N))
-
-    return _solve_definite(neg_L, b, rel_tol=rel_tol)
+    return _solve_definite(lambda X: _brockett_neg_L(H, prob.N, X), b, rel_tol=rel_tol)
 
 
 def brockett_third_component(h, nu, X, i, j):
@@ -356,15 +342,19 @@ def jacobi_gradient(prob, T):
     return 2.0 * commutator(H, diag_part(H))
 
 
+def _jacobi_neg_M(H, P, X):
+    # -M(X) in the form the Newton solve applies, with P = pi(H)
+    adXH = commutator(X, H)
+    return (commutator(adXH, P)
+            + 2.0 * commutator(H, diag_part(adXH))
+            - commutator(H, commutator(X, P)))
+
+
 def jacobi_hessian_operator(prob, T, X):
     """``M(X) = [H, [X, pi(H)]] - [[X, H], pi(H)] - 2 [H, pi([X, H])]``;
     the second-differential form is ``-tr(M(X) Y)``."""
     H = conjugated_matrix(prob, T)
-    P = diag_part(H)
-    adXH = commutator(X, H)
-    return (commutator(H, commutator(X, P))
-            - commutator(adXH, P)
-            - 2.0 * commutator(H, diag_part(adXH)))
+    return -_jacobi_neg_M(H, diag_part(H), X)
 
 
 def jacobi_newton_direction(prob, T, rel_tol=1e-12):
@@ -374,14 +364,7 @@ def jacobi_newton_direction(prob, T, rel_tol=1e-12):
     H = conjugated_matrix(prob, T)
     P = diag_part(H)
     b = 2.0 * commutator(H, P)
-
-    def neg_M(X):
-        adXH = commutator(X, H)
-        return (commutator(adXH, P)
-                + 2.0 * commutator(H, diag_part(adXH))
-                - commutator(H, commutator(X, P)))
-
-    return _solve_definite(neg_M, b, rel_tol=rel_tol)
+    return _solve_definite(lambda X: _jacobi_neg_M(H, P, X), b, rel_tol=rel_tol)
 
 
 class JacobiObjective(GeodesicObjective):

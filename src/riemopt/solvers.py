@@ -27,10 +27,12 @@ from .errors import (
 
 _INV_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 #: Golden search: bracket growth factor, first trial step when the problem
-#: has no step estimate, and the budget of objective evaluations.
+#: has no step estimate, budget of objective evaluations, and the relative
+#: bracket width at which the section stops.
 GOLDEN_GROWTH = 2.0
 INITIAL_STEP = 1.0
 MAX_EVALUATIONS = 200
+GOLDEN_TOL = 1e-10
 
 
 @dataclass
@@ -46,15 +48,14 @@ class SolverConfig:
     grad_tol: float = 1e-12
     max_iter: int = 1000
     line_search: str = "golden"
-    golden_tol: float = 1e-10
     reset_period: int | None = None
     beta_rule: str = "polak-ribiere"
     pr_clamp: bool = False
     newton_fallback: str = "gradient"
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.golden_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.grad_tol <= 0:
+            raise ValueError("gradient tolerance must be positive")
         if self.reset_period is not None and self.reset_period < 1:
             raise ValueError("reset period must be >= 1")
         if self.line_search not in ("exact", "golden", "estimate"):
@@ -87,7 +88,7 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> L
 
     With 'exact' or 'estimate' kinds the step comes straight from the
     problem; 'golden' brackets by repeated doubling from an initial scale
-    and refines by golden section to the configured relative width.
+    and refines by golden section to the relative width ``GOLDEN_TOL``.
     """
     config = config or SolverConfig()
     M = objective.manifold
@@ -148,7 +149,7 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> L
     x1 = c - _INV_GOLD * (c - a)
     x2 = a + _INV_GOLD * (c - a)
     (fx1, q1), (fx2, q2) = fun(x1), fun(x2)
-    while (c - a) > config.golden_tol * max(abs(c), 1e-30):
+    while (c - a) > GOLDEN_TOL * max(abs(c), 1e-30):
         if evals >= MAX_EVALUATIONS:
             raise MaxEvaluations("golden section exhausted the evaluation budget")
         if fx1 < fx2:
@@ -199,6 +200,7 @@ def steepest_descent(objective: GeodesicObjective, p0, config=None, error_fn=Non
         g = objective.gradient(p)
         gn = M.norm(p, g)
         trace.append(p, objective.report_value(p), gn, error_fn(p))
+    trace.converged = gn < config.grad_tol
     return trace
 
 
@@ -209,8 +211,9 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
     There is no damping or line search.  On an indefinite or singular
     second differential the configured fallback takes a single
     line-minimized gradient step instead.  A singular shift reported by the
-    problem means the current iterate is critical to working precision, so
-    the iteration stops there.
+    problem means the current iterate is critical to working precision: the
+    iteration takes the step the problem attached to it, if any, and stops
+    as converged.
     """
     config = config or SolverConfig()
     error_fn = error_fn or objective.error_metric
@@ -218,13 +221,17 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
     p = p0
     trace, g, gn = _start_trace(objective, p, error_fn)
     grow_count = 0
+    singular = False
     for _ in range(config.max_iter):
         if gn < config.grad_tol:
             break
         try:
             H = objective.newton_direction(p)
-        except SingularShift:
-            break
+        except SingularShift as exc:
+            singular = True
+            if exc.step is None:
+                break
+            step, p = 1.0, M.exp(p, exc.step, 1.0)
         except (IndefiniteOperator, SingularHessian, np.linalg.LinAlgError) as exc:
             if config.newton_fallback != "gradient":
                 raise SingularHessian(str(exc), trace=trace) from exc
@@ -241,8 +248,11 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
         grow_count = grow_count + 1 if gn_new > gn else 0
         gn = gn_new
         trace.append(p, objective.report_value(p), gn, error_fn(p))
+        if singular:
+            break
         if grow_count >= 5:
             raise Diverged("gradient norm grew for 5 consecutive steps", trace=trace)
+    trace.converged = singular or gn < config.grad_tol
     return trace
 
 
@@ -299,4 +309,5 @@ def conjugate_gradient(objective: GeodesicObjective, p0, config=None, error_fn=N
         trace.record_step(lam)
         p, g, gn, G, H = p_next, g_next, gn_next, G_next, H_next
         trace.append(p, objective.report_value(p), gn, error_fn(p))
+    trace.converged = gn < config.grad_tol
     return trace

@@ -205,25 +205,52 @@ def solve_projected_linear(A, x, v):
     return project_tangent(x, u)
 
 
+def shift_solve(Q, rho, x):
+    """Solve ``(Q - rho I) y = x`` and flag a shift singular to working
+    precision (condition above ``SHIFT_CONDITION_LIMIT``).
+
+    A flagged solve is still usable: it is backward stable and its solution
+    is dominated by the target eigenvector, so the Newton and quotient
+    iterations take one last step from it and then declare convergence
+    (``rho`` is an eigenvalue to working precision).  When the shift is
+    exactly singular or the solve overflows, the limiting direction is the
+    null singular vector, which is the same step at infinite amplification.
+    """
+    A = Q - rho * np.eye(Q.shape[0])
+    sv = np.linalg.svd(A, compute_uv=False)
+    flagged = sv[-1] == 0.0 or sv[0] / sv[-1] > SHIFT_CONDITION_LIMIT
+    if sv[-1] > 0.0:
+        try:
+            y = np.linalg.solve(A, x)
+        except np.linalg.LinAlgError:
+            y = None
+        if y is not None and np.all(np.isfinite(y)):
+            return y, flagged
+    y = np.linalg.svd(A)[2][-1]
+    return (-y if float(y @ x) < 0.0 else y), True
+
+
 def rayleigh_newton_step(prob, x):
     """Newton direction ``H = -x + y / (x^T y)`` with ``y = (Q - rho I)^{-1} x``.
 
     Raises :class:`SingularShift` when ``Q - rho(x) I`` is singular to
-    working precision, which the eigenvalue drivers interpret as
-    convergence (rho is an eigenvalue).
+    working precision, which the solvers interpret as convergence (rho is
+    an eigenvalue).  The step from the flagged solve rides on the
+    exception as ``exc.step``, or None when it is zero or undefined.
     """
     x = np.asarray(x, dtype=float)
     rho = rayleigh_value(prob, x)
-    A = prob.Q - rho * np.eye(prob.n)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > SHIFT_CONDITION_LIMIT:
-        raise SingularShift(f"rho = {rho!r} is an eigenvalue to working precision")
-    y = np.linalg.solve(A, x)
+    y, flagged = shift_solve(prob.Q, rho, x)
     pivot = float(x @ y)
-    if abs(pivot) < 1e-14 * np.linalg.norm(y):
+    H = None
+    if abs(pivot) >= 1e-14 * np.linalg.norm(y):
+        H = project_tangent(x, -x + y / pivot)
+    if flagged:
+        step = H if H is not None and np.linalg.norm(H) > 0.0 else None
+        raise SingularShift(f"rho = {rho!r} is an eigenvalue to working precision", step=step)
+    if H is None:
         raise DegeneratePivot("x^T (Q - rho I)^{-1} x vanishes; no tangent step")
-    H = -x + y / pivot
-    return project_tangent(x, H)
+    return H
 
 
 def _line_rotation(a, b):

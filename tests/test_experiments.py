@@ -155,3 +155,23 @@ def test_cli_solver_error_exit_code(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().out
     report = (tmp_path / "fig2-sd-0.report.txt").read_text()
     assert "solver_error: LineSearchFailed" in report
+
+
+@pytest.mark.parametrize("spec, converged", [
+    (ExperimentSpec("fig2", n=6, method="cg", seed=1, max_iter=5), False),
+    (ExperimentSpec("fig2", n=6, method="newton", seed=1), True),
+    (ExperimentSpec("jacobi", n=5, method="newton", seed=3), True),
+    (ExperimentSpec("jacobi", n=5, method="newton", seed=3, max_iter=1), False),
+], ids=["fig2-cg-capped", "fig2-newton", "jacobi", "jacobi-capped"])
+def test_report_converged_is_the_trace_flag(spec, converged):
+    report, trace = run_experiment(spec)
+    assert report.converged == trace.converged == converged
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fig1_newton_reaches_round_off(seed):
+    # the last step, taken from the singular shift, is cubic convergence's
+    # final contraction
+    report, _ = run_fig1(ExperimentSpec("fig1", n=21, method="newton", seed=seed))
+    assert report.converged
+    assert report.final_error <= 1e-12

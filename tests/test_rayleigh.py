@@ -199,8 +199,20 @@ def test_solve_projected_errors():
 
 def test_newton_step_at_eigenvector_is_singular():
     prob = RayleighProblem(np.diag([2.0, 1.0]))
-    with pytest.raises(SingularShift):
+    with pytest.raises(SingularShift) as info:
         rayleigh_newton_step(prob, e(2, 0))
+    assert info.value.step is None  # a zero step is not attached
+
+
+def test_singular_shift_carries_the_last_step():
+    # rho rounds to 2 exactly: the shift is singular, the step is not zero
+    prob = RayleighProblem(np.diag([2.0, 1.0]))
+    x = np.array([np.cos(1e-9), np.sin(1e-9)])
+    with pytest.raises(SingularShift) as info:
+        rayleigh_newton_step(prob, x)
+    step = info.value.step
+    assert abs(float(x @ step)) <= 1e-25
+    np.testing.assert_allclose(sphere_exp(x, step), e(2, 0), atol=1e-15)
 
 
 def test_newton_step_matches_projected_solve():

@@ -15,7 +15,7 @@ from riemopt import (
     sphere_transport,
     steepest_descent,
 )
-from riemopt.errors import Diverged, NoDecrease, SingularHessian
+from riemopt.errors import Diverged, LineSearchFailed, NoDecrease, SingularHessian
 
 
 class Euclid(Manifold):
@@ -419,3 +419,68 @@ def test_cg_beta_rule_variants():
         assert trace.grad_norms[-1] < cfg.grad_tol
         w = np.linalg.eigvalsh(Q)
         assert abs(trace.values[-1] - w[-1]) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the loop that stops decides convergence
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient, newton])
+def test_trace_not_converged_when_budget_runs_out(solver):
+    rng = np.random.default_rng(3)
+    obj = RayleighObjective(np.diag(np.arange(8, 0, -1.0)))
+    trace = solver(obj, rand_unit(rng, 8), SolverConfig(max_iter=1, line_search="exact"))
+    assert trace.iterations == 1
+    assert trace.grad_norms[-1] >= 1e-12
+    assert not trace.converged
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient, newton])
+def test_trace_converged_when_tolerance_stops(solver):
+    n = 8
+    axis = np.zeros(n)
+    axis[0] = 1.0
+    rng = np.random.default_rng(5)
+    x0 = axis * np.cos(0.1) + rand_tangent(rng, axis) * np.sin(0.1)
+    config = SolverConfig(grad_tol=1e-6, max_iter=500, line_search="exact")
+    trace = solver(RayleighObjective(np.diag(np.arange(n, 0, -1.0))), x0, config)
+    assert trace.iterations < config.max_iter
+    assert trace.grad_norms[-1] < config.grad_tol
+    assert trace.converged
+
+
+def test_newton_takes_the_last_step_on_a_singular_shift():
+    # rho rounds to the top eigenvalue exactly, so the shift is singular
+    # while the gradient is still far above the tolerance
+    n = 5
+    axis = np.zeros(n)
+    axis[0] = 1.0
+    x0 = axis * np.cos(1e-9) + np.array([0.0, 0.6, 0.8, 0.0, 0.0]) * np.sin(1e-9)
+    config = SolverConfig(grad_tol=1e-15)
+    trace = newton(RayleighObjective(np.diag(np.arange(n, 0, -1.0))), x0, config,
+                   error_fn=lambda x: axis_angle(x, axis))
+    assert trace.grad_norms[0] > 1e-9
+    assert trace.iterations == 1
+    assert trace.steps == [1.0, 0.0]
+    assert trace.errors[-1] <= 1e-15
+    assert trace.converged
+
+
+def test_solver_error_leaves_trace_unconverged():
+    # the quotient has no step estimate, so the first line search fails
+    obj = RayleighObjective(np.diag([3.0, 2.0, 1.0]))
+    with pytest.raises(LineSearchFailed) as info:
+        steepest_descent(obj, np.ones(3) / np.sqrt(3.0), SolverConfig(line_search="estimate"))
+    assert len(info.value.trace) == 1
+    assert not info.value.trace.converged
+
+
+def test_generic_newton_reaches_eigen_residual_at_n200():
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((200, 200))
+    Q = 0.5 * (A + A.T)
+    x0 = rng.standard_normal(200)
+    trace = newton(RayleighObjective(Q), x0 / np.linalg.norm(x0))
+    x = trace.points[-1]
+    assert trace.converged
+    assert np.linalg.norm(Q @ x - (x @ Q @ x) * x) <= 1e-10 * np.linalg.norm(Q)
