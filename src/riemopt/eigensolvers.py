@@ -15,8 +15,16 @@ import numpy as np
 
 from .core import IterationTrace
 from .solvers import SolverConfig, conjugate_gradient
+from .sphere import (
+    RayleighObjective,
+    RayleighProblem,
+    newton_tangent,
+    normalized_start,
+    project_tangent,
+    sphere_distance,
+    sphere_exp,
+)
 # the shift solve is looked up here by name, so that it can be wrapped
-from .sphere import RayleighObjective, project_tangent, sphere_distance
 from .sphere import shift_solve as _shift_solve
 
 
@@ -49,12 +57,13 @@ def _shift_iteration(Q, x0, config, error_fn, step) -> EigenResult:
     Each iteration solves ``y = (Q - rho I)^{-1} x`` and hands ``(x, y)``
     to ``step``, which returns ``(x_next, length)``, or ``(None,
     converged)`` to stop without a step.  A flagged (singular) shift takes
-    its step and then stops as converged.
+    its step and then stops as converged.  ``Q`` must be finite and exactly
+    symmetric (ValueError), and ``x0`` finite and nonzero
+    (:class:`~riemopt.errors.NotUnitDirection`).
     """
     config = config or SolverConfig()
-    Q = np.asarray(Q, dtype=float)
-    x = np.asarray(x0, dtype=float)
-    x = x / np.linalg.norm(x)
+    Q = RayleighProblem(Q).Q
+    x = normalized_start(x0)
     scale = np.linalg.norm(Q)
     error_fn = error_fn or _residual_norm(Q)
 
@@ -81,16 +90,13 @@ def _shift_iteration(Q, x0, config, error_fn, step) -> EigenResult:
 
 
 def _newton_update(x, y):
-    pivot = float(x @ y)
-    if pivot == 0.0:
-        return None, False  # tangent step undefined at this iterate
-    alpha = 1.0 / pivot
-    H = project_tangent(x, -x + alpha * y)
+    H = newton_tangent(x, y)
+    if H is None:
+        return None, False  # degenerate pivot: no tangent step at this iterate
     theta = float(np.linalg.norm(H))
     if theta == 0.0:
         return None, True  # x is already an eigenvector
-    x_next = x * np.cos(theta) + (H / theta) * np.sin(theta)
-    return x_next / np.linalg.norm(x_next), theta
+    return sphere_exp(x, H), theta
 
 
 def _rqi_update(x, y):
@@ -106,7 +112,8 @@ def newton_rayleigh(Q, x0, config=None, error_fn=None) -> EigenResult:
     Each step solves ``y = (Q - rho I)^{-1} x``, forms the tangent
     ``H = -x + y / (x^T y)``, and follows the great circle
     ``x cos|H| + (H/|H|) sin|H|``.  A singular shift is success: ``rho`` is
-    an eigenvalue to working precision.
+    an eigenvalue to working precision.  A degenerate pivot ``x^T y`` stops
+    the iteration unconverged, without a step.
     """
     return _shift_iteration(Q, x0, config, error_fn, _newton_update)
 
@@ -128,6 +135,8 @@ def cg_extreme_eigen(Q, x0, config=None, which="max", error_fn=None) -> EigenRes
     matrix size, overridable through ``config.reset_period``).  The
     solver's gradient is ``2(Qx - rho x)``, so the residual tolerance
     ``grad_tol * |Q|_F`` becomes ``2 grad_tol |Q|_F`` on the gradient.
+    A zero or non-finite start raises
+    :class:`~riemopt.errors.NotUnitDirection`.
     """
     objective = RayleighObjective(Q, which)
     Q = objective.problem.Q
@@ -137,7 +146,6 @@ def cg_extreme_eigen(Q, x0, config=None, which="max", error_fn=None) -> EigenRes
     config = replace(config, line_search="exact",
                      reset_period=config.reset_period or objective.problem.n,
                      grad_tol=2.0 * config.grad_tol * scale)
-    x = np.asarray(x0, dtype=float)
-    trace = conjugate_gradient(objective, x / np.linalg.norm(x), config,
+    trace = conjugate_gradient(objective, normalized_start(x0), config,
                                error_fn=error_fn or _residual_norm(Q))
     return EigenResult(trace.values[-1], trace.points[-1], trace, trace.converged, trace.iterations)

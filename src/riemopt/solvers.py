@@ -56,6 +56,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise ValueError("gradient tolerance must be positive")
+        if self.max_iter < 0:
+            raise ValueError("iteration budget must be >= 0")
         if self.reset_period is not None and self.reset_period < 1:
             raise ValueError("reset period must be >= 1")
         if self.line_search not in ("exact", "golden", "estimate"):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core import GeodesicObjective, Manifold
 from .errors import (
@@ -25,6 +26,8 @@ from .errors import (
 
 UNIT_TOL = 1e-12
 TANGENT_TOL = 1e-12
+#: A shift ``Q - rho I`` whose LAPACK estimate of the 1-norm condition
+#: number ``|A|_1 |A^-1|_1`` exceeds this is singular to working precision.
 SHIFT_CONDITION_LIMIT = 1e14
 
 
@@ -41,6 +44,15 @@ def check_tangent(x, v, tol=TANGENT_TOL):
     if abs(x @ v) > bound:
         raise NotTangent(f"|x^T v| = {abs(x @ v):.3e} exceeds {bound:.3e}")
     return v
+
+
+def normalized_start(x0):
+    """``x0 / |x0|``; a zero or non-finite start has no direction."""
+    x = np.asarray(x0, dtype=float)
+    nx = float(np.linalg.norm(x))
+    if not (np.isfinite(nx) and nx > 0.0):
+        raise NotUnitDirection(f"start must be finite and nonzero, |x0| = {nx!r}")
+    return x / nx
 
 
 def project_tangent(x, v):
@@ -147,6 +159,8 @@ class RayleighProblem:
         Q = np.asarray(self.Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
+        if not np.all(np.isfinite(Q)):
+            raise ValueError("Q must be finite")
         if not np.array_equal(Q, Q.T):
             raise ValueError("Q must be exactly symmetric as stored")
         object.__setattr__(self, "Q", Q)
@@ -181,25 +195,48 @@ def rayleigh_hessian_apply(prob, x, u):
     return project_tangent(x, w)
 
 
+def _lu(A, anorm):
+    """LAPACK ``getrf`` factors ``(lu, piv)`` of ``A`` and ``gecon``'s
+    estimate of the reciprocal 1-norm condition ``1 / (|A|_1 |A^-1|_1)``,
+    given ``anorm = |A|_1``; None when a pivot is exactly zero.  A
+    Fortran-ordered ``A`` is overwritten by the factors."""
+    lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
+    if info > 0:
+        return None
+    rcond, _ = lapack.dgecon(lu, anorm)
+    return lu, piv, rcond
+
+
+def _shifted(Q, rho):
+    # Q - rho I as a Fortran-ordered copy, which getrf may overwrite
+    A = np.array(Q, dtype=float, order="F")
+    A[np.diag_indices_from(A)] -= rho
+    return A
+
+
 def solve_projected_linear(A, x, v):
     """Solve ``(I - xx^T) A u = v`` for a tangent ``u`` at ``x``.
 
     Uses ``u = A^{-1}(v - (x^T A^{-1} v)/(x^T A^{-1} x) x)``, which is
-    tangent by construction.
+    tangent by construction.  One LU factorization serves both solves, and
+    its condition estimate scales the pivot test: the pivot
+    ``x^T A^{-1} x`` is degenerate below ``1e-14 |A^-1|_1``.
     """
     A = np.asarray(A, dtype=float)
     x = np.asarray(x, dtype=float)
     v = check_tangent(x, v)
-    try:
-        sol = np.linalg.solve(A, np.column_stack([v, x]))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from None
+    anorm = np.linalg.norm(A, 1)
+    factors = _lu(np.array(A, order="F"), anorm)
+    if factors is None:
+        raise SingularMatrix("A is exactly singular")
+    lu, piv, rcond = factors
+    sol, _ = lapack.dgetrs(lu, piv, np.column_stack([v, x]))
     if not np.all(np.isfinite(sol)):
         raise SingularMatrix("solve produced non-finite values")
     Av, Ax = sol[:, 0], sol[:, 1]
     pivot = float(x @ Ax)
-    inv_norm = 1.0 / np.linalg.svd(A, compute_uv=False)[-1]
-    if abs(pivot) < 1e-14 * inv_norm:
+    # |A^-1|_1 is estimated as 1 / (rcond |A|_1)
+    if abs(pivot) * rcond * anorm < 1e-14:
         raise DegeneratePivot(f"|x^T A^-1 x| = {abs(pivot):.3e} too small")
     u = Av - (float(x @ Av) / pivot) * Ax
     return project_tangent(x, u)
@@ -207,27 +244,38 @@ def solve_projected_linear(A, x, v):
 
 def shift_solve(Q, rho, x):
     """Solve ``(Q - rho I) y = x`` and flag a shift singular to working
-    precision (condition above ``SHIFT_CONDITION_LIMIT``).
+    precision.
 
-    A flagged solve is still usable: it is backward stable and its solution
-    is dominated by the target eigenvector, so the Newton and quotient
+    One LU factorization gives both the solve and LAPACK's estimate of the
+    1-norm condition number ``|A|_1 |A^-1|_1``; the shift is flagged when
+    that estimate exceeds ``SHIFT_CONDITION_LIMIT`` (or is NaN).  A flagged
+    solve is still usable: it is backward stable and its solution is
+    dominated by the target eigenvector, so the Newton and quotient
     iterations take one last step from it and then declare convergence
     (``rho`` is an eigenvalue to working precision).  When the shift is
-    exactly singular or the solve overflows, the limiting direction is the
-    null singular vector, which is the same step at infinite amplification.
+    exactly singular (a zero pivot) or the solve overflows, the limiting
+    direction is the null singular vector of a full SVD, which is the same
+    step at infinite amplification.
     """
-    A = Q - rho * np.eye(Q.shape[0])
-    sv = np.linalg.svd(A, compute_uv=False)
-    flagged = sv[-1] == 0.0 or sv[0] / sv[-1] > SHIFT_CONDITION_LIMIT
-    if sv[-1] > 0.0:
-        try:
-            y = np.linalg.solve(A, x)
-        except np.linalg.LinAlgError:
-            y = None
-        if y is not None and np.all(np.isfinite(y)):
-            return y, flagged
-    y = np.linalg.svd(A)[2][-1]
+    A = _shifted(Q, rho)
+    factors = _lu(A, np.linalg.norm(A, 1))
+    if factors is not None:
+        lu, piv, rcond = factors
+        y, _ = lapack.dgetrs(lu, piv, x)
+        if np.all(np.isfinite(y)):
+            return y, not rcond >= 1.0 / SHIFT_CONDITION_LIMIT
+    y = np.linalg.svd(_shifted(Q, rho))[2][-1]
     return (-y if float(y @ x) < 0.0 else y), True
+
+
+def newton_tangent(x, y):
+    """Newton tangent ``-x + y / (x^T y)`` at ``x`` from
+    ``y = (Q - rho I)^{-1} x``, projected onto the tangent space, or None
+    when the pivot is degenerate: ``|x^T y| < 1e-14 |y|``."""
+    pivot = float(x @ y)
+    if not abs(pivot) >= 1e-14 * np.linalg.norm(y):
+        return None
+    return project_tangent(x, -x + y / pivot)
 
 
 def rayleigh_newton_step(prob, x):
@@ -237,14 +285,12 @@ def rayleigh_newton_step(prob, x):
     working precision, which the solvers interpret as convergence (rho is
     an eigenvalue).  The step from the flagged solve rides on the
     exception as ``exc.step``, or None when it is zero or undefined.
+    Raises :class:`DegeneratePivot` when the pivot ``x^T y`` is degenerate.
     """
     x = np.asarray(x, dtype=float)
     rho = rayleigh_value(prob, x)
     y, flagged = shift_solve(prob.Q, rho, x)
-    pivot = float(x @ y)
-    H = None
-    if abs(pivot) >= 1e-14 * np.linalg.norm(y):
-        H = project_tangent(x, -x + y / pivot)
+    H = newton_tangent(x, y)
     if flagged:
         step = H if H is not None and np.linalg.norm(H) > 0.0 else None
         raise SingularShift(f"rho = {rho!r} is an eigenvalue to working precision", step=step)

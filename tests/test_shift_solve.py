@@ -1,0 +1,139 @@
+"""The shift solve ``(Q - rho I) y = x`` behind every Newton and quotient
+step on the sphere, the Newton tangent formed from it, and the entry checks
+of the eigenpair drivers."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import rand_sym, rand_unit
+from riemopt import (
+    RayleighObjective,
+    RayleighProblem,
+    SolverConfig,
+    cg_extreme_eigen,
+    newton,
+    newton_rayleigh,
+    rqi,
+)
+from riemopt.errors import DegeneratePivot, NotUnitDirection
+from riemopt.sphere import newton_tangent, shift_solve
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "eigenvalue", "singular"]),
+       frac=st.floats(-1.5, 1.5))
+def test_shift_solve_residual_and_flag(n, seed, kind, frac):
+    rng = np.random.default_rng(seed)
+    Q = rand_sym(rng, n)
+    w = np.linalg.eigvalsh(Q)
+    if kind == "singular":
+        # a zero row and column with a zero shift: an exactly zero pivot
+        k = int(rng.integers(n))
+        Q[k, :] = 0.0
+        Q[:, k] = 0.0
+        rho = 0.0
+    elif kind == "eigenvalue":
+        rho = float(w[rng.integers(n)])
+    else:
+        rho = frac * float(np.abs(w).max())
+    x = rand_unit(rng, n)
+    A = Q - rho * np.eye(n)
+    cond = np.linalg.cond(A)
+
+    y, flagged = shift_solve(Q, rho, x)
+
+    assert np.all(np.isfinite(y))
+    a_norm = np.linalg.norm(A, 2)
+    solved = np.linalg.norm(A @ y - x) <= 1e-10 * a_norm * np.linalg.norm(y)
+    # on a zero pivot the solve falls back to the unit null vector, flagged
+    # (an eigenvalue shift can round to an exactly singular A at small n)
+    null = (flagged and abs(np.linalg.norm(y) - 1.0) <= 1e-12
+            and np.linalg.norm(A @ y) <= 1e-10 * a_norm)
+    if kind == "singular":
+        assert null
+    else:
+        assert solved or null
+    if cond <= 1e10:
+        assert not flagged
+    if cond >= 1e17:
+        assert flagged
+
+
+def test_shift_drivers_run_without_an_svd(monkeypatch):
+    rng = np.random.default_rng(60)
+    n = 60
+    Q = rand_sym(rng, n)
+    x0 = rand_unit(rng, n)
+    scale = np.linalg.norm(Q)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the shift solve ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for solver in (rqi, newton_rayleigh):
+        res = solver(Q, x0, SolverConfig(max_iter=60))
+        assert res.converged
+        x = res.eigenvector
+        assert np.linalg.norm(Q @ x - res.eigenvalue * x) <= 1e-10 * scale
+    trace = newton(RayleighObjective(Q), x0, SolverConfig(max_iter=60, grad_tol=2e-10 * scale))
+    assert trace.converged
+    x = trace.points[-1]
+    assert np.linalg.norm(Q @ x - (x @ Q @ x) * x) <= 1e-10 * scale
+
+
+def test_tiny_pivot_stops_both_newton_drivers():
+    # rho ~ -1e-15 on Q = diag(1, -1): the shift is well conditioned, but
+    # x^T (Q - rho I)^{-1} x ~ 2 rho is at round-off level
+    Q = np.diag([1.0, -1.0])
+    x = np.array([1.0, 1.0 + 1e-15])
+    x = x / np.linalg.norm(x)
+    y, flagged = shift_solve(Q, float(x @ Q @ x), x)
+    assert not flagged
+    assert 0.0 < abs(float(x @ y)) < 1e-14 * np.linalg.norm(y)
+    assert newton_tangent(x, y) is None
+
+    res = newton_rayleigh(Q, x, SolverConfig(max_iter=5))
+    assert res.iterations == 0
+    assert not res.converged
+    np.testing.assert_array_equal(res.eigenvector, x)
+    with pytest.raises(DegeneratePivot):
+        newton(RayleighObjective(Q), x, SolverConfig(max_iter=5))
+
+
+@pytest.mark.parametrize("solver", [rqi, newton_rayleigh, cg_extreme_eigen])
+@pytest.mark.parametrize("start", ["zero", "nan", "inf"])
+def test_drivers_reject_a_start_without_direction(solver, start):
+    x0 = {"zero": np.zeros(3), "nan": np.array([1.0, np.nan, 0.0]),
+          "inf": np.array([1.0, np.inf, 0.0])}[start]
+    with pytest.raises(NotUnitDirection):
+        solver(np.diag([3.0, 2.0, 1.0]), x0)
+
+
+@pytest.mark.parametrize("solver", [rqi, newton_rayleigh])
+def test_shift_drivers_reject_a_nonsymmetric_matrix(solver):
+    Q = np.diag([3.0, 2.0, 1.0])
+    Q[0, 1] = 1e-3
+    with pytest.raises(ValueError):
+        solver(Q, np.ones(3))
+
+
+@pytest.mark.parametrize("solver", [rqi, newton_rayleigh, cg_extreme_eigen])
+def test_drivers_reject_a_non_finite_matrix(solver):
+    Q = np.diag([3.0, np.inf, 1.0])
+    # rejected at entry, not by a LinAlgError (a ValueError) from a solve
+    with pytest.raises(ValueError, match="finite"):
+        solver(Q, np.ones(3))
+
+
+def test_rayleigh_problem_rejects_a_non_finite_matrix():
+    with pytest.raises(ValueError, match="finite"):
+        RayleighProblem(np.diag([1.0, np.inf]))
+
+
+def test_config_rejects_a_negative_budget():
+    with pytest.raises(ValueError):
+        SolverConfig(max_iter=-1)
+    assert SolverConfig(max_iter=0).max_iter == 0
