@@ -20,20 +20,9 @@ from .core import (
 from .eigensolvers import EigenResult, cg_extreme_eigen, newton_rayleigh, rqi
 from .rotation import (
     BrockettObjective,
-    BrockettProblem,
     JacobiObjective,
-    JacobiProblem,
     SpecialOrthogonal,
-    brockett_gradient,
-    brockett_hessian_operator,
-    brockett_newton_direction,
-    brockett_step_estimate,
     brockett_third_component,
-    brockett_value,
-    jacobi_gradient,
-    jacobi_hessian_operator,
-    jacobi_newton_direction,
-    jacobi_value,
     skew_exp,
     so_geodesic,
     so_transport,
@@ -48,13 +37,9 @@ from .solvers import (
 )
 from .sphere import (
     RayleighObjective,
-    RayleighProblem,
     Sphere,
-    rayleigh_gradient,
-    rayleigh_hessian_apply,
     rayleigh_line_max,
     rayleigh_newton_step,
-    rayleigh_value,
     solve_projected_linear,
     sphere_distance,
     sphere_exp,
@@ -64,44 +49,29 @@ from .sphere import (
 
 __all__ = [
     "BrockettObjective",
-    "BrockettProblem",
     "ConvergenceReport",
     "EigenResult",
     "GeodesicObjective",
     "IterationTrace",
     "JacobiObjective",
-    "JacobiProblem",
     "LineSearchResult",
     "Manifold",
     "RayleighObjective",
-    "RayleighProblem",
     "STAGNATION_FLOOR",
     "SolverConfig",
     "SpecialOrthogonal",
     "Sphere",
-    "brockett_gradient",
-    "brockett_hessian_operator",
-    "brockett_newton_direction",
-    "brockett_step_estimate",
     "brockett_third_component",
-    "brockett_value",
     "cg_extreme_eigen",
     "conjugate_gradient",
     "errors",
     "estimate_order",
-    "jacobi_gradient",
-    "jacobi_hessian_operator",
-    "jacobi_newton_direction",
-    "jacobi_value",
     "line_minimize_geodesic",
     "longest_decreasing_run",
     "newton",
     "newton_rayleigh",
-    "rayleigh_gradient",
-    "rayleigh_hessian_apply",
     "rayleigh_line_max",
     "rayleigh_newton_step",
-    "rayleigh_value",
     "rqi",
     "skew_exp",
     "so_geodesic",

@@ -21,6 +21,19 @@ from .errors import AllBelowFloor, NonDecreasingSequence, TooFewPoints
 STAGNATION_FLOOR = 100.0 * np.finfo(float).eps
 
 
+def check_symmetric(Q):
+    """``Q`` as a float array; ValueError unless it is square, finite and
+    exactly symmetric as stored."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError("Q must be square")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("Q must be finite")
+    if not np.array_equal(Q, Q.T):
+        raise ValueError("Q must be exactly symmetric as stored")
+    return Q
+
+
 class Manifold(ABC):
     """Geodesic structure shared by every concrete manifold.
 

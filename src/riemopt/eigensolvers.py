@@ -13,11 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import IterationTrace
+from .core import IterationTrace, check_symmetric
 from .solvers import SolverConfig, conjugate_gradient
 from .sphere import (
     RayleighObjective,
-    RayleighProblem,
     newton_tangent,
     normalized_start,
     project_tangent,
@@ -62,7 +61,7 @@ def _shift_iteration(Q, x0, config, error_fn, step) -> EigenResult:
     (:class:`~riemopt.errors.NotUnitDirection`).
     """
     config = config or SolverConfig()
-    Q = RayleighProblem(Q).Q
+    Q = check_symmetric(Q)
     x = normalized_start(x0)
     scale = np.linalg.norm(Q)
     error_fn = error_fn or _residual_norm(Q)
@@ -139,12 +138,12 @@ def cg_extreme_eigen(Q, x0, config=None, which="max", error_fn=None) -> EigenRes
     :class:`~riemopt.errors.NotUnitDirection`.
     """
     objective = RayleighObjective(Q, which)
-    Q = objective.problem.Q
+    Q = objective.Q
     config = config or SolverConfig()
     # a zero Q still needs a positive tolerance (its every point is critical)
     scale = max(float(np.linalg.norm(Q)), np.finfo(float).tiny)
     config = replace(config, line_search="exact",
-                     reset_period=config.reset_period or objective.problem.n,
+                     reset_period=config.reset_period or objective.manifold.n,
                      grad_tol=2.0 * config.grad_tol * scale)
     trace = conjugate_gradient(objective, normalized_start(x0), config,
                                error_fn=error_fn or _residual_norm(Q))

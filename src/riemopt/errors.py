@@ -106,10 +106,6 @@ class Diverged(SolverError):
     pass
 
 
-class SingularHessian(SolverError):
-    pass
-
-
 # --- harness ---
 
 class ToleranceBreached(RiemoptError):

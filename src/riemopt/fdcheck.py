@@ -8,21 +8,9 @@ truncation error is quadratic in the step.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
-from .rotation import (
-    BrockettProblem,
-    JacobiProblem,
-    SpecialOrthogonal,
-    brockett_gradient,
-    brockett_hessian_operator,
-    brockett_value,
-    jacobi_gradient,
-    jacobi_hessian_operator,
-    jacobi_value,
-)
+from .rotation import BrockettObjective, JacobiObjective
 from .sampling import (
     random_rotation,
     random_symmetric,
@@ -31,7 +19,7 @@ from .sampling import (
     random_unit_vector,
     rng_from_seed,
 )
-from .sphere import RayleighProblem, Sphere, rayleigh_gradient, rayleigh_hessian_apply, rayleigh_value
+from .sphere import RayleighObjective
 
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
@@ -53,60 +41,47 @@ def relative_error(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _family_check(manifold, seed, instances, directions, draw_problem, draw_point, draw_direction):
+def _family_check(seed, instances, directions, draw_objective, draw_point, draw_direction):
     """Max relative gradient/Hessian-form errors over seeded instances.
 
-    Each instance draws, in this order, a problem ``(value, gradient,
-    form)`` from ``draw_problem(rng)``, a point from ``draw_point(rng)`` and
-    ``directions`` tangents from ``draw_direction(rng, p)``.  ``form(p, u)``
-    is the second covariant differential of ``value`` against ``(u, u)``.
+    Each instance draws, in this order, an objective from
+    ``draw_objective(rng)``, a point from ``draw_point(rng)`` and
+    ``directions`` tangents from ``draw_direction(rng, p)``, and checks
+    its ``value`` against its ``gradient`` and against the second
+    covariant differential ``<hessian_apply(p, u), u>``.
     """
     rng = rng_from_seed(seed)
     grad_err, hess_err = 0.0, 0.0
     for _ in range(instances):
-        value, gradient, form = draw_problem(rng)
+        objective = draw_objective(rng)
+        manifold = objective.manifold
         p = draw_point(rng)
         dirs = [draw_direction(rng, p) for _ in range(directions)]
-        g = gradient(p)
+        g = objective.gradient(p)
         for u in dirs:
-            slope = geodesic_slope(value, manifold, p, u)
+            slope = geodesic_slope(objective.value, manifold, p, u)
             grad_err = max(grad_err, relative_error(manifold.inner(p, g, u), slope))
-            curv = geodesic_curvature(value, manifold, p, u)
-            hess_err = max(hess_err, relative_error(form(p, u), curv))
+            curv = geodesic_curvature(objective.value, manifold, p, u)
+            form = manifold.inner(p, objective.hessian_apply(p, u), u)
+            hess_err = max(hess_err, relative_error(form, curv))
     return grad_err, hess_err
 
 
 def rayleigh_family_check(n=8, seed=0, instances=20, directions=8):
     """Max relative gradient/Hessian-form errors over seeded quotient instances."""
-
-    def draw_problem(rng):
-        prob = RayleighProblem(random_symmetric(rng, n))
-        return (partial(rayleigh_value, prob), partial(rayleigh_gradient, prob),
-                lambda x, u: float(rayleigh_hessian_apply(prob, x, u) @ u))
-
-    return _family_check(Sphere(n), seed, instances, directions, draw_problem,
+    return _family_check(seed, instances, directions,
+                         lambda rng: RayleighObjective(random_symmetric(rng, n), "min"),
                          lambda rng: random_unit_vector(rng, n), random_unit_tangent)
 
 
 def brockett_family_check(n=6, seed=0, instances=20, directions=8):
     N = np.diag(np.arange(n, 0, -1.0))
-
-    def draw_problem(rng):
-        prob = BrockettProblem(random_symmetric(rng, n), N)
-        # second differential against (X, X) is -1/2 tr(L(X) X)
-        return (partial(brockett_value, prob), partial(brockett_gradient, prob),
-                lambda T, X: -0.5 * float(np.trace(brockett_hessian_operator(prob, T, X) @ X)))
-
-    return _family_check(SpecialOrthogonal(n), seed, instances, directions, draw_problem,
+    return _family_check(seed, instances, directions,
+                         lambda rng: BrockettObjective(random_symmetric(rng, n), N),
                          lambda rng: random_rotation(rng, n), lambda rng, T: random_unit_skew(rng, n))
 
 
 def jacobi_family_check(n=5, seed=0, instances=20, directions=8):
-
-    def draw_problem(rng):
-        prob = JacobiProblem(random_symmetric(rng, n))
-        return (partial(jacobi_value, prob), partial(jacobi_gradient, prob),
-                lambda T, X: -float(np.trace(jacobi_hessian_operator(prob, T, X) @ X)))
-
-    return _family_check(SpecialOrthogonal(n), seed, instances, directions, draw_problem,
+    return _family_check(seed, instances, directions,
+                         lambda rng: JacobiObjective(random_symmetric(rng, n)),
                          lambda rng: random_rotation(rng, n), lambda rng, T: random_unit_skew(rng, n))

@@ -14,12 +14,10 @@ this metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm
 
-from .core import GeodesicObjective, Manifold
+from .core import GeodesicObjective, Manifold, check_symmetric
 from .errors import (
     DegenerateCommutator,
     IndefiniteOperator,
@@ -148,87 +146,15 @@ def _solve_definite(apply_op, b, rel_tol=1e-12, max_iter=None):
 # Trace objective  f(T) = tr(T' Q T N)
 
 
-@dataclass(frozen=True)
-class BrockettProblem:
-    """Data for ``f(T) = tr(T^T Q T N)``: symmetric ``Q``, diagonal ``N``
-    with pairwise distinct entries."""
-
-    Q: np.ndarray
-    N: np.ndarray
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        N = np.asarray(self.N, dtype=float)
-        if not np.array_equal(Q, Q.T):
-            raise ValueError("Q must be exactly symmetric as stored")
-        if not np.array_equal(N, diag_part(N)):
-            raise ValueError("N must be diagonal")
-        d = np.diag(N)
-        if len(np.unique(d)) != len(d):
-            raise ValueError("N must have pairwise distinct diagonal entries")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "N", N)
-
-    @property
-    def n(self):
-        return self.Q.shape[0]
-
-
-def conjugated_matrix(prob, T):
+def conjugated_matrix(Q, T):
     """``H = T^T Q T``, symmetrized to remove round-off asymmetry."""
-    H = T.T @ prob.Q @ T
+    H = T.T @ Q @ T
     return 0.5 * (H + H.T)
-
-
-def brockett_value(prob, T):
-    return float(np.trace(conjugated_matrix(prob, T) @ prob.N))
-
-
-def brockett_gradient(prob, T):
-    """Ascent gradient ``[H, N]`` in algebra coordinates (the tangent at
-    ``T`` is ``T [H, N]``)."""
-    return commutator(conjugated_matrix(prob, T), prob.N)
-
-
-def brockett_step_estimate(prob, T, Omega):
-    """Curvature-bound step for the geodesic ``T e^{t Omega}``.
-
-    With ``phi(t) = f(T e^{t Omega})`` and ``phi'(0) = 2 tr(H Omega N) > 0``,
-    ``phi'`` stays nonnegative on ``[0, t]`` for
-    ``t <= 2 tr(H Omega N) / (|[Omega, H]| |[Omega, N]|)``, so stepping by
-    the bound never overshoots the first local maximum.
-    """
-    H = conjugated_matrix(prob, T)
-    num = 2.0 * float(np.trace(H @ Omega @ prob.N))
-    if num <= 0.0:
-        raise NotAscentDirection(f"phi'(0) = {num!r} is not positive")
-    den = np.linalg.norm(commutator(Omega, H)) * np.linalg.norm(commutator(Omega, prob.N))
-    if den == 0.0:
-        raise DegenerateCommutator("step bound undefined: commutator norms vanish")
-    return num / den
 
 
 def _brockett_neg_L(H, N, X):
     # -L(X) in the form the Newton solve applies
     return commutator(commutator(X, H), N) - commutator(H, commutator(X, N))
-
-
-def brockett_hessian_operator(prob, T, X):
-    """``L(X) = [H, [X, N]] - [[X, H], N]``; the second-differential form is
-    ``-1/2 tr(L(X) Y)`` against a tangent ``T Y``."""
-    return -_brockett_neg_L(conjugated_matrix(prob, T), prob.N, X)
-
-
-def brockett_newton_direction(prob, T, rel_tol=1e-12):
-    """Newton direction: the skew ``X`` with ``L(X) = -2 [H, N]``.
-
-    Solved as ``(-L)(X) = 2 [H, N]`` by linear conjugate gradient, since
-    ``-L`` is positive definite near the maximum.  Raises
-    :class:`IndefiniteOperator` away from it.
-    """
-    H = conjugated_matrix(prob, T)
-    b = 2.0 * commutator(H, prob.N)
-    return _solve_definite(lambda X: _brockett_neg_L(H, prob.N, X), b, rel_tol=rel_tol)
 
 
 def brockett_third_component(h, nu, X, i, j):
@@ -256,90 +182,87 @@ def brockett_third_component(h, nu, X, i, j):
     return -2.0 * total
 
 
-def similarly_ordered_diagonal(prob, H):
-    """Diagonal matrix of the eigenvalues of ``H`` arranged so their order
-    matches the ordering of the diagonal of ``N``."""
-    ev = np.sort(np.linalg.eigvalsh(H))[::-1]
-    slots = np.argsort(np.diag(prob.N))[::-1]
-    D = np.zeros_like(H)
-    D[slots, slots] = ev
-    return D
-
-
 class BrockettObjective(GeodesicObjective):
-    """Maximization of ``tr(T^T Q T N)``, run as minimization of its negative."""
+    """Maximization of ``f(T) = tr(T^T Q T N)``, run as minimization of its
+    negative.  ``Q`` must be finite and exactly symmetric, ``N`` a finite
+    diagonal matrix of the same size with pairwise distinct entries
+    (ValueError otherwise)."""
 
-    def __init__(self, Q, N=None):
-        if isinstance(Q, BrockettProblem):
-            self.problem = Q
-        else:
-            self.problem = BrockettProblem(np.asarray(Q, dtype=float), np.asarray(N, dtype=float))
-        self._manifold = SpecialOrthogonal(self.problem.n)
+    def __init__(self, Q, N):
+        self.Q = check_symmetric(Q)
+        n = self.Q.shape[0]
+        N = np.asarray(N, dtype=float)
+        if N.shape != (n, n) or not np.all(np.isfinite(N)):
+            raise ValueError(f"N must be a finite {n}-by-{n} matrix")
+        if not np.array_equal(N, diag_part(N)):
+            raise ValueError("N must be diagonal")
+        if len(np.unique(np.diag(N))) != n:
+            raise ValueError("N must have pairwise distinct diagonal entries")
+        self.N = N
+        self._manifold = SpecialOrthogonal(n)
 
     @property
     def manifold(self):
         return self._manifold
 
     def value(self, T):
-        return -brockett_value(self.problem, T)
+        return -self.report_value(T)
 
     def report_value(self, T):
-        return brockett_value(self.problem, T)
+        return float(np.trace(conjugated_matrix(self.Q, T) @ self.N))
 
     def gradient(self, T):
-        return -brockett_gradient(self.problem, T)
+        """Descent gradient ``-[H, N]`` in algebra coordinates (the tangent
+        at ``T`` is ``T [H, N]`` for the ascent of ``f``)."""
+        return -commutator(conjugated_matrix(self.Q, T), self.N)
 
     def hessian_apply(self, T, X):
-        # second differential of -f is +1/2 tr(L(X) Y) = <-L(X)/2, Y>
-        return -0.5 * brockett_hessian_operator(self.problem, T, X)
+        """``-L(X)/2`` with ``L(X) = [H, [X, N]] - [[X, H], N]``: the second
+        differential of ``f`` is ``-1/2 tr(L(X) Y)`` against a tangent
+        ``T Y``, so that of ``-f`` is ``<-L(X)/2, Y>``."""
+        return 0.5 * _brockett_neg_L(conjugated_matrix(self.Q, T), self.N, X)
 
     def newton_direction(self, T):
-        return brockett_newton_direction(self.problem, T)
+        """Newton direction: the skew ``X`` with ``L(X) = -2 [H, N]``.
 
-    def step_estimate(self, T, X):
-        return brockett_step_estimate(self.problem, T, X)
+        Solved as ``(-L)(X) = 2 [H, N]`` by linear conjugate gradient,
+        since ``-L`` is positive definite near the maximum.  Raises
+        :class:`IndefiniteOperator` away from it.
+        """
+        H = conjugated_matrix(self.Q, T)
+        b = 2.0 * commutator(H, self.N)
+        return _solve_definite(lambda X: _brockett_neg_L(H, self.N, X), b)
+
+    def step_estimate(self, T, Omega):
+        """Curvature-bound step for the geodesic ``T e^{t Omega}``.
+
+        With ``phi(t) = f(T e^{t Omega})`` and
+        ``phi'(0) = 2 tr(H Omega N) > 0``, ``phi'`` stays nonnegative on
+        ``[0, t]`` for ``t <= 2 tr(H Omega N) / (|[Omega, H]| |[Omega, N]|)``,
+        so stepping by the bound never overshoots the first local maximum.
+        """
+        H = conjugated_matrix(self.Q, T)
+        num = 2.0 * float(np.trace(H @ Omega @ self.N))
+        if num <= 0.0:
+            raise NotAscentDirection(f"phi'(0) = {num!r} is not positive")
+        den = np.linalg.norm(commutator(Omega, H)) * np.linalg.norm(commutator(Omega, self.N))
+        if den == 0.0:
+            raise DegenerateCommutator("step bound undefined: commutator norms vanish")
+        return num / den
 
     def error_metric(self, T):
-        H = conjugated_matrix(self.problem, T)
-        return float(np.linalg.norm(H - similarly_ordered_diagonal(self.problem, H)))
+        """``|H - D|_F`` for the diagonal ``D`` of the eigenvalues of ``H``
+        arranged so their order matches the order of the diagonal of ``N``."""
+        H = conjugated_matrix(self.Q, T)
+        ev = np.sort(np.linalg.eigvalsh(H))[::-1]
+        slots = np.argsort(np.diag(self.N))[::-1]
+        D = np.zeros_like(H)
+        D[slots, slots] = ev
+        return float(np.linalg.norm(H - D))
 
 
 # ---------------------------------------------------------------------------
 # Diagonalization objective  f(T) = tr(H diag(H)),  H = T' Q T
-
-
-@dataclass(frozen=True)
-class JacobiProblem:
-    """Data for ``f(T) = tr(H pi(H))`` with ``H = T^T Q T`` and ``pi`` the
-    diagonal projection; maximizing it drains the off-diagonal mass."""
-
-    Q: np.ndarray
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        if not np.array_equal(Q, Q.T):
-            raise ValueError("Q must be exactly symmetric as stored")
-        object.__setattr__(self, "Q", Q)
-
-    @property
-    def n(self):
-        return self.Q.shape[0]
-
-
-#: ``H = T^T Q T`` for the diagonalization objective: the same map as for
-#: the trace objective, since it reads only ``prob.Q``.
-jacobi_conjugated = conjugated_matrix
-
-
-def jacobi_value(prob, T):
-    H = conjugated_matrix(prob, T)
-    return float(np.sum(np.diag(H) ** 2))
-
-
-def jacobi_gradient(prob, T):
-    """Ascent gradient ``2 [H, pi(H)]`` in algebra coordinates."""
-    H = conjugated_matrix(prob, T)
-    return 2.0 * commutator(H, diag_part(H))
 
 
 def _jacobi_neg_M(H, P, X):
@@ -350,48 +273,47 @@ def _jacobi_neg_M(H, P, X):
             - commutator(H, commutator(X, P)))
 
 
-def jacobi_hessian_operator(prob, T, X):
-    """``M(X) = [H, [X, pi(H)]] - [[X, H], pi(H)] - 2 [H, pi([X, H])]``;
-    the second-differential form is ``-tr(M(X) Y)``."""
-    H = conjugated_matrix(prob, T)
-    return -_jacobi_neg_M(H, diag_part(H), X)
-
-
-def jacobi_newton_direction(prob, T, rel_tol=1e-12):
-    """Newton direction: the skew ``X`` with ``M(X) = -2 [H, pi(H)]``,
-    solved as ``(-M)(X) = 2 [H, pi(H)]`` against the operator that is
-    positive definite near a diagonalizer."""
-    H = conjugated_matrix(prob, T)
-    P = diag_part(H)
-    b = 2.0 * commutator(H, P)
-    return _solve_definite(lambda X: _jacobi_neg_M(H, P, X), b, rel_tol=rel_tol)
-
-
 class JacobiObjective(GeodesicObjective):
-    """Off-diagonal-mass reduction, run as minimization of ``-tr(H pi(H))``."""
+    """Off-diagonal-mass reduction: maximization of ``f(T) = tr(H pi(H))``
+    with ``H = T^T Q T`` and ``pi`` the diagonal projection, run as
+    minimization of its negative.  ``Q`` must be finite and exactly
+    symmetric (ValueError otherwise)."""
 
     def __init__(self, Q):
-        self.problem = Q if isinstance(Q, JacobiProblem) else JacobiProblem(np.asarray(Q, dtype=float))
-        self._manifold = SpecialOrthogonal(self.problem.n)
+        self.Q = check_symmetric(Q)
+        self._manifold = SpecialOrthogonal(self.Q.shape[0])
 
     @property
     def manifold(self):
         return self._manifold
 
     def value(self, T):
-        return -jacobi_value(self.problem, T)
+        return -self.report_value(T)
 
     def report_value(self, T):
-        return jacobi_value(self.problem, T)
+        H = conjugated_matrix(self.Q, T)
+        return float(np.sum(np.diag(H) ** 2))
 
     def gradient(self, T):
-        return -jacobi_gradient(self.problem, T)
+        """Descent gradient ``-2 [H, pi(H)]`` in algebra coordinates."""
+        H = conjugated_matrix(self.Q, T)
+        return -2.0 * commutator(H, diag_part(H))
 
     def hessian_apply(self, T, X):
-        return -jacobi_hessian_operator(self.problem, T, X)
+        """``-M(X)`` with ``M(X) = [H, [X, pi(H)]] - [[X, H], pi(H)]
+        - 2 [H, pi([X, H])]``: the second differential of ``f`` is
+        ``-tr(M(X) Y)``, so that of ``-f`` is ``<-M(X), Y>``."""
+        H = conjugated_matrix(self.Q, T)
+        return _jacobi_neg_M(H, diag_part(H), X)
 
     def newton_direction(self, T):
-        return jacobi_newton_direction(self.problem, T)
+        """Newton direction: the skew ``X`` with ``M(X) = -2 [H, pi(H)]``,
+        solved as ``(-M)(X) = 2 [H, pi(H)]`` against the operator that is
+        positive definite near a diagonalizer."""
+        H = conjugated_matrix(self.Q, T)
+        P = diag_part(H)
+        b = 2.0 * commutator(H, P)
+        return _solve_definite(lambda X: _jacobi_neg_M(H, P, X), b)
 
     def error_metric(self, T):
-        return off_diagonal_norm(conjugated_matrix(self.problem, T))
+        return off_diagonal_norm(conjugated_matrix(self.Q, T))

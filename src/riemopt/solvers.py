@@ -2,7 +2,7 @@
 
 All three solvers minimize a :class:`~riemopt.core.GeodesicObjective` over
 its manifold.  Maximization problems are expected to negate themselves (the
-objective adapters in :mod:`riemopt.sphere` and :mod:`riemopt.rotation` do).
+objectives in :mod:`riemopt.sphere` and :mod:`riemopt.rotation` do).
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import numpy as np
 from .core import GeodesicObjective, IterationTrace
 from .errors import (
     DegenerateCommutator,
+    DegeneratePivot,
     Diverged,
     IndefiniteOperator,
     LineSearchFailed,
     MaxEvaluations,
     NoDecrease,
     NotAscentDirection,
-    SingularHessian,
     SingularShift,
     ZeroTangent,
 )
@@ -49,9 +49,6 @@ class SolverConfig:
     max_iter: int = 1000
     line_search: str = "golden"
     reset_period: int | None = None
-    beta_rule: str = "polak-ribiere"
-    pr_clamp: bool = False
-    newton_fallback: str = "gradient"
 
     def __post_init__(self):
         if self.grad_tol <= 0:
@@ -62,19 +59,14 @@ class SolverConfig:
             raise ValueError("reset period must be >= 1")
         if self.line_search not in ("exact", "golden", "estimate"):
             raise ValueError(f"unknown line search kind {self.line_search!r}")
-        if self.beta_rule not in ("polak-ribiere", "fletcher-reeves"):
-            raise ValueError(f"unknown beta rule {self.beta_rule!r}")
-        if self.newton_fallback not in ("gradient", "abort"):
-            raise ValueError(f"unknown newton fallback {self.newton_fallback!r}")
 
 
 @dataclass(frozen=True)
 class LineSearchResult:
-    """Accepted step, objective evaluations spent, and the value at and the
-    location of the accepted point ``exp(p, H, step)``."""
+    """Accepted step, objective evaluations spent, and the accepted point
+    ``exp(p, H, step)``."""
     step: float
     evaluations: int
-    value: float
     point: object
 
 
@@ -110,8 +102,7 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> L
             raise LineSearchFailed(
                 "problem provides no step estimate; use 'golden'") from None
     if config.line_search != "golden":
-        q = M.exp(p, H, t)
-        return LineSearchResult(t, 1, objective.value(q), q)
+        return LineSearchResult(t, 1, M.exp(p, H, t))
 
     evals = 0
 
@@ -167,8 +158,8 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> L
     else:
         t, ft, q = x2, fx2, q2
     if fb < ft:
-        t, ft, q = b, fb, qb
-    return LineSearchResult(float(t), evals, float(ft), q)
+        t, q = b, qb
+    return LineSearchResult(float(t), evals, q)
 
 
 def _start_trace(objective, p, error_fn):
@@ -211,11 +202,11 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
     ``hessian(H) = -gradient``.
 
     There is no damping or line search.  On an indefinite or singular
-    second differential the configured fallback takes a single
-    line-minimized gradient step instead.  A singular shift reported by the
-    problem means the current iterate is critical to working precision: the
-    iteration takes the step the problem attached to it, if any, and stops
-    as converged.
+    second differential, or a degenerate pivot, it takes a single
+    line-minimized gradient step instead.  A singular shift reported by
+    the problem means the current iterate is critical to working
+    precision: the iteration takes the step the problem attached to it, if
+    any, and stops as converged.
     """
     config = config or SolverConfig()
     error_fn = error_fn or objective.error_metric
@@ -234,13 +225,11 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
             if exc.step is None:
                 break
             step, p = 1.0, M.exp(p, exc.step, 1.0)
-        except (IndefiniteOperator, SingularHessian, np.linalg.LinAlgError) as exc:
-            if config.newton_fallback != "gradient":
-                raise SingularHessian(str(exc), trace=trace) from exc
+        except (IndefiniteOperator, DegeneratePivot, np.linalg.LinAlgError):
             try:
                 ls = line_minimize_geodesic(objective, p, -g, config)
-            except (NoDecrease, MaxEvaluations, LineSearchFailed) as exc2:
-                raise LineSearchFailed(str(exc2), trace=trace) from exc2
+            except (NoDecrease, MaxEvaluations, LineSearchFailed) as exc:
+                raise LineSearchFailed(str(exc), trace=trace) from exc
             step, p = ls.step, ls.point
         else:
             step, p = 1.0, M.exp(p, H, 1.0)
@@ -301,12 +290,7 @@ def conjugate_gradient(objective: GeodesicObjective, p0, config=None, error_fn=N
         if (i % reset_period) == reset_period - 1 or denom == 0.0:
             H_next = G_next
         else:
-            if config.beta_rule == "polak-ribiere":
-                gamma = M.inner(p_next, G_next - tau_G, G_next) / denom
-            else:
-                gamma = M.inner(p_next, G_next, G_next) / M.inner(p, G, G)
-            if config.pr_clamp:
-                gamma = max(gamma, 0.0)
+            gamma = M.inner(p_next, G_next - tau_G, G_next) / denom
             H_next = G_next + gamma * tau_H
         trace.record_step(lam)
         p, g, gn, G, H = p_next, g_next, gn_next, G_next, H_next

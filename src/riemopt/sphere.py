@@ -8,12 +8,10 @@ solved anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import GeodesicObjective, Manifold
+from .core import GeodesicObjective, Manifold, check_symmetric
 from .errors import (
     AntipodalPoints,
     DegeneratePivot,
@@ -149,52 +147,6 @@ class Sphere(Manifold):
 # Rayleigh quotient
 
 
-@dataclass(frozen=True)
-class RayleighProblem:
-    """Rayleigh quotient data ``rho(x) = x^T Q x`` for symmetric ``Q``."""
-
-    Q: np.ndarray
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ValueError("Q must be square")
-        if not np.all(np.isfinite(Q)):
-            raise ValueError("Q must be finite")
-        if not np.array_equal(Q, Q.T):
-            raise ValueError("Q must be exactly symmetric as stored")
-        object.__setattr__(self, "Q", Q)
-
-    @property
-    def n(self):
-        return self.Q.shape[0]
-
-
-def rayleigh_value(prob, x):
-    """rho(x) = x^T Q x."""
-    return float(x @ prob.Q @ x)
-
-
-def rayleigh_gradient(prob, x):
-    """Gradient 2(Qx - rho(x) x), with an explicit tangency projection.
-
-    The projection removes the normal round-off component, which otherwise
-    caps the attainable accuracy of gradient-based iterations near an
-    eigenvector.
-    """
-    w = prob.Q @ x
-    g = 2.0 * (w - (x @ w) * x)
-    return project_tangent(x, g)
-
-
-def rayleigh_hessian_apply(prob, x, u):
-    """Second-covariant-differential operator 2 (I - xx^T)(Q - rho I) u."""
-    u = check_tangent(x, u)
-    rho = rayleigh_value(prob, x)
-    w = 2.0 * (prob.Q @ u - rho * u)
-    return project_tangent(x, w)
-
-
 def _lu(A, anorm):
     """LAPACK ``getrf`` factors ``(lu, piv)`` of ``A`` and ``gecon``'s
     estimate of the reciprocal 1-norm condition ``1 / (|A|_1 |A^-1|_1)``,
@@ -278,7 +230,7 @@ def newton_tangent(x, y):
     return project_tangent(x, -x + y / pivot)
 
 
-def rayleigh_newton_step(prob, x):
+def rayleigh_newton_step(Q, x):
     """Newton direction ``H = -x + y / (x^T y)`` with ``y = (Q - rho I)^{-1} x``.
 
     Raises :class:`SingularShift` when ``Q - rho(x) I`` is singular to
@@ -288,8 +240,8 @@ def rayleigh_newton_step(prob, x):
     Raises :class:`DegeneratePivot` when the pivot ``x^T y`` is degenerate.
     """
     x = np.asarray(x, dtype=float)
-    rho = rayleigh_value(prob, x)
-    y, flagged = shift_solve(prob.Q, rho, x)
+    rho = float(x @ Q @ x)
+    y, flagged = shift_solve(Q, rho, x)
     H = newton_tangent(x, y)
     if flagged:
         step = H if H is not None and np.linalg.norm(H) > 0.0 else None
@@ -314,7 +266,7 @@ def _line_rotation(a, b):
     return float(c), float(s), float(s * s / (1.0 + c))
 
 
-def rayleigh_line_max(prob, x, h):
+def rayleigh_line_max(Q, x, h):
     """Closed-form maximizer of ``rho`` along the great circle ``x c + h s``.
 
     Returns ``(c, s, v)`` with ``c^2 + s^2 = 1`` and ``v = 1 - c`` computed
@@ -324,14 +276,15 @@ def rayleigh_line_max(prob, x, h):
     """
     x = np.asarray(x, dtype=float)
     h = check_unit(h)
-    qh = prob.Q @ h
+    qh = Q @ h
     a = 2.0 * float(x @ qh)
-    b = float(x @ (prob.Q @ x)) - float(h @ qh)
+    b = float(x @ (Q @ x)) - float(h @ qh)
     return _line_rotation(a, b)
 
 
 class RayleighObjective(GeodesicObjective):
-    """Solver-facing Rayleigh extremization.
+    """Extremization of the Rayleigh quotient ``rho(x) = x^T Q x`` for a
+    finite, exactly symmetric ``Q`` (ValueError otherwise).
 
     The library minimizes, so ``which='max'`` works on ``-rho`` and bridges
     signs internally; traces report the natural ``rho``.
@@ -340,36 +293,49 @@ class RayleighObjective(GeodesicObjective):
     def __init__(self, Q, which="max"):
         if which not in ("max", "min"):
             raise ValueError("which must be 'max' or 'min'")
-        self.problem = Q if isinstance(Q, RayleighProblem) else RayleighProblem(np.asarray(Q, dtype=float))
+        self.Q = check_symmetric(Q)
         self.which = which
         self._sign = -1.0 if which == "max" else 1.0
-        self._manifold = Sphere(self.problem.n)
+        self._manifold = Sphere(self.Q.shape[0])
 
     @property
     def manifold(self):
         return self._manifold
 
     def value(self, x):
-        return self._sign * rayleigh_value(self.problem, x)
+        return self._sign * self.report_value(x)
 
     def report_value(self, x):
-        return rayleigh_value(self.problem, x)
+        return float(x @ self.Q @ x)
 
     def gradient(self, x):
-        return self._sign * rayleigh_gradient(self.problem, x)
+        """Signed ``2(Qx - rho(x) x)``, with an explicit tangency projection.
+
+        The projection removes the normal round-off component, which
+        otherwise caps the attainable accuracy of gradient-based iterations
+        near an eigenvector.
+        """
+        w = self.Q @ x
+        g = 2.0 * (w - (x @ w) * x)
+        return self._sign * project_tangent(x, g)
 
     def hessian_apply(self, x, u):
-        return self._sign * rayleigh_hessian_apply(self.problem, x, u)
+        """Signed second-covariant-differential operator
+        ``2 (I - xx^T)(Q - rho I) u``."""
+        u = check_tangent(x, u)
+        rho = self.report_value(x)
+        w = 2.0 * (self.Q @ u - rho * u)
+        return self._sign * project_tangent(x, w)
 
     def newton_direction(self, x):
         # identical for rho and -rho: H = -(Hess)^{-1} grad is sign-free
-        return rayleigh_newton_step(self.problem, x)
+        return rayleigh_newton_step(self.Q, x)
 
     def exact_line_step(self, x, h):
         nh = np.linalg.norm(h)
         if nh == 0.0:
             raise ZeroTangent("line search direction is zero")
-        c, s, _ = rayleigh_line_max(self.problem, x, h / nh)
+        c, s, _ = rayleigh_line_max(self.Q, x, h / nh)
         t = float(np.arctan2(s, c))
         if self.which == "min":
             t += 0.5 * np.pi  # the minimum lies a quarter turn past the maximum

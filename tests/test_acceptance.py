@@ -20,11 +20,9 @@ from _oracles import (
     transport_ode_sphere,
 )
 from riemopt import (
-    BrockettProblem,
-    RayleighProblem,
+    BrockettObjective,
     SolverConfig,
     brockett_third_component,
-    brockett_value,
     cg_extreme_eigen,
     estimate_order,
     longest_decreasing_run,
@@ -211,17 +209,15 @@ def test_criterion_6_step_bound_validity():
     checked = 0
     while checked < 50:
         n = int(rng.integers(3, 9))
-        prob = BrockettProblem(rand_sym(rng, n), np.diag(np.arange(n, 0, -1.0)))
+        obj = BrockettObjective(rand_sym(rng, n), np.diag(np.arange(n, 0, -1.0)))
         T = rand_rotation(rng, n)
-        H = conjugated_matrix(prob, T)
-        Om = commutator(H, prob.N)
+        H = conjugated_matrix(obj.Q, T)
+        Om = commutator(H, obj.N)
         if np.linalg.norm(Om) < 1e-12:
             continue
-        from riemopt import brockett_step_estimate
-
-        t_est = brockett_step_estimate(prob, T, Om)
+        t_est = obj.step_estimate(T, Om)
         ts = np.linspace(0.0, t_est, 1000)
-        vals = np.array([brockett_value(prob, so_geodesic(T, Om, t)) for t in ts])
+        vals = np.array([obj.report_value(so_geodesic(T, Om, t)) for t in ts])
         assert np.all(np.diff(vals) >= -1e-12 * np.maximum(1.0, np.abs(vals[:-1])))
         checked += 1
     print("[criterion 6] PASS step bound: ascent nondecreasing on [0, t_est] "
@@ -257,7 +253,7 @@ def test_criterion_8_third_differential_spot_check():
     for _ in range(5):
         h = rng.normal(size=n) * 2.0
         nu = np.arange(n, 0, -1.0)
-        prob = BrockettProblem(np.diag(h), np.diag(nu))
+        obj = BrockettObjective(np.diag(h), np.diag(nu))
         X = rand_skew(rng, n)
         i, j = map(int, rng.choice(n, size=2, replace=False))
         E = np.zeros((n, n))
@@ -265,7 +261,7 @@ def test_criterion_8_third_differential_spot_check():
         E[j, i] = -1.0
 
         def g(s, t):
-            return brockett_value(prob, skew_exp(s * E + t * X))
+            return obj.report_value(skew_exp(s * E + t * X))
 
         want = fd_third_mixed(g)
         got = brockett_third_component(h, nu, X, i, j)
@@ -301,13 +297,13 @@ def test_criterion_9_cg_mechanics():
 
     # (b) closed-form line maximizer vs brute-force scan, within 1e-5 in t
     worst_t = 0.0
-    prob = RayleighProblem(rand_sym(rng, 7))
+    Q = rand_sym(rng, 7)
     for _ in range(10):
         x = rand_unit(rng, 7)
         h = rand_tangent(rng, x)
-        c, s, _ = rayleigh_line_max(prob, x, h)
+        c, s, _ = rayleigh_line_max(Q, x, h)
         t_cf = np.arctan2(s, c) % np.pi
-        qx, qh = prob.Q @ x, prob.Q @ h
+        qx, qh = Q @ x, Q @ h
         rho_x, rho_h, cross = x @ qx, h @ qh, x @ qh
         ts = np.arange(0.0, np.pi, 1e-5)
         vals = rho_x * np.cos(ts) ** 2 + 2 * cross * np.sin(ts) * np.cos(ts) + rho_h * np.sin(ts) ** 2

@@ -4,12 +4,8 @@ import pytest
 from _oracles import circle_scan_max, fd_curvature, fd_slope, rand_sym, rand_tangent, rand_unit
 from riemopt import (
     RayleighObjective,
-    RayleighProblem,
-    rayleigh_gradient,
-    rayleigh_hessian_apply,
     rayleigh_line_max,
     rayleigh_newton_step,
-    rayleigh_value,
     solve_projected_linear,
     sphere_exp,
     sphere_transport,
@@ -26,68 +22,68 @@ def e(n, i):
 def test_problem_requires_exact_symmetry():
     A = np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]])
     with pytest.raises(ValueError):
-        RayleighProblem(A)
+        RayleighObjective(A, "min")
 
 
 def test_value_at_eigenvector():
-    prob = RayleighProblem(np.diag([2.0, 1.0]))
-    assert rayleigh_value(prob, e(2, 0)) == 2.0
+    obj = RayleighObjective(np.diag([2.0, 1.0]), "min")
+    assert obj.report_value(e(2, 0)) == 2.0
 
 
 def test_value_mixed():
-    prob = RayleighProblem(np.diag([2.0, 1.0]))
+    obj = RayleighObjective(np.diag([2.0, 1.0]), "min")
     x = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert rayleigh_value(prob, x) == pytest.approx(1.5)
+    assert obj.report_value(x) == pytest.approx(1.5)
 
 
 def test_value_top_eigenvector_large():
     n = 21
-    prob = RayleighProblem(np.diag(np.arange(n, 0, -1.0)))
-    assert rayleigh_value(prob, e(n, 0)) == 21.0
+    obj = RayleighObjective(np.diag(np.arange(n, 0, -1.0)), "min")
+    assert obj.report_value(e(n, 0)) == 21.0
 
 
 def test_value_range():
     rng = np.random.default_rng(0)
     Q = rand_sym(rng, 8)
     w = np.linalg.eigvalsh(Q)
-    prob = RayleighProblem(Q)
+    obj = RayleighObjective(Q, "min")
     for _ in range(20):
         x = rand_unit(rng, 8)
-        val = rayleigh_value(prob, x)
+        val = obj.report_value(x)
         assert w[0] - 1e-12 <= val <= w[-1] + 1e-12
 
 
 def test_gradient_zero_at_eigenvector():
-    prob = RayleighProblem(np.diag([3.0, 2.0, 1.0]))
-    np.testing.assert_allclose(rayleigh_gradient(prob, e(3, 1)), np.zeros(3), atol=1e-15)
+    obj = RayleighObjective(np.diag([3.0, 2.0, 1.0]), "min")
+    np.testing.assert_allclose(obj.gradient(e(3, 1)), np.zeros(3), atol=1e-15)
 
 
 def test_gradient_explicit_value():
-    prob = RayleighProblem(np.diag([2.0, 1.0]))
+    obj = RayleighObjective(np.diag([2.0, 1.0]), "min")
     x = np.array([1.0, 1.0]) / np.sqrt(2)
-    np.testing.assert_allclose(rayleigh_gradient(prob, x),
+    np.testing.assert_allclose(obj.gradient(x),
                                np.array([1.0, -1.0]) / np.sqrt(2), atol=1e-12)
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
-    prob = RayleighProblem(rand_sym(rng, 8))
+    obj = RayleighObjective(rand_sym(rng, 8), "min")
     x = rand_unit(rng, 8)
-    g = rayleigh_gradient(prob, x)
+    g = obj.gradient(x)
     for _ in range(8):
         u = rand_tangent(rng, x)
-        slope = fd_slope(lambda t: rayleigh_value(prob, sphere_exp(x, u, t)))
+        slope = fd_slope(lambda t: obj.report_value(sphere_exp(x, u, t)))
         assert abs((g @ u) - slope) <= 1e-6 * max(1.0, abs(slope))
 
 
 def test_gradient_directional_consistency_many():
     rng = np.random.default_rng(2)
-    prob = RayleighProblem(rand_sym(rng, 6))
+    obj = RayleighObjective(rand_sym(rng, 6), "min")
     for _ in range(20):
         x = rand_unit(rng, 6)
         u = rand_tangent(rng, x)
-        g = rayleigh_gradient(prob, x)
-        slope = fd_slope(lambda t: rayleigh_value(prob, sphere_exp(x, u, t)))
+        g = obj.gradient(x)
+        slope = fd_slope(lambda t: obj.report_value(sphere_exp(x, u, t)))
         assert abs((g @ u) - slope) <= 1e-6 * max(1.0, abs(slope), abs(g @ u))
 
 
@@ -96,50 +92,50 @@ def test_hessian_negative_definite_at_top_eigenvector():
     n = 6
     Q = rand_sym(rng, n)
     w, V = np.linalg.eigh(Q)
-    prob = RayleighProblem(Q)
+    obj = RayleighObjective(Q, "min")
     x = V[:, -1]
     for _ in range(10):
         u = rand_tangent(rng, x)
-        form = float(rayleigh_hessian_apply(prob, x, u) @ u)
+        form = float(obj.hessian_apply(x, u) @ u)
         assert form < 0.0
 
 
 def test_hessian_explicit_small_case():
-    prob = RayleighProblem(np.diag([2.0, 1.0]))
+    obj = RayleighObjective(np.diag([2.0, 1.0]), "min")
     x = e(2, 1)
     u = e(2, 0)
-    out = rayleigh_hessian_apply(prob, x, u)
+    out = obj.hessian_apply(x, u)
     np.testing.assert_allclose(out, 2.0 * e(2, 0), atol=1e-14)
-    curv = fd_curvature(lambda t: rayleigh_value(prob, sphere_exp(x, u, t)))
+    curv = fd_curvature(lambda t: obj.report_value(sphere_exp(x, u, t)))
     assert abs(float(out @ u) - curv) <= 1e-5 * max(1.0, abs(curv))
 
 
 def test_hessian_matches_second_differences():
     rng = np.random.default_rng(4)
-    prob = RayleighProblem(rand_sym(rng, 7))
+    obj = RayleighObjective(rand_sym(rng, 7), "min")
     x = rand_unit(rng, 7)
     for _ in range(8):
         u = rand_tangent(rng, x)
-        form = float(rayleigh_hessian_apply(prob, x, u) @ u)
-        curv = fd_curvature(lambda t: rayleigh_value(prob, sphere_exp(x, u, t)))
+        form = float(obj.hessian_apply(x, u) @ u)
+        curv = fd_curvature(lambda t: obj.report_value(sphere_exp(x, u, t)))
         assert abs(form - curv) <= 1e-5 * max(1.0, abs(form), abs(curv))
 
 
 def test_hessian_form_symmetry():
     rng = np.random.default_rng(5)
-    prob = RayleighProblem(rand_sym(rng, 6))
+    obj = RayleighObjective(rand_sym(rng, 6), "min")
     x = rand_unit(rng, 6)
     u = rand_tangent(rng, x, unit=False)
     w = rand_tangent(rng, x, unit=False)
-    fuw = float(rayleigh_hessian_apply(prob, x, u) @ w)
-    fwu = float(rayleigh_hessian_apply(prob, x, w) @ u)
+    fuw = float(obj.hessian_apply(x, u) @ w)
+    fwu = float(obj.hessian_apply(x, w) @ u)
     assert fuw == pytest.approx(fwu, rel=1e-12, abs=1e-12)
 
 
 def test_hessian_rejects_nontangent():
-    prob = RayleighProblem(np.diag([2.0, 1.0]))
+    obj = RayleighObjective(np.diag([2.0, 1.0]), "min")
     with pytest.raises(NotTangent):
-        rayleigh_hessian_apply(prob, e(2, 0), e(2, 0))
+        obj.hessian_apply(e(2, 0), e(2, 0))
 
 
 def test_critical_point_spectrum():
@@ -147,15 +143,15 @@ def test_critical_point_spectrum():
     rng = np.random.default_rng(6)
     Q = rand_sym(rng, 5)
     w, V = np.linalg.eigh(Q)
-    prob = RayleighProblem(Q)
+    obj = RayleighObjective(Q, "min")
     k = 2
     x = V[:, k]
-    np.testing.assert_allclose(rayleigh_gradient(prob, x), np.zeros(5), atol=1e-12)
+    np.testing.assert_allclose(obj.gradient(x), np.zeros(5), atol=1e-12)
     for j in range(5):
         if j == k:
             continue
         u = V[:, j]
-        form = float(rayleigh_hessian_apply(prob, x, u) @ u)
+        form = float(obj.hessian_apply(x, u) @ u)
         assert form == pytest.approx(2.0 * (w[j] - w[k]), rel=1e-10, abs=1e-10)
 
 
@@ -198,32 +194,30 @@ def test_solve_projected_errors():
 
 
 def test_newton_step_at_eigenvector_is_singular():
-    prob = RayleighProblem(np.diag([2.0, 1.0]))
     with pytest.raises(SingularShift) as info:
-        rayleigh_newton_step(prob, e(2, 0))
+        rayleigh_newton_step(np.diag([2.0, 1.0]), e(2, 0))
     assert info.value.step is None  # a zero step is not attached
 
 
 def test_singular_shift_carries_the_last_step():
     # rho rounds to 2 exactly: the shift is singular, the step is not zero
-    prob = RayleighProblem(np.diag([2.0, 1.0]))
     x = np.array([np.cos(1e-9), np.sin(1e-9)])
     with pytest.raises(SingularShift) as info:
-        rayleigh_newton_step(prob, x)
+        rayleigh_newton_step(np.diag([2.0, 1.0]), x)
     step = info.value.step
     assert abs(float(x @ step)) <= 1e-25
     np.testing.assert_allclose(sphere_exp(x, step), e(2, 0), atol=1e-15)
 
 
 def test_newton_step_matches_projected_solve():
-    prob = RayleighProblem(np.diag([2.0, 1.0]))
+    obj = RayleighObjective(np.diag([2.0, 1.0]), "min")
     eps = 0.1
     x = np.array([np.cos(eps), np.sin(eps)])
-    H = rayleigh_newton_step(prob, x)
-    rho = rayleigh_value(prob, x)
+    H = rayleigh_newton_step(obj.Q, x)
+    rho = obj.report_value(x)
     # Hessian equation: 2(I-xx^T)(Q - rho I) H = -grad
-    u = solve_projected_linear(2.0 * (prob.Q - rho * np.eye(2)), x,
-                               -rayleigh_gradient(prob, x))
+    u = solve_projected_linear(2.0 * (obj.Q - rho * np.eye(2)), x,
+                               -obj.gradient(x))
     np.testing.assert_allclose(H, u, atol=1e-12)
 
 
@@ -232,11 +226,11 @@ def test_newton_residual_random():
     n = 10
     Q = rand_sym(rng, n)
     w, V = np.linalg.eigh(Q)
-    prob = RayleighProblem(Q)
+    obj = RayleighObjective(Q, "min")
     x = V[:, -1] * np.cos(0.05) + rand_tangent(rng, V[:, -1]) * np.sin(0.05)
-    H = rayleigh_newton_step(prob, x)
-    g = rayleigh_gradient(prob, x)
-    resid = rayleigh_hessian_apply(prob, x, H) + g
+    H = rayleigh_newton_step(Q, x)
+    g = obj.gradient(x)
+    resid = obj.hessian_apply(x, H) + g
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(g)
 
 
@@ -248,12 +242,11 @@ def test_newton_cubic_contraction():
     Q = 0.5 * (Q + Q.T)
     w, V = np.linalg.eigh(Q)
     top = V[:, -1]
-    prob = RayleighProblem(Q)
     u = rand_tangent(rng, top)
     ratios = []
     for eps in (1e-1, 1e-2, 1e-3):
         x = top * np.cos(eps) + u * np.sin(eps)
-        H = rayleigh_newton_step(prob, x)
+        H = rayleigh_newton_step(Q, x)
         y = sphere_exp(x, H, 1.0)
         err = min(np.linalg.norm(y - top), np.linalg.norm(y + top))
         ratios.append(err / eps ** 3)
@@ -262,39 +255,36 @@ def test_newton_cubic_contraction():
 
 
 def test_line_max_small_case():
-    prob = RayleighProblem(np.diag([2.0, 1.0]))
-    c, s, v = rayleigh_line_max(prob, e(2, 1), e(2, 0))
+    c, s, v = rayleigh_line_max(np.diag([2.0, 1.0]), e(2, 1), e(2, 0))
     assert (c, s) == pytest.approx((0.0, 1.0), abs=1e-15)
     assert v == pytest.approx(1.0)
 
 
 def test_line_max_stationary_at_optimum():
-    prob = RayleighProblem(np.diag([2.0, 1.0, 0.5]))
-    c, s, v = rayleigh_line_max(prob, e(3, 0), e(3, 1))
+    c, s, v = rayleigh_line_max(np.diag([2.0, 1.0, 0.5]), e(3, 0), e(3, 1))
     assert c == pytest.approx(1.0)
     assert s == pytest.approx(0.0, abs=1e-15)
     assert v == pytest.approx(0.0, abs=1e-15)
 
 
 def test_line_max_degenerate_circle():
-    prob = RayleighProblem(np.eye(3))
-    c, s, v = rayleigh_line_max(prob, e(3, 0), e(3, 1))
+    c, s, v = rayleigh_line_max(np.eye(3), e(3, 0), e(3, 1))
     assert (c, s, v) == (1.0, 0.0, 0.0)
 
 
 def test_line_max_identities_and_scan():
     rng = np.random.default_rng(11)
     n = 7
-    prob = RayleighProblem(rand_sym(rng, n))
+    Q = rand_sym(rng, n)
     for _ in range(10):
         x = rand_unit(rng, n)
         h = rand_tangent(rng, x)
-        c, s, v = rayleigh_line_max(prob, x, h)
+        c, s, v = rayleigh_line_max(Q, x, h)
         assert abs(c * c + s * s - 1.0) <= 1e-14
         assert v == pytest.approx(1.0 - c, abs=1e-14)
         t_cf = np.arctan2(s, c) % np.pi
 
-        qx, qh = prob.Q @ x, prob.Q @ h
+        qx, qh = Q @ x, Q @ h
         rho_x, rho_h, cross = x @ qx, h @ qh, x @ qh
 
         def rho_t(ts):
@@ -310,18 +300,18 @@ def test_line_max_identities_and_scan():
 def test_objective_adapter_signs():
     rng = np.random.default_rng(12)
     Q = rand_sym(rng, 5)
-    prob = RayleighProblem(Q)
     x = rand_unit(rng, 5)
     omax = RayleighObjective(Q, which="max")
     omin = RayleighObjective(Q, which="min")
-    assert omax.value(x) == -rayleigh_value(prob, x)
-    assert omax.report_value(x) == rayleigh_value(prob, x)
-    assert omin.value(x) == rayleigh_value(prob, x)
-    np.testing.assert_allclose(omax.gradient(x), -rayleigh_gradient(prob, x))
+    rho = float(x @ Q @ x)
+    assert omax.value(x) == -rho
+    assert omax.report_value(x) == rho
+    assert omin.value(x) == rho
+    np.testing.assert_allclose(omax.gradient(x), -omin.gradient(x))
     # exact line step lands on a stationary point of the restricted function
     h = rand_tangent(rng, x)
     t = omax.exact_line_step(x, h)
     y = sphere_exp(x, h, t)
-    g = rayleigh_gradient(prob, y)
+    g = omin.gradient(y)
     tau_h = sphere_transport(x, h, t, h)
     assert abs(g @ tau_h) <= 1e-9 * max(1.0, np.linalg.norm(g))
