@@ -71,7 +71,15 @@ class GeodesicObjective(ABC):
     Maximization problems negate their natural objective internally and
     expose the natural value through :meth:`report_value`; all solvers
     minimize :meth:`value`.
+
+    ``gradient_floor`` is the gradient norm that round-off in the
+    objective's data allows at a critical point.  The solvers stop as
+    converged once the gradient norm drops below
+    ``max(config.grad_tol, gradient_floor)``.  It is 0.0 unless the
+    objective states one.
     """
+
+    gradient_floor: float = 0.0
 
     @property
     @abstractmethod

@@ -106,6 +106,10 @@ class Diverged(SolverError):
     pass
 
 
+class NonFinite(SolverError):
+    """A gradient norm is NaN or infinite: the iterate holds NaN or inf."""
+
+
 # --- harness ---
 
 class ToleranceBreached(RiemoptError):

@@ -26,6 +26,9 @@ from .errors import (
 
 SKEW_TOL = 1e-12
 DRIFT_TOL = 1e-12
+#: Smallest preconditioner entry, relative to the largest.
+PRECOND_FLOOR = 1e-4
+EPS = np.finfo(float).eps
 
 
 def commutator(A, B):
@@ -109,11 +112,13 @@ class SpecialOrthogonal(Manifold):
         return float(np.sum(np.asarray(u) * np.asarray(v)))
 
 
-def _solve_definite(apply_op, b, rel_tol=1e-12, max_iter=None):
+def _solve_definite(apply_op, b, rel_tol=1e-12, max_iter=None, *, diag):
     """Linear conjugate gradient for a self-adjoint positive definite
-    operator on the algebra, in Frobenius arithmetic.
+    operator on the algebra, in Frobenius arithmetic, preconditioned by the
+    elementwise positive ``diag``.
 
-    Raises :class:`IndefiniteOperator` as soon as a search direction has
+    Stops when the residual norm drops below ``rel_tol |b|``.  Raises
+    :class:`IndefiniteOperator` as soon as a search direction has
     nonpositive curvature.
     """
     nb = float(np.linalg.norm(b))
@@ -124,22 +129,39 @@ def _solve_definite(apply_op, b, rel_tol=1e-12, max_iter=None):
         n = b.shape[0]
         max_iter = n * (n - 1) // 2
     r = b.copy()
-    p = r.copy()
-    rs = float(np.sum(r * r))
+    p = r / diag
+    rz = float(np.sum(r * p))
     for _ in range(max_iter):
         Ap = apply_op(p)
         pAp = float(np.sum(p * Ap))
         if pAp <= 0.0:
             raise IndefiniteOperator("operator has nonpositive curvature along a search direction")
-        alpha = rs / pAp
+        alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        rs_new = float(np.sum(r * r))
-        if np.sqrt(rs_new) <= rel_tol * nb:
+        if np.linalg.norm(r) <= rel_tol * nb:
             break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z = r / diag
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return x
+
+
+def _preconditioner(d):
+    """Positive elementwise diagonal for :func:`_solve_definite` from the
+    operator's entries ``d`` in the ``E_ij - E_ji`` basis at a diagonal
+    ``H``: ``|d|``, floored at ``PRECOND_FLOOR`` of its largest entry, so
+    that away from the optimum a poor guess only slows the solve down.
+    The main diagonal, where skew matrices hold only round-off, gets the
+    largest entry."""
+    d = np.abs(d)
+    top = d.max()
+    if top == 0.0:
+        return np.ones_like(d)
+    d = np.maximum(d, PRECOND_FLOOR * top)
+    np.fill_diagonal(d, top)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +208,8 @@ class BrockettObjective(GeodesicObjective):
     """Maximization of ``f(T) = tr(T^T Q T N)``, run as minimization of its
     negative.  ``Q`` must be finite and exactly symmetric, ``N`` a finite
     diagonal matrix of the same size with pairwise distinct entries
-    (ValueError otherwise)."""
+    (ValueError otherwise).  Round-off in ``[H, N]`` is of order
+    ``eps |Q|_F |N|_F``, the objective's ``gradient_floor``."""
 
     def __init__(self, Q, N):
         self.Q = check_symmetric(Q)
@@ -199,6 +222,7 @@ class BrockettObjective(GeodesicObjective):
         if len(np.unique(np.diag(N))) != n:
             raise ValueError("N must have pairwise distinct diagonal entries")
         self.N = N
+        self.gradient_floor = EPS * float(np.linalg.norm(self.Q) * np.linalg.norm(N))
         self._manifold = SpecialOrthogonal(n)
 
     @property
@@ -227,11 +251,16 @@ class BrockettObjective(GeodesicObjective):
 
         Solved as ``(-L)(X) = 2 [H, N]`` by linear conjugate gradient,
         since ``-L`` is positive definite near the maximum.  Raises
-        :class:`IndefiniteOperator` away from it.
+        :class:`IndefiniteOperator` away from it.  At a diagonal
+        ``H = diag(h)``, ``-L`` is diagonal in the ``E_ij - E_ji`` basis
+        with entries ``2 (h_i - h_j)(nu_i - nu_j)``; these entries at the
+        current ``diag(H)`` precondition the solve.
         """
         H = conjugated_matrix(self.Q, T)
         b = 2.0 * commutator(H, self.N)
-        return _solve_definite(lambda X: _brockett_neg_L(H, self.N, X), b)
+        h, nu = np.diag(H), np.diag(self.N)
+        diag = _preconditioner(2.0 * np.subtract.outer(h, h) * np.subtract.outer(nu, nu))
+        return _solve_definite(lambda X: _brockett_neg_L(H, self.N, X), b, diag=diag)
 
     def step_estimate(self, T, Omega):
         """Curvature-bound step for the geodesic ``T e^{t Omega}``.
@@ -277,10 +306,12 @@ class JacobiObjective(GeodesicObjective):
     """Off-diagonal-mass reduction: maximization of ``f(T) = tr(H pi(H))``
     with ``H = T^T Q T`` and ``pi`` the diagonal projection, run as
     minimization of its negative.  ``Q`` must be finite and exactly
-    symmetric (ValueError otherwise)."""
+    symmetric (ValueError otherwise).  Round-off in ``2 [H, pi(H)]`` is of
+    order ``2 eps |Q|_F^2``, the objective's ``gradient_floor``."""
 
     def __init__(self, Q):
         self.Q = check_symmetric(Q)
+        self.gradient_floor = 2.0 * EPS * float(np.linalg.norm(self.Q)) ** 2
         self._manifold = SpecialOrthogonal(self.Q.shape[0])
 
     @property
@@ -309,11 +340,16 @@ class JacobiObjective(GeodesicObjective):
     def newton_direction(self, T):
         """Newton direction: the skew ``X`` with ``M(X) = -2 [H, pi(H)]``,
         solved as ``(-M)(X) = 2 [H, pi(H)]`` against the operator that is
-        positive definite near a diagonalizer."""
+        positive definite near a diagonalizer.  At a diagonal
+        ``H = diag(h)``, ``-M`` is diagonal in the ``E_ij - E_ji`` basis
+        with entries ``2 (h_i - h_j)^2``; these entries at the current
+        ``diag(H)`` precondition the solve."""
         H = conjugated_matrix(self.Q, T)
         P = diag_part(H)
         b = 2.0 * commutator(H, P)
-        return _solve_definite(lambda X: _jacobi_neg_M(H, P, X), b)
+        h = np.diag(H)
+        diag = _preconditioner(2.0 * np.subtract.outer(h, h) ** 2)
+        return _solve_definite(lambda X: _jacobi_neg_M(H, P, X), b, diag=diag)
 
     def error_metric(self, T):
         return off_diagonal_norm(conjugated_matrix(self.Q, T))

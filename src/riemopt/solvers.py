@@ -7,6 +7,7 @@ objectives in :mod:`riemopt.sphere` and :mod:`riemopt.rotation` do).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
     LineSearchFailed,
     MaxEvaluations,
     NoDecrease,
+    NonFinite,
     NotAscentDirection,
     SingularShift,
     ZeroTangent,
@@ -39,6 +41,10 @@ GOLDEN_TOL = 1e-10
 class SolverConfig:
     """Shared solver knobs.
 
+    ``grad_tol`` is an absolute gradient-norm tolerance: a loop stops as
+    converged once the gradient norm drops below
+    ``max(grad_tol, objective.gradient_floor)``, so an objective that
+    states a round-off floor above ``grad_tol`` stops there.
     ``line_search`` selects 'exact' (problem closed form), 'golden'
     (bracketing golden section), or 'estimate' (problem-supplied step
     bound).  ``reset_period`` defaults to the intrinsic manifold dimension
@@ -162,11 +168,24 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> L
     return LineSearchResult(float(t), evals, q)
 
 
-def _start_trace(objective, p, error_fn):
-    M = objective.manifold
+def _stop_tol(objective, config):
+    """Gradient norm below which a loop stops as converged."""
+    return max(config.grad_tol, objective.gradient_floor)
+
+
+def _gradient(objective, p, trace):
+    """Gradient at ``p`` and its norm; :class:`NonFinite`, carrying
+    ``trace``, when the norm is NaN or infinite."""
     g = objective.gradient(p)
-    gn = M.norm(p, g)
+    gn = objective.manifold.norm(p, g)
+    if not math.isfinite(gn):
+        raise NonFinite(f"gradient norm {gn!r} is not finite", trace=trace)
+    return g, gn
+
+
+def _start_trace(objective, p, error_fn):
     trace = IterationTrace()
+    g, gn = _gradient(objective, p, trace)
     trace.append(p, objective.report_value(p), gn, error_fn(p))
     return trace, g, gn
 
@@ -176,11 +195,11 @@ def steepest_descent(objective: GeodesicObjective, p0, config=None, error_fn=Non
     drops below tolerance or the iteration budget runs out."""
     config = config or SolverConfig()
     error_fn = error_fn or objective.error_metric
-    M = objective.manifold
+    tol = _stop_tol(objective, config)
     p = p0
     trace, g, gn = _start_trace(objective, p, error_fn)
     for _ in range(config.max_iter):
-        if gn < config.grad_tol:
+        if gn < tol:
             break
         G = -g
         try:
@@ -190,10 +209,9 @@ def steepest_descent(objective: GeodesicObjective, p0, config=None, error_fn=Non
             raise LineSearchFailed(str(exc), trace=trace) from exc
         trace.record_step(ls.step)
         p = ls.point
-        g = objective.gradient(p)
-        gn = M.norm(p, g)
+        g, gn = _gradient(objective, p, trace)
         trace.append(p, objective.report_value(p), gn, error_fn(p))
-    trace.converged = gn < config.grad_tol
+    trace.converged = gn < tol
     return trace
 
 
@@ -210,13 +228,14 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
     """
     config = config or SolverConfig()
     error_fn = error_fn or objective.error_metric
+    tol = _stop_tol(objective, config)
     M = objective.manifold
     p = p0
     trace, g, gn = _start_trace(objective, p, error_fn)
     grow_count = 0
     singular = False
     for _ in range(config.max_iter):
-        if gn < config.grad_tol:
+        if gn < tol:
             break
         try:
             H = objective.newton_direction(p)
@@ -234,8 +253,7 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
         else:
             step, p = 1.0, M.exp(p, H, 1.0)
         trace.record_step(step)
-        g = objective.gradient(p)
-        gn_new = M.norm(p, g)
+        g, gn_new = _gradient(objective, p, trace)
         grow_count = grow_count + 1 if gn_new > gn else 0
         gn = gn_new
         trace.append(p, objective.report_value(p), gn, error_fn(p))
@@ -243,7 +261,7 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
             break
         if grow_count >= 5:
             raise Diverged("gradient norm grew for 5 consecutive steps", trace=trace)
-    trace.converged = singular or gn < config.grad_tol
+    trace.converged = singular or gn < tol
     return trace
 
 
@@ -261,12 +279,13 @@ def conjugate_gradient(objective: GeodesicObjective, p0, config=None, error_fn=N
     error_fn = error_fn or objective.error_metric
     M = objective.manifold
     reset_period = config.reset_period or M.dim
+    tol = _stop_tol(objective, config)
     p = p0
     trace, g, gn = _start_trace(objective, p, error_fn)
     G = -g
     H = G
     for i in range(config.max_iter):
-        if gn < config.grad_tol:
+        if gn < tol:
             break
         try:
             ls = line_minimize_geodesic(objective, p, H, config)
@@ -283,9 +302,8 @@ def conjugate_gradient(objective: GeodesicObjective, p0, config=None, error_fn=N
         lam, p_next = ls.step, ls.point
         tau_G = M.transport(p, H, lam, G)
         tau_H = M.transport(p, H, lam, H)
-        g_next = objective.gradient(p_next)
+        g_next, gn_next = _gradient(objective, p_next, trace)
         G_next = -g_next
-        gn_next = M.norm(p_next, g_next)
         denom = M.inner(p, G, H)
         if (i % reset_period) == reset_period - 1 or denom == 0.0:
             H_next = G_next
@@ -295,5 +313,5 @@ def conjugate_gradient(objective: GeodesicObjective, p0, config=None, error_fn=N
         trace.record_step(lam)
         p, g, gn, G, H = p_next, g_next, gn_next, G_next, H_next
         trace.append(p, objective.report_value(p), gn, error_fn(p))
-    trace.converged = gn < config.grad_tol
+    trace.converged = gn < tol
     return trace

@@ -15,7 +15,7 @@ from riemopt import (
     sphere_transport,
     steepest_descent,
 )
-from riemopt.errors import Diverged, LineSearchFailed, NoDecrease
+from riemopt.errors import Diverged, LineSearchFailed, NoDecrease, NonFinite
 
 
 class Euclid(Manifold):
@@ -467,3 +467,51 @@ def test_generic_newton_reaches_eigen_residual_at_n200():
     x = trace.points[-1]
     assert trace.converged
     assert np.linalg.norm(Q @ x - (x @ Q @ x) * x) <= 1e-10 * np.linalg.norm(Q)
+
+
+def _nan_start(manifold):
+    """Objective and a start holding a NaN, on the sphere or on SO(n)."""
+    n = 5
+    if manifold == "sphere":
+        x0 = np.ones(n) / np.sqrt(n)
+        x0[2] = np.nan
+        return RayleighObjective(np.diag(np.arange(n, 0, -1.0))), x0
+    T0 = np.eye(n)
+    T0[1, 3] = np.nan
+    return BrockettObjective(np.diag(np.arange(n, 0, -1.0)), np.diag(np.arange(n, 0, -1.0))), T0
+
+
+@pytest.mark.parametrize("manifold", ["sphere", "rotation"])
+@pytest.mark.parametrize("solver", [steepest_descent, newton, conjugate_gradient])
+def test_non_finite_start_raises_before_the_error_metric(solver, manifold):
+    # the sphere runs used to spend the whole budget on NaN and the SO(n)
+    # runs to escape as a LinAlgError from eigvalsh in error_metric
+    obj, p0 = _nan_start(manifold)
+    with pytest.raises(NonFinite) as info:
+        solver(obj, p0, SolverConfig(max_iter=30))
+    assert len(info.value.trace) == 0
+    assert not info.value.trace.converged
+
+
+class _GradientTurnsNaN(RayleighObjective):
+    """Rayleigh quotient whose third and later gradients are NaN."""
+
+    calls = 0
+
+    def gradient(self, x):
+        self.calls += 1
+        g = super().gradient(x)
+        return g * np.nan if self.calls >= 3 else g
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, newton, conjugate_gradient])
+def test_non_finite_gradient_mid_run_carries_the_partial_trace(solver):
+    rng = np.random.default_rng(5)
+    obj = _GradientTurnsNaN(rand_sym(rng, 6))
+    with pytest.raises(NonFinite) as info:
+        solver(obj, rand_unit(rng, 6), SolverConfig(max_iter=30, line_search="exact"),
+               error_fn=lambda x: 0.0)
+    trace = info.value.trace
+    assert len(trace) == 2
+    assert np.all(np.isfinite(trace.grad_norms))
+    assert not trace.converged
