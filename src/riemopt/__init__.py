@@ -23,7 +23,6 @@ from .rotation import (
     JacobiObjective,
     SpecialOrthogonal,
     brockett_third_component,
-    skew_exp,
     so_geodesic,
     so_transport,
 )
@@ -40,7 +39,6 @@ from .sphere import (
     Sphere,
     rayleigh_line_max,
     rayleigh_newton_step,
-    solve_projected_linear,
     sphere_distance,
     sphere_exp,
     sphere_log,
@@ -73,10 +71,8 @@ __all__ = [
     "rayleigh_line_max",
     "rayleigh_newton_step",
     "rqi",
-    "skew_exp",
     "so_geodesic",
     "so_transport",
-    "solve_projected_linear",
     "sphere_distance",
     "sphere_exp",
     "sphere_log",

@@ -1,7 +1,8 @@
 """Command-line harness for the convergence experiments.
 
-Exit codes: 0 on success, 2 on a verification tolerance breach, 3 on a
-solver failure.
+Exit codes: 0 on success, 2 on a usage error (argparse's message, also for
+an experiment setting out of range) or a verification tolerance breach, 3
+on a solver failure.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def _spec_from_args(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.experiment == "fd-check":
         spec = ExperimentSpec(experiment="fd-check", n=8, method="all",
                               seed=args.seed, out_dir=args.out)
@@ -92,7 +94,10 @@ def main(argv=None):
               f"{report.duration:.2f}s)")
         return 0
 
-    spec = _spec_from_args(args)
+    try:
+        spec = _spec_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     report, trace = run_experiment(spec)
     if report.error_message is not None:
         print(f"{spec.experiment}/{spec.method}: solver error: {report.error_message}")

@@ -78,6 +78,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.init_eps is not None and self.init_eps <= 0.0:
             raise ValueError("near-optimum perturbation scale must be positive")
+        if self.line_search is not None and self.method == "rqi":
+            raise ValueError("rqi takes no line search")
 
 
 @dataclass

@@ -24,7 +24,6 @@ from .errors import (
     NotAscentDirection,
 )
 
-SKEW_TOL = 1e-12
 DRIFT_TOL = 1e-12
 #: Smallest preconditioner entry, relative to the largest.
 PRECOND_FLOOR = 1e-4
@@ -49,24 +48,10 @@ def skew_part(A):
     return 0.5 * (A - A.T)
 
 
-def check_skew(X, tol=SKEW_TOL):
-    X = np.asarray(X, dtype=float)
-    dev = np.linalg.norm(X + X.T)
-    if dev > tol * max(1.0, np.linalg.norm(X)):
-        raise ValueError(f"matrix is not skew-symmetric (deviation {dev:.3e})")
-    return X
-
-
 def polar_orthonormalize(T):
     """Nearest orthogonal matrix (orthogonal factor of the polar form)."""
     U, _, Vt = np.linalg.svd(T)
     return U @ Vt
-
-
-def skew_exp(X, t=1.0):
-    """Geodesic from the identity: the matrix exponential ``e^{tX}``."""
-    X = check_skew(X)
-    return expm(t * X)
 
 
 def so_geodesic(T, X, t=1.0):

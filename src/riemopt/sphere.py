@@ -17,7 +17,6 @@ from .errors import (
     DegeneratePivot,
     NotTangent,
     NotUnitDirection,
-    SingularMatrix,
     SingularShift,
     ZeroTangent,
 )
@@ -147,51 +146,11 @@ class Sphere(Manifold):
 # Rayleigh quotient
 
 
-def _lu(A, anorm):
-    """LAPACK ``getrf`` factors ``(lu, piv)`` of ``A`` and ``gecon``'s
-    estimate of the reciprocal 1-norm condition ``1 / (|A|_1 |A^-1|_1)``,
-    given ``anorm = |A|_1``; None when a pivot is exactly zero.  A
-    Fortran-ordered ``A`` is overwritten by the factors."""
-    lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
-    if info > 0:
-        return None
-    rcond, _ = lapack.dgecon(lu, anorm)
-    return lu, piv, rcond
-
-
 def _shifted(Q, rho):
     # Q - rho I as a Fortran-ordered copy, which getrf may overwrite
     A = np.array(Q, dtype=float, order="F")
     A[np.diag_indices_from(A)] -= rho
     return A
-
-
-def solve_projected_linear(A, x, v):
-    """Solve ``(I - xx^T) A u = v`` for a tangent ``u`` at ``x``.
-
-    Uses ``u = A^{-1}(v - (x^T A^{-1} v)/(x^T A^{-1} x) x)``, which is
-    tangent by construction.  One LU factorization serves both solves, and
-    its condition estimate scales the pivot test: the pivot
-    ``x^T A^{-1} x`` is degenerate below ``1e-14 |A^-1|_1``.
-    """
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    v = check_tangent(x, v)
-    anorm = np.linalg.norm(A, 1)
-    factors = _lu(np.array(A, order="F"), anorm)
-    if factors is None:
-        raise SingularMatrix("A is exactly singular")
-    lu, piv, rcond = factors
-    sol, _ = lapack.dgetrs(lu, piv, np.column_stack([v, x]))
-    if not np.all(np.isfinite(sol)):
-        raise SingularMatrix("solve produced non-finite values")
-    Av, Ax = sol[:, 0], sol[:, 1]
-    pivot = float(x @ Ax)
-    # |A^-1|_1 is estimated as 1 / (rcond |A|_1)
-    if abs(pivot) * rcond * anorm < 1e-14:
-        raise DegeneratePivot(f"|x^T A^-1 x| = {abs(pivot):.3e} too small")
-    u = Av - (float(x @ Av) / pivot) * Ax
-    return project_tangent(x, u)
 
 
 def shift_solve(Q, rho, x):
@@ -210,9 +169,10 @@ def shift_solve(Q, rho, x):
     step at infinite amplification.
     """
     A = _shifted(Q, rho)
-    factors = _lu(A, np.linalg.norm(A, 1))
-    if factors is not None:
-        lu, piv, rcond = factors
+    anorm = np.linalg.norm(A, 1)
+    lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
+    if info == 0:  # no exactly zero pivot
+        rcond, _ = lapack.dgecon(lu, anorm)
         y, _ = lapack.dgetrs(lu, piv, x)
         if np.all(np.isfinite(y)):
             return y, not rcond >= 1.0 / SHIFT_CONDITION_LIMIT

@@ -3,11 +3,19 @@
 Everything here recomputes expected values by a route different from the
 library code under test: high-order finite differences, ODE integration of
 the parallel-transport equation, dense operator matrices in coordinate
-bases, truncated exponential series, and brute-force scans.
+bases, truncated exponential series, and brute-force scans.  A few helpers
+only the tests use live here too: ``skew_exp`` (the group exponential of a
+checked skew matrix) and ``solve_projected_linear`` (the projected Newton
+equation by dense solves).
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+
+from riemopt.errors import DegeneratePivot, SingularMatrix
+
+SKEW_TOL = 1e-12
 
 
 def fd_slope(f, h=1e-5):
@@ -69,6 +77,41 @@ def expm_series(X, terms=30):
         term = term @ X / k
         out = out + term
     return out
+
+
+def check_skew(X, tol=SKEW_TOL):
+    X = np.asarray(X, dtype=float)
+    dev = np.linalg.norm(X + X.T)
+    if dev > tol * max(1.0, np.linalg.norm(X)):
+        raise ValueError(f"matrix is not skew-symmetric (deviation {dev:.3e})")
+    return X
+
+
+def skew_exp(X, t=1.0):
+    """Geodesic from the identity: the matrix exponential ``e^{tX}`` of a
+    checked skew ``X``."""
+    return expm(t * check_skew(X))
+
+
+def solve_projected_linear(A, x, v):
+    """Solve ``(I - xx^T) A u = v`` for a tangent ``u`` at ``x``.
+
+    Uses ``u = A^{-1}(v - (x^T A^{-1} v)/(x^T A^{-1} x) x)``, which is
+    tangent by construction, with both solves by ``numpy.linalg.solve``.
+    The pivot ``x^T A^{-1} x`` is degenerate below ``1e-14 |A^{-1} x|``.
+    """
+    A = np.asarray(A, dtype=float)
+    x = np.asarray(x, dtype=float)
+    try:
+        sol = np.linalg.solve(A, np.column_stack([v, x]))
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("A is exactly singular") from None
+    Av, Ax = sol[:, 0], sol[:, 1]
+    pivot = float(x @ Ax)
+    if abs(pivot) < 1e-14 * np.linalg.norm(Ax):
+        raise DegeneratePivot(f"|x^T A^-1 x| = {abs(pivot):.3e} too small")
+    u = Av - (float(x @ Av) / pivot) * Ax
+    return u - (x @ u) * x
 
 
 def skew_basis(n):

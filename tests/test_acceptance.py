@@ -16,6 +16,7 @@ from _oracles import (
     rand_sym,
     rand_tangent,
     rand_unit,
+    skew_exp,
     transport_ode_rotation,
     transport_ode_sphere,
 )
@@ -29,7 +30,6 @@ from riemopt import (
     newton_rayleigh,
     rayleigh_line_max,
     rqi,
-    skew_exp,
     so_geodesic,
     so_transport,
     sphere_exp,

@@ -9,8 +9,9 @@ from _oracles import (
     rand_rotation,
     rand_skew,
     rand_sym,
+    skew_exp,
 )
-from riemopt import BrockettObjective, brockett_third_component, skew_exp, so_geodesic
+from riemopt import BrockettObjective, brockett_third_component, so_geodesic
 from riemopt.errors import DegenerateCommutator, NotAscentDirection
 from riemopt.rotation import commutator, conjugated_matrix
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import axis_angle, rand_sym, rand_tangent, rand_unit
-from riemopt import SolverConfig, cg_extreme_eigen, newton_rayleigh, rqi
+from riemopt import SolverConfig, cg_extreme_eigen, newton_rayleigh, rqi, sphere_log
 from riemopt.experiments import ExperimentSpec, run_fig1
 from riemopt.sphere import _line_rotation
 
@@ -27,7 +27,8 @@ def test_newton_rayleigh_matches_hand_rolled_steps():
 
     res = newton_rayleigh(Q, x, SolverConfig(max_iter=1))
     np.testing.assert_allclose(res.eigenvector, x1_manual, atol=1e-15)
-    assert res.trace.steps[0] == pytest.approx(th)
+    # the trace records the geodesic parameter; the arc length is |H|
+    assert sphere_log(res.trace.points[0], res.trace.points[1])[1] == pytest.approx(th)
 
 
 def test_newton_rayleigh_from_exact_eigenvector():
@@ -198,6 +199,9 @@ def test_max_iter_returns_unconverged():
     res = cg_extreme_eigen(Q, rand_unit(rng, n), SolverConfig(max_iter=2))
     assert not res.converged
     assert res.iterations == 2
+    # one verdict: the result reads its trace and holds no copy of it
+    with pytest.raises(AttributeError):
+        res.converged = True
 
 
 def test_cg_rejects_nonsymmetric_matrix():
@@ -207,8 +211,10 @@ def test_cg_rejects_nonsymmetric_matrix():
         cg_extreme_eigen(Q, np.ones(3))
 
 
-# (method, seed) -> (iterations, final error, step taken from the last but
-# one row); the zero-length last rqi step is a row of its own
+# (method, seed) -> (iterations, final error, arc length of the step taken
+# from the last but one row); the zero-length last rqi step is a row of its
+# own.  rqi records that angle as its step; newton-rq records the geodesic
+# parameter, so its arc length is read from the points.
 _SHIFT_PINS = {
     ("rqi", 0): (3, 0.0, 0.0),
     ("rqi", 3): (3, 0.0, 0.0),
@@ -224,5 +230,9 @@ def test_shift_drivers_keep_every_row(method, seed):
     assert report.converged
     assert report.iterations == iterations
     assert report.final_error == pytest.approx(final_error, rel=1e-6, abs=1e-30)
-    assert trace.steps[-2] == pytest.approx(last_step, rel=1e-6, abs=1e-30)
+    if method == "rqi":
+        arc = trace.steps[-2]
+    else:
+        arc = sphere_log(trace.points[-2], trace.points[-1])[1]
+    assert arc == pytest.approx(last_step, rel=1e-6, abs=1e-30)
     assert trace.steps[-1] == 0.0

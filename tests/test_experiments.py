@@ -27,6 +27,8 @@ def test_spec_validation():
         ExperimentSpec("fig1", init="near", init_eps=-0.5)
     with pytest.raises(ValueError):
         ExperimentSpec("fig2", method="rqi")
+    with pytest.raises(ValueError):
+        ExperimentSpec("fig1", method="rqi", line_search="exact")
 
 
 def test_csv_round_trip(tmp_path):
@@ -114,6 +116,28 @@ def test_cli_fd_check(tmp_path, capsys):
 def test_cli_rejects_bad_init():
     with pytest.raises(SystemExit):
         main(["fig1", "--init", "sideways"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fig1", "--n", "1"], "n must be >= 2"),
+    (["fig2", "--init", "near:-0.5"], "perturbation scale must be positive"),
+    (["fig1", "--method", "rqi", "--line-search", "exact"], "rqi takes no line search"),
+], ids=["n", "init-eps", "rqi-line-search"])
+def test_cli_setting_out_of_range_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: riemopt")
+    assert message in err
+
+
+def test_cli_newton_rq_takes_a_line_search(tmp_path):
+    # the search serves the gradient fallback on a degenerate pivot
+    code = main(["fig1", "--n", "5", "--method", "newton-rq", "--line-search", "golden",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert "line_search: golden" in (tmp_path / "fig1-newton-rq-0.report.txt").read_text()
 
 
 def test_cli_jacobi(tmp_path):

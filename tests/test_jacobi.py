@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from _oracles import dense_skew_solve, fd_curvature, fd_slope, rand_rotation, rand_skew, rand_sym
-from riemopt import JacobiObjective, estimate_order, skew_exp, so_geodesic
+from _oracles import (
+    dense_skew_solve,
+    fd_curvature,
+    fd_slope,
+    rand_rotation,
+    rand_skew,
+    rand_sym,
+    skew_exp,
+)
+from riemopt import JacobiObjective, estimate_order, so_geodesic
 from riemopt.rotation import commutator, conjugated_matrix, diag_part, off_diagonal_norm
 
 

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from _oracles import circle_scan_max, fd_curvature, fd_slope, rand_sym, rand_tangent, rand_unit
+from _oracles import (
+    circle_scan_max,
+    fd_curvature,
+    fd_slope,
+    rand_sym,
+    rand_tangent,
+    rand_unit,
+    solve_projected_linear,
+)
 from riemopt import (
     RayleighObjective,
     rayleigh_line_max,
     rayleigh_newton_step,
-    solve_projected_linear,
     sphere_exp,
     sphere_transport,
 )

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from _oracles import expm_series, rand_rotation, rand_skew, transport_ode_rotation
-from riemopt import SpecialOrthogonal, skew_exp, so_geodesic, so_transport
+from _oracles import expm_series, rand_rotation, rand_skew, skew_exp, transport_ode_rotation
+from riemopt import SpecialOrthogonal, so_geodesic, so_transport
 
 
 def test_exp_of_zero_is_identity():

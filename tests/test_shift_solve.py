@@ -12,12 +12,13 @@ from riemopt import (
     RayleighObjective,
     SolverConfig,
     cg_extreme_eigen,
+    line_minimize_geodesic,
     newton,
     newton_rayleigh,
     rqi,
 )
 from riemopt.errors import NotUnitDirection
-from riemopt.sphere import newton_tangent, shift_solve
+from riemopt.sphere import newton_tangent, normalized_start, shift_solve
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -85,8 +86,8 @@ def test_shift_drivers_run_without_an_svd(monkeypatch):
 
 def test_tiny_pivot_stops_both_newton_drivers():
     # rho ~ -1e-15 on Q = diag(1, -1): the shift is well conditioned, but
-    # x^T (Q - rho I)^{-1} x ~ 2 rho is at round-off level.  The eigenpair
-    # driver stops there; the generic Newton falls back to a gradient step.
+    # x^T (Q - rho I)^{-1} x ~ 2 rho is at round-off level.  Both drivers
+    # run the generic Newton, which falls back to a gradient step.
     Q = np.diag([1.0, -1.0])
     x = np.array([1.0, 1.0 + 1e-15])
     x = x / np.linalg.norm(x)
@@ -96,12 +97,24 @@ def test_tiny_pivot_stops_both_newton_drivers():
     assert newton_tangent(x, y) is None
 
     res = newton_rayleigh(Q, x, SolverConfig(max_iter=5))
-    assert res.iterations == 0
-    assert not res.converged
-    np.testing.assert_array_equal(res.eigenvector, x)
+    assert res.converged
+    np.testing.assert_allclose(np.abs(res.eigenvector), [1.0, 0.0], atol=1e-12)
     trace = newton(RayleighObjective(Q), x, SolverConfig(max_iter=5))
     assert trace.converged
     np.testing.assert_allclose(np.abs(trace.points[-1]), [1.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["exact", "golden"])
+def test_newton_rayleigh_fallback_takes_the_configured_search(kind):
+    # the tiny-pivot start above: the first step is the gradient fallback
+    Q = np.diag([1.0, -1.0])
+    x = normalized_start(np.array([1.0, 1.0 + 1e-15]))
+    res = newton_rayleigh(Q, x, SolverConfig(max_iter=5, line_search=kind))
+    objective = RayleighObjective(Q)
+    ls = line_minimize_geodesic(objective, x, -objective.gradient(x),
+                                SolverConfig(line_search=kind))
+    assert res.trace.steps[0] == ls.step
+    np.testing.assert_array_equal(res.trace.points[1], ls.point)
 
 
 @pytest.mark.parametrize("solver", [rqi, newton_rayleigh, cg_extreme_eigen])
