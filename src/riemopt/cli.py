@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .errors import ToleranceBreached
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import _METHODS, ExperimentSpec, run_experiment
 
 
 def _parse_init(text):
@@ -34,7 +34,7 @@ def _add_common(sub, default_n, methods):
                      help="'random' or 'near:<eps>' (default is per-method)")
     sub.add_argument("--max-iter", type=int, default=None)
     sub.add_argument("--tol", type=float, default=1e-12)
-    sub.add_argument("--reset-period", type=int, default=None)
+    sub.add_argument("--reset-period", type=int, default=None, help="cg only")
     sub.add_argument("--line-search", choices=("exact", "golden", "estimate"), default=None)
     sub.add_argument("--out", default=None, help="directory for CSV trace and report")
 
@@ -48,13 +48,13 @@ def build_parser():
     subs = parser.add_subparsers(dest="experiment", required=True)
 
     fig1 = subs.add_parser("fig1", help="Rayleigh quotient on the sphere, Q = diag(n..1)")
-    _add_common(fig1, 21, ("sd", "cg", "newton", "rqi", "newton-rq"))
+    _add_common(fig1, 21, _METHODS["fig1"])
 
     fig2 = subs.add_parser("fig2", help="tr(T'QTN) ascent on the rotation group")
-    _add_common(fig2, 10, ("sd", "cg", "newton"))
+    _add_common(fig2, 10, _METHODS["fig2"])
 
     jac = subs.add_parser("jacobi", help="Newton diagonalization of a symmetric matrix")
-    _add_common(jac, 5, ("newton",))
+    _add_common(jac, 5, _METHODS["jacobi"])
 
     fd = subs.add_parser("fd-check", help="finite-difference derivative verification")
     fd.add_argument("--seed", type=int, default=0)

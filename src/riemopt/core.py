@@ -61,6 +61,10 @@ class Manifold(ABC):
     def inner(self, p, u, v) -> float:
         """Riemannian inner product of tangent vectors at ``p``."""
 
+    @abstractmethod
+    def check_point(self, p):
+        """Raise a GeometryError unless ``p`` is on the manifold to round-off."""
+
     def norm(self, p, v) -> float:
         return float(np.sqrt(self.inner(p, v, v)))
 

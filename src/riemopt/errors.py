@@ -45,6 +45,10 @@ class AntipodalPoints(GeometryError):
     pass
 
 
+class NotRotation(GeometryError):
+    pass
+
+
 # --- linear algebra on problems ---
 
 class SingularMatrix(RiemoptError):

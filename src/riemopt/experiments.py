@@ -80,6 +80,9 @@ class ExperimentSpec:
             raise ValueError("near-optimum perturbation scale must be positive")
         if self.line_search is not None and self.method == "rqi":
             raise ValueError("rqi takes no line search")
+        if self.reset_period is not None and self.method != "cg":
+            raise ValueError("only cg takes a reset period")
+        SolverConfig(grad_tol=self.tol, max_iter=self.max_iter or 0, reset_period=self.reset_period)
 
 
 @dataclass
@@ -105,16 +108,12 @@ def fig1_matrix(n):
 
 
 def fig2_matrices(n, seed):
-    """Seeded dense symmetric Q with spectrum n..1 plus N = diag(n..1).
+    """The seeded ``Q`` of :func:`jacobi_matrices` plus N = diag(n..1).
 
     Returns ``(Q, N, T_hat)`` where ``T_hat`` diagonalizes Q with the
     eigenvalues ordered like N (the maximizing rotation).
     """
-    rng = rng_from_seed(seed)
-    V = random_rotation(rng, n)
-    lam = np.arange(n, 0, -1.0)
-    Q = V @ np.diag(lam) @ V.T
-    Q = 0.5 * (Q + Q.T)
+    Q, _ = jacobi_matrices(n, seed)
     N = np.diag(np.arange(n, 0, -1.0))
     w, U = np.linalg.eigh(Q)
     order = np.argsort(w)[::-1]

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateCommutator,
     IndefiniteOperator,
     NotAscentDirection,
+    NotRotation,
 )
 
 DRIFT_TOL = 1e-12
@@ -95,6 +96,12 @@ class SpecialOrthogonal(Manifold):
     def inner(self, p, u, v):
         # -tr(uv) equals the Frobenius pairing for skew matrices
         return float(np.sum(np.asarray(u) * np.asarray(v)))
+
+    def check_point(self, p):
+        T = np.asarray(p, dtype=float)
+        drift = np.linalg.norm(T.T @ T - np.eye(self.n))
+        if drift > DRIFT_TOL:
+            raise NotRotation(f"|T^T T - I|_F = {drift:.3e} exceeds {DRIFT_TOL:.1e}")
 
 
 def _solve_definite(apply_op, b, rel_tol=1e-12, max_iter=None, *, diag):

@@ -57,8 +57,8 @@ class SolverConfig:
     reset_period: int | None = None
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("gradient tolerance must be positive")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError("gradient tolerance must be positive and finite")
         if self.max_iter < 0:
             raise ValueError("iteration budget must be >= 0")
         if self.reset_period is not None and self.reset_period < 1:
@@ -95,19 +95,13 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> L
     if M.norm(p, H) == 0.0:
         raise ZeroTangent("line search direction is zero")
 
-    if config.line_search == "exact":
-        try:
-            t = objective.exact_line_step(p, H)
-        except NotImplementedError:
-            raise LineSearchFailed(
-                "problem provides no closed-form line step; use 'golden'") from None
-    elif config.line_search == "estimate":
-        try:
-            t = objective.step_estimate(p, H)
-        except NotImplementedError:
-            raise LineSearchFailed(
-                "problem provides no step estimate; use 'golden'") from None
     if config.line_search != "golden":
+        exact = config.line_search == "exact"
+        try:
+            t = (objective.exact_line_step if exact else objective.step_estimate)(p, H)
+        except NotImplementedError:
+            what = "closed-form line step" if exact else "step estimate"
+            raise LineSearchFailed(f"problem provides no {what}; use 'golden'") from None
         return LineSearchResult(t, 1, M.exp(p, H, t))
 
     evals = 0
@@ -123,14 +117,14 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> L
 
     f1, q1 = fun(t1)
     if f1 < f0:
-        a, fa = 0.0, f0
+        a = 0.0
         b, fb, qb = t1, f1, q1
         c = GOLDEN_GROWTH * t1
         fc, qc = fun(c)
         while fc < fb:
             if evals >= MAX_EVALUATIONS:
                 raise MaxEvaluations("bracketing exhausted the evaluation budget")
-            a, fa = b, fb
+            a = b
             b, fb, qb = c, fc, qc
             c = GOLDEN_GROWTH * c
             fc, qc = fun(c)
@@ -183,36 +177,66 @@ def _gradient(objective, p, trace):
     return g, gn
 
 
+def _line_search(objective, p, H, config, trace):
+    """:func:`line_minimize_geodesic` along ``H``; any failure of the search
+    raises :class:`LineSearchFailed` carrying ``trace``."""
+    try:
+        return line_minimize_geodesic(objective, p, H, config)
+    except (NoDecrease, MaxEvaluations, NotAscentDirection, DegenerateCommutator,
+            LineSearchFailed) as exc:
+        raise LineSearchFailed(str(exc), trace=trace) from exc
+
+
 def _start_trace(objective, p, error_fn):
+    """Trace holding the start; a NaN start raises :class:`NonFinite`
+    before the manifold checks the point."""
     trace = IterationTrace()
     g, gn = _gradient(objective, p, trace)
+    objective.manifold.check_point(p)
     trace.append(p, objective.report_value(p), gn, error_fn(p))
     return trace, g, gn
 
 
-def steepest_descent(objective: GeodesicObjective, p0, config=None, error_fn=None) -> IterationTrace:
-    """Line-minimize along the negative gradient until the gradient norm
-    drops below tolerance or the iteration budget runs out."""
-    config = config or SolverConfig()
+def _descend(objective, p, config, error_fn, reset_period):
+    """Conjugate gradient resetting to the negative gradient every
+    ``reset_period`` steps (1 is steepest descent); the transports and
+    ``<G, H>`` are formed only on steps that build a conjugate direction."""
     error_fn = error_fn or objective.error_metric
+    M = objective.manifold
     tol = _stop_tol(objective, config)
-    p = p0
     trace, g, gn = _start_trace(objective, p, error_fn)
-    for _ in range(config.max_iter):
+    G = H = -g
+    for i in range(config.max_iter):
         if gn < tol:
             break
-        G = -g
         try:
-            ls = line_minimize_geodesic(objective, p, G, config)
-        except (NoDecrease, MaxEvaluations, NotAscentDirection, DegenerateCommutator,
-                LineSearchFailed) as exc:
-            raise LineSearchFailed(str(exc), trace=trace) from exc
-        trace.record_step(ls.step)
-        p = ls.point
-        g, gn = _gradient(objective, p, trace)
+            ls = _line_search(objective, p, H, config, trace)
+        except LineSearchFailed:
+            if H is G:
+                raise
+            H = G  # drop conjugacy, retry along the gradient
+            ls = _line_search(objective, p, H, config, trace)
+        lam, p_next = ls.step, ls.point
+        trace.record_step(lam)
+        g, gn = _gradient(objective, p_next, trace)
+        G_next = H_next = -g
+        if i % reset_period != reset_period - 1:
+            denom = M.inner(p, G, H)
+            if denom != 0.0:
+                tau_G = M.transport(p, H, lam, G)
+                gamma = M.inner(p_next, G_next - tau_G, G_next) / denom
+                H_next = G_next + gamma * M.transport(p, H, lam, H)
+        p, G, H = p_next, G_next, H_next
         trace.append(p, objective.report_value(p), gn, error_fn(p))
     trace.converged = gn < tol
     return trace
+
+
+def steepest_descent(objective: GeodesicObjective, p0, config=None, error_fn=None) -> IterationTrace:
+    """Line-minimize along the negative gradient until the gradient norm
+    drops below tolerance or the iteration budget runs out: conjugate
+    gradient with a reset at every step."""
+    return _descend(objective, p0, config or SolverConfig(), error_fn, reset_period=1)
 
 
 def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> IterationTrace:
@@ -245,10 +269,7 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
                 break
             step, p = 1.0, M.exp(p, exc.step, 1.0)
         except (IndefiniteOperator, DegeneratePivot, np.linalg.LinAlgError):
-            try:
-                ls = line_minimize_geodesic(objective, p, -g, config)
-            except (NoDecrease, MaxEvaluations, LineSearchFailed) as exc:
-                raise LineSearchFailed(str(exc), trace=trace) from exc
+            ls = _line_search(objective, p, -g, config, trace)
             step, p = ls.step, ls.point
         else:
             step, p = 1.0, M.exp(p, H, 1.0)
@@ -276,42 +297,4 @@ def conjugate_gradient(objective: GeodesicObjective, p0, config=None, error_fn=N
     vanishes or the mixed direction fails to decrease the objective.
     """
     config = config or SolverConfig()
-    error_fn = error_fn or objective.error_metric
-    M = objective.manifold
-    reset_period = config.reset_period or M.dim
-    tol = _stop_tol(objective, config)
-    p = p0
-    trace, g, gn = _start_trace(objective, p, error_fn)
-    G = -g
-    H = G
-    for i in range(config.max_iter):
-        if gn < tol:
-            break
-        try:
-            ls = line_minimize_geodesic(objective, p, H, config)
-        except (NoDecrease, MaxEvaluations, NotAscentDirection, DegenerateCommutator,
-                LineSearchFailed) as exc:
-            if H is G:
-                raise LineSearchFailed(str(exc), trace=trace) from exc
-            H = G  # drop conjugacy, retry along the gradient
-            try:
-                ls = line_minimize_geodesic(objective, p, H, config)
-            except (NoDecrease, MaxEvaluations, NotAscentDirection, DegenerateCommutator,
-                    LineSearchFailed) as exc2:
-                raise LineSearchFailed(str(exc2), trace=trace) from exc2
-        lam, p_next = ls.step, ls.point
-        tau_G = M.transport(p, H, lam, G)
-        tau_H = M.transport(p, H, lam, H)
-        g_next, gn_next = _gradient(objective, p_next, trace)
-        G_next = -g_next
-        denom = M.inner(p, G, H)
-        if (i % reset_period) == reset_period - 1 or denom == 0.0:
-            H_next = G_next
-        else:
-            gamma = M.inner(p_next, G_next - tau_G, G_next) / denom
-            H_next = G_next + gamma * tau_H
-        trace.record_step(lam)
-        p, g, gn, G, H = p_next, g_next, gn_next, G_next, H_next
-        trace.append(p, objective.report_value(p), gn, error_fn(p))
-    trace.converged = gn < tol
-    return trace
+    return _descend(objective, p0, config, error_fn, config.reset_period or objective.manifold.dim)

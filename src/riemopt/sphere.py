@@ -141,6 +141,9 @@ class Sphere(Manifold):
     def inner(self, p, u, v):
         return float(np.asarray(u) @ np.asarray(v))
 
+    def check_point(self, p):
+        check_unit(p)
+
 
 # ---------------------------------------------------------------------------
 # Rayleigh quotient

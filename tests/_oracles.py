@@ -5,15 +5,17 @@ library code under test: high-order finite differences, ODE integration of
 the parallel-transport equation, dense operator matrices in coordinate
 bases, truncated exponential series, and brute-force scans.  A few helpers
 only the tests use live here too: ``skew_exp`` (the group exponential of a
-checked skew matrix) and ``solve_projected_linear`` (the projected Newton
-equation by dense solves).
+checked skew matrix), ``solve_projected_linear`` (the projected Newton
+equation by dense solves) and ``reference_steepest_descent`` (steepest
+descent as a loop of its own).
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from riemopt.errors import DegeneratePivot, SingularMatrix
+from riemopt import IterationTrace, line_minimize_geodesic
+from riemopt.errors import DegeneratePivot, RiemoptError, SingularMatrix
 
 SKEW_TOL = 1e-12
 
@@ -187,3 +189,30 @@ def axis_angle(x, axis):
     c = abs(float(x @ axis))
     s = float(np.linalg.norm(x - (x @ axis) * axis))
     return float(np.arctan2(s, c))
+
+
+def reference_steepest_descent(objective, p, config, error_fn=None):
+    """Steepest descent as a loop of its own, with no conjugate-gradient
+    machinery: line-minimize along the negative gradient until its norm
+    drops below ``max(grad_tol, gradient_floor)``.  Returns ``(trace,
+    failure)``, where ``failure`` is the line-search error that stopped the
+    run, or None."""
+    error_fn = error_fn or objective.error_metric
+    M = objective.manifold
+    tol = max(config.grad_tol, objective.gradient_floor)
+    g = objective.gradient(p)
+    trace = IterationTrace()
+    trace.append(p, objective.report_value(p), M.norm(p, g), error_fn(p))
+    for _ in range(config.max_iter):
+        if trace.grad_norms[-1] < tol:
+            break
+        try:
+            ls = line_minimize_geodesic(objective, p, -g, config)
+        except RiemoptError as exc:
+            return trace, exc
+        trace.record_step(ls.step)
+        p = ls.point
+        g = objective.gradient(p)
+        trace.append(p, objective.report_value(p), M.norm(p, g), error_fn(p))
+    trace.converged = trace.grad_norms[-1] < tol
+    return trace, None

@@ -122,7 +122,16 @@ def test_cli_rejects_bad_init():
     (["fig1", "--n", "1"], "n must be >= 2"),
     (["fig2", "--init", "near:-0.5"], "perturbation scale must be positive"),
     (["fig1", "--method", "rqi", "--line-search", "exact"], "rqi takes no line search"),
-], ids=["n", "init-eps", "rqi-line-search"])
+    (["fig1", "--tol", "0"], "gradient tolerance must be positive and finite"),
+    (["fig1", "--method", "cg", "--n", "8", "--tol", "inf"],
+     "gradient tolerance must be positive and finite"),
+    (["fig2", "--method", "newton", "--tol", "nan"],
+     "gradient tolerance must be positive and finite"),
+    (["fig1", "--max-iter", "-1"], "iteration budget must be >= 0"),
+    (["fig1", "--method", "cg", "--reset-period", "0"], "reset period must be >= 1"),
+    (["fig2", "--method", "sd", "--reset-period", "3"], "only cg takes a reset period"),
+], ids=["n", "init-eps", "rqi-line-search", "tol-zero", "tol-inf", "tol-nan", "max-iter",
+        "reset-period", "reset-period-not-cg"])
 def test_cli_setting_out_of_range_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)

@@ -8,6 +8,7 @@ from riemopt import (
     Manifold,
     RayleighObjective,
     SolverConfig,
+    Sphere,
     conjugate_gradient,
     line_minimize_geodesic,
     newton,
@@ -15,7 +16,16 @@ from riemopt import (
     sphere_transport,
     steepest_descent,
 )
-from riemopt.errors import Diverged, LineSearchFailed, NoDecrease, NonFinite
+from riemopt.errors import (
+    Diverged,
+    IndefiniteOperator,
+    LineSearchFailed,
+    NoDecrease,
+    NonFinite,
+    NotAscentDirection,
+    NotRotation,
+    NotUnitDirection,
+)
 
 
 class Euclid(Manifold):
@@ -36,6 +46,9 @@ class Euclid(Manifold):
 
     def inner(self, p, u, v):
         return float(u @ v)
+
+    def check_point(self, p):
+        pass
 
 
 class Paraboloid(GeodesicObjective):
@@ -515,3 +528,88 @@ def test_non_finite_gradient_mid_run_carries_the_partial_trace(solver):
     assert len(trace) == 2
     assert np.all(np.isfinite(trace.grad_norms))
     assert not trace.converged
+
+
+# ---------------------------------------------------------------------------
+# one descent loop, one line-search failure path, a checked start
+
+
+class _CountingSphere(Sphere):
+    def __init__(self, n):
+        super().__init__(n)
+        self.transports = 0
+
+    def transport(self, p, v, t, w):
+        self.transports += 1
+        return super().transport(p, v, t, w)
+
+
+class _CountedRayleigh(RayleighObjective):
+    """Rayleigh quotient on a sphere that counts its parallel transports."""
+
+    def __init__(self, Q):
+        super().__init__(Q)
+        self._manifold = _CountingSphere(len(Q))
+
+
+def _counted_run(solver, reset_period=None):
+    rng = np.random.default_rng(15)
+    obj = _CountedRayleigh(rand_sym(rng, 8))
+    config = SolverConfig(line_search="exact", max_iter=30, reset_period=reset_period)
+    trace = solver(obj, rand_unit(rng, 8), config)
+    assert trace.iterations >= 10
+    return trace, obj.manifold.transports
+
+
+def test_steepest_descent_never_transports():
+    _, transports = _counted_run(steepest_descent)
+    assert transports == 0
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_cg_transports_twice_per_conjugate_step(k):
+    # a reset step sets the direction to the gradient and needs no transport
+    trace, transports = _counted_run(conjugate_gradient, reset_period=k)
+    conjugate_steps = sum(1 for i in range(trace.iterations) if i % k != k - 1)
+    assert transports == 2 * conjugate_steps
+
+
+class _NoNewtonNoEstimate(Paraboloid):
+    """Indefinite everywhere, and its step estimate refuses the gradient."""
+
+    def newton_direction(self, p):
+        raise IndefiniteOperator("indefinite everywhere")
+
+    def step_estimate(self, p, h):
+        raise NotAscentDirection("no step estimate along h")
+
+
+def test_newton_fallback_failure_carries_the_partial_trace():
+    with pytest.raises(LineSearchFailed) as info:
+        newton(_NoNewtonNoEstimate([1.0, 0.0]), np.zeros(2), SolverConfig(line_search="estimate"))
+    assert isinstance(info.value.__cause__, NotAscentDirection)
+    assert len(info.value.trace) == 1
+    assert not info.value.trace.converged
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, newton, conjugate_gradient])
+def test_start_off_the_sphere_is_rejected(solver):
+    rng = np.random.default_rng(0)
+    obj = RayleighObjective(rand_sym(rng, 4))
+    with pytest.raises(NotUnitDirection):
+        solver(obj, 1.5 * rand_unit(rng, 4), SolverConfig(line_search="exact"))
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, newton, conjugate_gradient])
+def test_start_off_the_rotation_group_is_rejected(solver):
+    # 1.05 I is no rotation: tr(T'DTD) reads 60.64 there, above the
+    # maximum of 55 over SO(5), so a run from it reports a false optimum
+    D = np.diag(np.arange(5, 0, -1.0))
+    with pytest.raises(NotRotation):
+        solver(BrockettObjective(D, D), 1.05 * np.eye(5), SolverConfig(line_search="estimate"))
+
+
+@pytest.mark.parametrize("grad_tol", [0.0, -1.0, np.nan, np.inf])
+def test_solver_config_rejects_a_tolerance_that_is_not_positive_and_finite(grad_tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        SolverConfig(grad_tol=grad_tol)
