@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import IterationTrace, check_symmetric
+from .core import IterationTrace
 from .solvers import SolverConfig, conjugate_gradient, newton
 from .sphere import RayleighObjective, normalized_start, project_tangent, sphere_distance
 # the shift solve is looked up here by name, so that it can be wrapped
@@ -20,7 +20,8 @@ from .sphere import shift_solve as _shift_solve
 class EigenResult:
     """Eigenpair estimate; ``converged`` and ``iterations`` read the loop's
     ``trace``: the residual ``|Qx - rho x|`` fell below ``grad_tol *
-    |Q|_F``, or the shift became singular to working precision."""
+    |Q|_F``, or below half the quotient's ``gradient_floor`` when that is
+    larger."""
     eigenvalue: float
     eigenvector: np.ndarray
     trace: IterationTrace
@@ -66,9 +67,9 @@ def newton_rayleigh(Q, x0, config=None, error_fn=None) -> EigenResult:
 
     Each step solves ``y = (Q - rho I)^{-1} x`` and follows the great
     circle along ``H = -x + y / (x^T y)`` to ``exp_x(H)``; the trace records
-    the geodesic parameter 1.0.  A singular shift is success.  A degenerate
-    pivot ``x^T y`` takes a gradient step under ``config.line_search``
-    instead.  A bad ``Q`` raises ValueError, a zero or non-finite start
+    the geodesic parameter 1.0.  A degenerate pivot ``x^T y`` takes a
+    gradient step under ``config.line_search`` instead.  A bad ``Q``
+    raises ValueError, a zero or non-finite start
     :class:`~riemopt.errors.NotUnitDirection`.
     """
     return _on_quotient(newton, Q, x0, config, error_fn)
@@ -78,23 +79,24 @@ def rqi(Q, x0, config=None, error_fn=None) -> EigenResult:
     """Rayleigh quotient iteration: ``x <- y / |y|`` for
     ``y = (Q - rho I)^{-1} x``, signed so successive iterates keep a
     positive inner product; the trace records each step's angle.  It stops
-    as converged at ``|Qx - rho x| <= grad_tol * |Q|_F``, or after the step
-    from a singular shift.  Bad input raises as in :func:`newton_rayleigh`.
+    as converged at ``|Qx - rho x| <= max(grad_tol |Q|_F, floor / 2)``,
+    with ``floor`` the quotient's ``gradient_floor`` (the gradient is
+    ``2(Qx - rho x)``).  Bad input raises as in :func:`newton_rayleigh`.
     """
     config = config or SolverConfig()
-    Q = check_symmetric(Q)
+    objective = RayleighObjective(Q)
+    Q = objective.Q
     x = normalized_start(x0)
-    scale = np.linalg.norm(Q)
+    tol = max(config.grad_tol * np.linalg.norm(Q), objective.gradient_floor / 2.0)
     error_fn = error_fn or _residual_norm(Q)
 
     trace = IterationTrace()
     rho, r = _residual(Q, x)
     trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
     for _ in range(config.max_iter):
-        if np.linalg.norm(r) <= config.grad_tol * scale:
-            trace.converged = True
+        if np.linalg.norm(r) <= tol:
             break
-        y, flagged = _shift_solve(Q, rho, x)
+        y = _shift_solve(Q, rho, x)
         x_next = y / np.linalg.norm(y)
         if float(x_next @ x) < 0.0:
             x_next = -x_next
@@ -102,9 +104,7 @@ def rqi(Q, x0, config=None, error_fn=None) -> EigenResult:
         x = x_next
         rho, r = _residual(Q, x)
         trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
-        if flagged:
-            trace.converged = True
-            break
+    trace.converged = bool(np.linalg.norm(r) <= tol)
     return EigenResult(rho, x, trace)
 
 

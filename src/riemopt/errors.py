@@ -59,19 +59,6 @@ class DegeneratePivot(RiemoptError):
     pass
 
 
-class SingularShift(RiemoptError):
-    """The shifted matrix is singular to working precision.
-
-    For the eigenvalue drivers this signals success: the current Rayleigh
-    quotient is an eigenvalue up to round-off.  ``step`` holds the last
-    step computed from the flagged solve, or None when there is none.
-    """
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
-
-
 class IndefiniteOperator(RiemoptError):
     pass
 

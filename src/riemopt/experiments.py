@@ -51,6 +51,10 @@ _METHODS = {
     "jacobi": ("newton",),
     "fd-check": ("all",),
 }
+#: Line searches an experiment's objective cannot serve: the Brockett
+#: objective has no closed-form step, the Jacobi objective no step estimate
+#: either.
+_UNSERVED_SEARCHES = {"fig2": ("exact",), "jacobi": ("exact", "estimate")}
 
 
 @dataclass
@@ -80,6 +84,8 @@ class ExperimentSpec:
             raise ValueError("near-optimum perturbation scale must be positive")
         if self.line_search is not None and self.method == "rqi":
             raise ValueError("rqi takes no line search")
+        if self.line_search in _UNSERVED_SEARCHES.get(self.experiment, ()):
+            raise ValueError(f"{self.experiment} takes no {self.line_search!r} line search")
         if self.reset_period is not None and self.method != "cg":
             raise ValueError("only cg takes a reset period")
         SolverConfig(grad_tol=self.tol, max_iter=self.max_iter or 0, reset_period=self.reset_period)

@@ -201,7 +201,9 @@ class BrockettObjective(GeodesicObjective):
     negative.  ``Q`` must be finite and exactly symmetric, ``N`` a finite
     diagonal matrix of the same size with pairwise distinct entries
     (ValueError otherwise).  Round-off in ``[H, N]`` is of order
-    ``eps |Q|_F |N|_F``, the objective's ``gradient_floor``."""
+    ``eps |Q|_F |N|_F``, the objective's ``gradient_floor``.  ``D`` is the
+    maximizer's ``H``: the eigenvalues of ``Q`` on the diagonal, the
+    largest in the slot of the largest entry of ``N``."""
 
     def __init__(self, Q, N):
         self.Q = check_symmetric(Q)
@@ -214,6 +216,9 @@ class BrockettObjective(GeodesicObjective):
         if len(np.unique(np.diag(N))) != n:
             raise ValueError("N must have pairwise distinct diagonal entries")
         self.N = N
+        slots = np.argsort(np.diag(N))[::-1]
+        self.D = np.zeros_like(N)
+        self.D[slots, slots] = np.sort(np.linalg.eigvalsh(self.Q))[::-1]
         self.gradient_floor = EPS * float(np.linalg.norm(self.Q) * np.linalg.norm(N))
         self._manifold = SpecialOrthogonal(n)
 
@@ -272,14 +277,8 @@ class BrockettObjective(GeodesicObjective):
         return num / den
 
     def error_metric(self, T):
-        """``|H - D|_F`` for the diagonal ``D`` of the eigenvalues of ``H``
-        arranged so their order matches the order of the diagonal of ``N``."""
-        H = conjugated_matrix(self.Q, T)
-        ev = np.sort(np.linalg.eigvalsh(H))[::-1]
-        slots = np.argsort(np.diag(self.N))[::-1]
-        D = np.zeros_like(H)
-        D[slots, slots] = ev
-        return float(np.linalg.norm(H - D))
+        """``|H - D|_F``: the distance of ``H = T^T Q T`` from the target ``D``."""
+        return float(np.linalg.norm(conjugated_matrix(self.Q, T) - self.D))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .errors import (
     NoDecrease,
     NonFinite,
     NotAscentDirection,
-    SingularShift,
     ZeroTangent,
 )
 
@@ -245,10 +244,8 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
 
     There is no damping or line search.  On an indefinite or singular
     second differential, or a degenerate pivot, it takes a single
-    line-minimized gradient step instead.  A singular shift reported by
-    the problem means the current iterate is critical to working
-    precision: the iteration takes the step the problem attached to it, if
-    any, and stops as converged.
+    line-minimized gradient step instead.  It stops as converged once the
+    gradient norm drops below ``max(grad_tol, objective.gradient_floor)``.
     """
     config = config or SolverConfig()
     error_fn = error_fn or objective.error_metric
@@ -257,17 +254,11 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
     p = p0
     trace, g, gn = _start_trace(objective, p, error_fn)
     grow_count = 0
-    singular = False
     for _ in range(config.max_iter):
         if gn < tol:
             break
         try:
             H = objective.newton_direction(p)
-        except SingularShift as exc:
-            singular = True
-            if exc.step is None:
-                break
-            step, p = 1.0, M.exp(p, exc.step, 1.0)
         except (IndefiniteOperator, DegeneratePivot, np.linalg.LinAlgError):
             ls = _line_search(objective, p, -g, config, trace)
             step, p = ls.step, ls.point
@@ -278,11 +269,9 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
         grow_count = grow_count + 1 if gn_new > gn else 0
         gn = gn_new
         trace.append(p, objective.report_value(p), gn, error_fn(p))
-        if singular:
-            break
         if grow_count >= 5:
             raise Diverged("gradient norm grew for 5 consecutive steps", trace=trace)
-    trace.converged = singular or gn < tol
+    trace.converged = gn < tol
     return trace
 
 

@@ -179,6 +179,15 @@ def rand_unit(rng, n):
     return x / np.linalg.norm(x)
 
 
+def midpoint_start(n, i, k):
+    """``(e_i + e_k) / sqrt 2``: on a diagonal ``Q`` with equally spaced
+    entries, ``rho`` there is the eigenvalue between the two to working
+    precision, so the shift is singular though the point is not critical."""
+    x = np.zeros(n)
+    x[[i, k]] = 1.0
+    return x / np.sqrt(2.0)
+
+
 def rand_tangent(rng, x, unit=True):
     u = rng.normal(size=len(x))
     u = u - (x @ u) * x

@@ -130,8 +130,13 @@ def test_cli_rejects_bad_init():
     (["fig1", "--max-iter", "-1"], "iteration budget must be >= 0"),
     (["fig1", "--method", "cg", "--reset-period", "0"], "reset period must be >= 1"),
     (["fig2", "--method", "sd", "--reset-period", "3"], "only cg takes a reset period"),
+    (["fig2", "--method", "sd", "--line-search", "exact"], "fig2 takes no 'exact' line search"),
+    (["fig2", "--method", "cg", "--line-search", "exact"], "fig2 takes no 'exact' line search"),
+    (["jacobi", "--line-search", "exact"], "jacobi takes no 'exact' line search"),
+    (["jacobi", "--line-search", "estimate"], "jacobi takes no 'estimate' line search"),
 ], ids=["n", "init-eps", "rqi-line-search", "tol-zero", "tol-inf", "tol-nan", "max-iter",
-        "reset-period", "reset-period-not-cg"])
+        "reset-period", "reset-period-not-cg", "fig2-sd-exact", "fig2-cg-exact",
+        "jacobi-exact", "jacobi-estimate"])
 def test_cli_setting_out_of_range_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -180,13 +185,13 @@ def test_fig2_cg_supports_golden_section(tmp_path):
 
 
 def test_cli_solver_error_exit_code(tmp_path, capsys):
-    # the rotation objective has no closed-form line step: asking for the
-    # 'exact' search is a solver failure, reported with exit code 3
-    code = main(["fig2", "--n", "6", "--method", "sd", "--seed", "0",
-                 "--line-search", "exact", "--out", str(tmp_path)])
+    # the Rayleigh quotient has no step estimate: the first line search of
+    # steepest descent fails, a solver failure reported with exit code 3
+    code = main(["fig1", "--n", "6", "--method", "sd", "--seed", "0",
+                 "--line-search", "estimate", "--out", str(tmp_path)])
     assert code == 3
     assert "solver error" in capsys.readouterr().out
-    report = (tmp_path / "fig2-sd-0.report.txt").read_text()
+    report = (tmp_path / "fig1-sd-0.report.txt").read_text()
     assert "solver_error: LineSearchFailed" in report
 
 
@@ -203,8 +208,7 @@ def test_report_converged_is_the_trace_flag(spec, converged):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_fig1_newton_reaches_round_off(seed):
-    # the last step, taken from the singular shift, is cubic convergence's
-    # final contraction
+    # cubic convergence ends at the round-off floor of the quotient
     report, _ = run_fig1(ExperimentSpec("fig1", n=21, method="newton", seed=seed))
     assert report.converged
     assert report.final_error <= 1e-12
