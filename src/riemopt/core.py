@@ -39,7 +39,7 @@ class Manifold(ABC):
 
     ``exp`` and ``transport`` act along geodesics only, which is the single
     case the solvers require; transport along arbitrary curves is not part
-    of the contract.
+    of the contract.  Points and tangents are treated as immutable.
     """
 
     @property
@@ -81,6 +81,9 @@ class GeodesicObjective(ABC):
     converged once the gradient norm drops below
     ``max(config.grad_tol, gradient_floor)``.  It is 0.0 unless the
     objective states one.
+
+    Points are immutable: an objective may reuse what it formed at the
+    last point it saw, keyed on identity; do not change one in place.
     """
 
     gradient_floor: float = 0.0

@@ -51,10 +51,10 @@ _METHODS = {
     "jacobi": ("newton",),
     "fd-check": ("all",),
 }
-#: Line searches an experiment's objective cannot serve: the Brockett
-#: objective has no closed-form step, the Jacobi objective no step estimate
-#: either.
-_UNSERVED_SEARCHES = {"fig2": ("exact",), "jacobi": ("exact", "estimate")}
+#: Line searches an experiment's objective cannot serve: the Rayleigh
+#: quotient has no step estimate, the Brockett objective no closed-form
+#: step, the Jacobi objective neither.
+_UNSERVED_SEARCHES = {"fig1": ("estimate",), "fig2": ("exact",), "jacobi": ("exact", "estimate")}
 
 
 @dataclass

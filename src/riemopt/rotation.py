@@ -69,10 +69,12 @@ def so_transport(Y, X, t=1.0):
 
     Conjugation by the half-geodesic: ``e^{-tX/2} Y e^{tX/2}``.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    E = expm(-(t / 2.0) * X)
-    return skew_part(E @ Y @ E.T)
+    return _conjugate(expm(-(t / 2.0) * np.asarray(X, dtype=float)), Y)
+
+
+def _conjugate(E, Y):
+    # E Y E^T, the parallel translation for E = e^{-tX/2}
+    return skew_part(E @ np.asarray(Y, dtype=float) @ E.T)
 
 
 class SpecialOrthogonal(Manifold):
@@ -82,6 +84,7 @@ class SpecialOrthogonal(Manifold):
         if n < 2:
             raise ValueError("rotation group needs n >= 2")
         self.n = int(n)
+        self._half = (None, None, None)
 
     @property
     def dim(self):
@@ -91,7 +94,12 @@ class SpecialOrthogonal(Manifold):
         return so_geodesic(p, v, t)
 
     def transport(self, p, v, t, w):
-        return so_transport(w, v, t)
+        # E kept for the last (identity of v, value of t): one expm per step
+        key, s, E = self._half
+        if key is not v or s != t:
+            E = expm(-(t / 2.0) * np.asarray(v, dtype=float))
+            self._half = (v, t, E)
+        return _conjugate(E, w)
 
     def inner(self, p, u, v):
         # -tr(uv) equals the Frobenius pairing for skew matrices
@@ -221,27 +229,36 @@ class BrockettObjective(GeodesicObjective):
         self.D[slots, slots] = np.sort(np.linalg.eigvalsh(self.Q))[::-1]
         self.gradient_floor = EPS * float(np.linalg.norm(self.Q) * np.linalg.norm(N))
         self._manifold = SpecialOrthogonal(n)
+        self._last = (None, None)
 
     @property
     def manifold(self):
         return self._manifold
 
+    def _conjugated(self, T):
+        # H = T^T Q T, kept for the last T by identity
+        key, H = self._last
+        if key is not T:
+            H = conjugated_matrix(self.Q, T)
+            self._last = (T, H)
+        return H
+
     def value(self, T):
         return -self.report_value(T)
 
     def report_value(self, T):
-        return float(np.trace(conjugated_matrix(self.Q, T) @ self.N))
+        return float(np.trace(self._conjugated(T) @ self.N))
 
     def gradient(self, T):
         """Descent gradient ``-[H, N]`` in algebra coordinates (the tangent
         at ``T`` is ``T [H, N]`` for the ascent of ``f``)."""
-        return -commutator(conjugated_matrix(self.Q, T), self.N)
+        return -commutator(self._conjugated(T), self.N)
 
     def hessian_apply(self, T, X):
         """``-L(X)/2`` with ``L(X) = [H, [X, N]] - [[X, H], N]``: the second
         differential of ``f`` is ``-1/2 tr(L(X) Y)`` against a tangent
         ``T Y``, so that of ``-f`` is ``<-L(X)/2, Y>``."""
-        return 0.5 * _brockett_neg_L(conjugated_matrix(self.Q, T), self.N, X)
+        return 0.5 * _brockett_neg_L(self._conjugated(T), self.N, X)
 
     def newton_direction(self, T):
         """Newton direction: the skew ``X`` with ``L(X) = -2 [H, N]``.
@@ -253,7 +270,7 @@ class BrockettObjective(GeodesicObjective):
         with entries ``2 (h_i - h_j)(nu_i - nu_j)``; these entries at the
         current ``diag(H)`` precondition the solve.
         """
-        H = conjugated_matrix(self.Q, T)
+        H = self._conjugated(T)
         b = 2.0 * commutator(H, self.N)
         h, nu = np.diag(H), np.diag(self.N)
         diag = _preconditioner(2.0 * np.subtract.outer(h, h) * np.subtract.outer(nu, nu))
@@ -267,7 +284,7 @@ class BrockettObjective(GeodesicObjective):
         ``[0, t]`` for ``t <= 2 tr(H Omega N) / (|[Omega, H]| |[Omega, N]|)``,
         so stepping by the bound never overshoots the first local maximum.
         """
-        H = conjugated_matrix(self.Q, T)
+        H = self._conjugated(T)
         num = 2.0 * float(np.trace(H @ Omega @ self.N))
         if num <= 0.0:
             raise NotAscentDirection(f"phi'(0) = {num!r} is not positive")
@@ -278,7 +295,7 @@ class BrockettObjective(GeodesicObjective):
 
     def error_metric(self, T):
         """``|H - D|_F``: the distance of ``H = T^T Q T`` from the target ``D``."""
-        return float(np.linalg.norm(conjugated_matrix(self.Q, T) - self.D))
+        return float(np.linalg.norm(self._conjugated(T) - self.D))
 
 
 # ---------------------------------------------------------------------------
@@ -304,28 +321,36 @@ class JacobiObjective(GeodesicObjective):
         self.Q = check_symmetric(Q)
         self.gradient_floor = 2.0 * EPS * float(np.linalg.norm(self.Q)) ** 2
         self._manifold = SpecialOrthogonal(self.Q.shape[0])
+        self._last = (None, None)
 
     @property
     def manifold(self):
         return self._manifold
 
+    def _conjugated(self, T):
+        # H = T^T Q T, kept for the last T by identity
+        key, H = self._last
+        if key is not T:
+            H = conjugated_matrix(self.Q, T)
+            self._last = (T, H)
+        return H
+
     def value(self, T):
         return -self.report_value(T)
 
     def report_value(self, T):
-        H = conjugated_matrix(self.Q, T)
-        return float(np.sum(np.diag(H) ** 2))
+        return float(np.sum(np.diag(self._conjugated(T)) ** 2))
 
     def gradient(self, T):
         """Descent gradient ``-2 [H, pi(H)]`` in algebra coordinates."""
-        H = conjugated_matrix(self.Q, T)
+        H = self._conjugated(T)
         return -2.0 * commutator(H, diag_part(H))
 
     def hessian_apply(self, T, X):
         """``-M(X)`` with ``M(X) = [H, [X, pi(H)]] - [[X, H], pi(H)]
         - 2 [H, pi([X, H])]``: the second differential of ``f`` is
         ``-tr(M(X) Y)``, so that of ``-f`` is ``<-M(X), Y>``."""
-        H = conjugated_matrix(self.Q, T)
+        H = self._conjugated(T)
         return _jacobi_neg_M(H, diag_part(H), X)
 
     def newton_direction(self, T):
@@ -335,7 +360,7 @@ class JacobiObjective(GeodesicObjective):
         ``H = diag(h)``, ``-M`` is diagonal in the ``E_ij - E_ji`` basis
         with entries ``2 (h_i - h_j)^2``; these entries at the current
         ``diag(H)`` precondition the solve."""
-        H = conjugated_matrix(self.Q, T)
+        H = self._conjugated(T)
         P = diag_part(H)
         b = 2.0 * commutator(H, P)
         h = np.diag(H)
@@ -343,4 +368,4 @@ class JacobiObjective(GeodesicObjective):
         return _solve_definite(lambda X: _jacobi_neg_M(H, P, X), b, diag=diag)
 
     def error_metric(self, T):
-        return off_diagonal_norm(conjugated_matrix(self.Q, T))
+        return off_diagonal_norm(self._conjugated(T))

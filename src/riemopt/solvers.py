@@ -243,7 +243,7 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
     ``hessian(H) = -gradient``.
 
     There is no damping or line search.  On an indefinite or singular
-    second differential, or a degenerate pivot, it takes a single
+    second differential, a degenerate pivot or a zero direction, it takes one
     line-minimized gradient step instead.  It stops as converged once the
     gradient norm drops below ``max(grad_tol, objective.gradient_floor)``.
     """
@@ -260,6 +260,8 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
         try:
             H = objective.newton_direction(p)
         except (IndefiniteOperator, DegeneratePivot, np.linalg.LinAlgError):
+            H = None
+        if H is None or M.norm(p, H) == 0.0:
             ls = _line_search(objective, p, -g, config, trace)
             step, p = ls.step, ls.point
         else:

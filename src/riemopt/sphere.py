@@ -212,19 +212,20 @@ def _line_rotation(a, b):
     return float(c), float(s), float(s * s / (1.0 + c))
 
 
-def rayleigh_line_max(Q, x, h):
+def rayleigh_line_max(Q, x, h, qx=None):
     """Closed-form maximizer of ``rho`` along the great circle ``x c + h s``.
 
     Returns ``(c, s, v)`` with ``c^2 + s^2 = 1`` and ``v = 1 - c`` computed
     stably as ``s^2 / (1 + c)``.  When ``rho`` is constant on the circle
     (``a = b = 0``) the point is already optimal and ``(1, 0, 0)`` is
-    returned.
+    returned.  ``qx``, when given, is ``Q x`` already formed.
     """
     x = np.asarray(x, dtype=float)
     h = check_unit(h)
     qh = Q @ h
+    qx = Q @ x if qx is None else qx
     a = 2.0 * float(x @ qh)
-    b = float(x @ (Q @ x)) - float(h @ qh)
+    b = float(x @ qx) - float(h @ qh)
     return _line_rotation(a, b)
 
 
@@ -248,10 +249,19 @@ class RayleighObjective(GeodesicObjective):
         n = self.Q.shape[0]
         self.gradient_floor = 6.0 * np.sqrt(n) * EPS * float(np.linalg.norm(self.Q))
         self._manifold = Sphere(n)
+        self._last = (None, None)
 
     @property
     def manifold(self):
         return self._manifold
+
+    def _qx(self, x):
+        # Qx, kept for the last x by identity
+        key, w = self._last
+        if key is not x:
+            w = self.Q @ x
+            self._last = (x, w)
+        return w
 
     def value(self, x):
         return self._sign * self.report_value(x)
@@ -266,7 +276,7 @@ class RayleighObjective(GeodesicObjective):
         otherwise caps the attainable accuracy of gradient-based iterations
         near an eigenvector.
         """
-        w = self.Q @ x
+        w = self._qx(x)
         g = 2.0 * (w - (x @ w) * x)
         return self._sign * project_tangent(x, g)
 
@@ -286,7 +296,7 @@ class RayleighObjective(GeodesicObjective):
         nh = np.linalg.norm(h)
         if nh == 0.0:
             raise ZeroTangent("line search direction is zero")
-        c, s, _ = rayleigh_line_max(self.Q, x, h / nh)
+        c, s, _ = rayleigh_line_max(self.Q, x, h / nh, self._qx(x))
         t = float(np.arctan2(s, c))
         if self.which == "min":
             t += 0.5 * np.pi  # the minimum lies a quarter turn past the maximum

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+import riemopt.experiments
 from riemopt.cli import main
-from riemopt.core import estimate_order, longest_decreasing_run
+from riemopt.core import IterationTrace, estimate_order, longest_decreasing_run
+from riemopt.errors import LineSearchFailed
 from riemopt.experiments import (
     ExperimentSpec,
     read_trace_csv,
@@ -134,9 +136,15 @@ def test_cli_rejects_bad_init():
     (["fig2", "--method", "cg", "--line-search", "exact"], "fig2 takes no 'exact' line search"),
     (["jacobi", "--line-search", "exact"], "jacobi takes no 'exact' line search"),
     (["jacobi", "--line-search", "estimate"], "jacobi takes no 'estimate' line search"),
+    (["fig1", "--method", "sd", "--line-search", "estimate"], "fig1 takes no 'estimate' line search"),
+    (["fig1", "--method", "newton", "--line-search", "estimate"],
+     "fig1 takes no 'estimate' line search"),
+    (["fig1", "--method", "newton-rq", "--line-search", "estimate"],
+     "fig1 takes no 'estimate' line search"),
 ], ids=["n", "init-eps", "rqi-line-search", "tol-zero", "tol-inf", "tol-nan", "max-iter",
         "reset-period", "reset-period-not-cg", "fig2-sd-exact", "fig2-cg-exact",
-        "jacobi-exact", "jacobi-estimate"])
+        "jacobi-exact", "jacobi-estimate", "fig1-sd-estimate", "fig1-newton-estimate",
+        "fig1-newton-rq-estimate"])
 def test_cli_setting_out_of_range_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -184,11 +192,17 @@ def test_fig2_cg_supports_golden_section(tmp_path):
         assert "LineSearchFailed" in report.error_message
 
 
-def test_cli_solver_error_exit_code(tmp_path, capsys):
-    # the Rayleigh quotient has no step estimate: the first line search of
-    # steepest descent fails, a solver failure reported with exit code 3
-    code = main(["fig1", "--n", "6", "--method", "sd", "--seed", "0",
-                 "--line-search", "estimate", "--out", str(tmp_path)])
+def test_cli_solver_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a line search that fails after one iteration is a solver failure,
+    # reported with its partial trace and exit code 3
+    def failing_descent(objective, x0, config, error_fn):
+        trace = IterationTrace()
+        trace.append(x0, objective.report_value(x0), 1.0, error_fn(x0))
+        trace.append(x0, objective.report_value(x0), 1.0, error_fn(x0))
+        raise LineSearchFailed("no sampled step decreased the objective", trace=trace)
+
+    monkeypatch.setattr(riemopt.experiments, "steepest_descent", failing_descent)
+    code = main(["fig1", "--n", "6", "--method", "sd", "--seed", "0", "--out", str(tmp_path)])
     assert code == 3
     assert "solver error" in capsys.readouterr().out
     report = (tmp_path / "fig1-sd-0.report.txt").read_text()

@@ -592,6 +592,27 @@ def test_newton_fallback_failure_carries_the_partial_trace():
     assert not info.value.trace.converged
 
 
+class _ZeroNewtonRayleigh(RayleighObjective):
+    """A Newton direction that is exactly zero away from any critical point."""
+
+    def newton_direction(self, x):
+        return np.zeros_like(x)
+
+
+def test_newton_takes_a_gradient_step_on_a_zero_direction():
+    # the sphere cannot move along a zero tangent; Newton falls back to the
+    # line-minimized gradient step, so it runs as steepest descent does
+    rng = np.random.default_rng(8)
+    Q = np.diag(np.arange(6.0, 0.0, -1.0))
+    x0 = rand_unit(rng, 6)
+    config = SolverConfig(max_iter=15, line_search="exact")
+    trace = newton(_ZeroNewtonRayleigh(Q), x0, config)
+    reference = steepest_descent(RayleighObjective(Q), x0, config)
+    assert trace.iterations == reference.iterations == 15
+    assert np.array_equal(trace.points, reference.points)
+    assert trace.steps == reference.steps
+
+
 @pytest.mark.parametrize("solver", [steepest_descent, newton, conjugate_gradient])
 def test_start_off_the_sphere_is_rejected(solver):
     rng = np.random.default_rng(0)
