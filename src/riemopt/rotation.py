@@ -94,7 +94,7 @@ class SpecialOrthogonal(Manifold):
         return so_geodesic(p, v, t)
 
     def transport(self, p, v, t, w):
-        # E kept for the last (identity of v, value of t): one expm per step
+        # E kept for the last (identity of v, value of t): a step's two transports share it
         key, s, E = self._half
         if key is not v or s != t:
             E = expm(-(t / 2.0) * np.asarray(v, dtype=float))

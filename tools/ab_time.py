@@ -3,11 +3,10 @@
     python tools/ab_time.py SRC_A SRC_B [ROUNDS]
 
 Each tree has a worker process (one BLAS thread) that imports riemopt from
-it and times each CLI run in-process by the process CPU clock, which a
-shared machine disturbs less than the wall clock.  After one untimed warm-up
-round, ROUNDS rounds (default 7) alternate the trees, the first one rotating
-by class and round.  Prints each class's min and median CPU ms per tree and
-the ratio B/A of the medians."""
+it and times each CLI run in-process by process CPU time, which a shared
+machine disturbs less than wall time.  After a warm-up round, ROUNDS rounds
+(default 7) alternate the trees, the first rotating by class and round.
+Prints each class's min and median CPU ms per tree and B/A of the medians."""
 
 import contextlib
 import io
@@ -66,5 +65,6 @@ if __name__ == "__main__":
         proc.communicate()
     print(f"{'class':48s} {'min A':>8s} {'min B':>8s} {'med A':>8s} {'med B':>8s} {'B/A':>6s}")
     for k, name in enumerate(CLASSES):
-        (a, b), (ma, mb) = ([min(ts[k]) for ts in times], [statistics.median(ts[k]) for ts in times])
-        print(f"{name:48s} {a:8.2f} {b:8.2f} {ma:8.2f} {mb:8.2f} {mb / ma:6.3f}")
+        a, b = (ts[k] for ts in times)
+        ma, mb = statistics.median(a), statistics.median(b)
+        print(f"{name:48s} {min(a):8.2f} {min(b):8.2f} {ma:8.2f} {mb:8.2f} {mb / ma:6.3f}")
