@@ -35,7 +35,8 @@ def _add_common(sub, default_n, methods):
     sub.add_argument("--max-iter", type=int, default=None)
     sub.add_argument("--tol", type=float, default=1e-12)
     sub.add_argument("--reset-period", type=int, default=None, help="cg only")
-    sub.add_argument("--line-search", choices=("exact", "golden", "estimate"), default=None)
+    sub.add_argument("--line-search", choices=("exact", "bracket", "golden", "estimate"),
+                     default=None, help="'golden' is an alias of 'bracket'")
     sub.add_argument("--out", default=None, help="directory for CSV trace and report")
 
 

@@ -57,6 +57,10 @@ class Manifold(ABC):
         """Parallel translation of ``w`` from ``p`` to ``exp(p, v, t)``
         along that geodesic."""
 
+    def velocity(self, p, v, t):
+        """Velocity at ``exp(p, v, t)``: ``v`` translated along the geodesic."""
+        return self.transport(p, v, t, v)
+
     @abstractmethod
     def inner(self, p, u, v) -> float:
         """Riemannian inner product of tangent vectors at ``p``."""

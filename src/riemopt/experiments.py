@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConvergenceReport, IterationTrace, estimate_order, longest_decreasing_run
+from .core import ConvergenceReport, estimate_order, longest_decreasing_run
 from .errors import OrderFitError, SolverError, ToleranceBreached
 from .eigensolvers import cg_extreme_eigen, newton_rayleigh, rqi
 from .fdcheck import brockett_family_check, jacobi_family_check, rayleigh_family_check
@@ -177,22 +177,6 @@ def write_trace_csv(path, trace, value_label):
         ]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_trace_csv(path):
-    """Parse a trace file back into an :class:`IterationTrace` (points are
-    not stored in the CSV and come back as None)."""
-    trace = IterationTrace()
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("iter,"):
-            raise ValueError(f"{path} is not a trace file")
-        for line in fh:
-            if not line.strip():
-                continue
-            _, value, grad_norm, error, step = line.strip().split(",")
-            trace.append(None, float(value), float(grad_norm), float(error), float(step))
-    return trace
 
 
 def write_report(path, report):
@@ -351,7 +335,7 @@ def run_jacobi(spec):
     Q, T_hat = jacobi_matrices(spec.n, spec.seed)
     objective = JacobiObjective(Q)
     T0 = _rotation_start(spec, T_hat, 1e-1)
-    config = _config(spec, 50, "golden")
+    config = _config(spec, 50, "bracket")
     return _finish(spec, _run(lambda: newton(objective, T0, config)), "f", t0)
 
 

@@ -101,6 +101,9 @@ class SpecialOrthogonal(Manifold):
             self._half = (v, t, E)
         return _conjugate(E, w)
 
+    def velocity(self, p, v, t):
+        return v  # e^{-tX/2} X e^{tX/2} = X
+
     def inner(self, p, u, v):
         # -tr(uv) equals the Frobenius pairing for skew matrices
         return float(np.sum(np.asarray(u) * np.asarray(v)))

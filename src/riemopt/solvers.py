@@ -8,6 +8,7 @@ objectives in :mod:`riemopt.sphere` and :mod:`riemopt.rotation` do).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,17 @@ from .errors import (
     ZeroTangent,
 )
 
-_INV_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
-#: Golden search: bracket growth factor, first trial step when the problem
-#: has no step estimate, budget of objective evaluations, and the relative
-#: bracket width at which the section stops.
-GOLDEN_GROWTH = 2.0
+#: Slope search: bracket growth factor, first trial step when the problem
+#: has no step estimate, budget of trial points, and the relative bracket
+#: width at which regula falsi stops at the latest.
+BRACKET_GROWTH = 2.0
 INITIAL_STEP = 1.0
 MAX_EVALUATIONS = 200
-GOLDEN_TOL = 1e-10
+BRACKET_TOL = 1e-10
+#: Rise of ``value``, relative to ``max(1, |value|)``, read as round-off.
+VALUE_SLACK = 1e3 * np.finfo(float).eps
+#: A slope-search point: step, slope, point, and 1 if it is an upper end.
+_Trial = namedtuple("_Trial", "t d point upper")
 
 
 @dataclass
@@ -44,15 +48,16 @@ class SolverConfig:
     converged once the gradient norm drops below
     ``max(grad_tol, objective.gradient_floor)``, so an objective that
     states a round-off floor above ``grad_tol`` stops there.
-    ``line_search`` selects 'exact' (problem closed form), 'golden'
-    (bracketing golden section), or 'estimate' (problem-supplied step
-    bound).  ``reset_period`` defaults to the intrinsic manifold dimension
-    when left as None.
+    ``line_search`` selects 'exact' (problem closed form), 'bracket'
+    (bracket and regula falsi on the slope along the geodesic; 'golden'
+    is an alias for it), or 'estimate' (problem-supplied step bound).
+    ``reset_period`` defaults to the intrinsic manifold dimension when
+    left as None.
     """
 
     grad_tol: float = 1e-12
     max_iter: int = 1000
-    line_search: str = "golden"
+    line_search: str = "bracket"
     reset_period: int | None = None
 
     def __post_init__(self):
@@ -62,13 +67,15 @@ class SolverConfig:
             raise ValueError("iteration budget must be >= 0")
         if self.reset_period is not None and self.reset_period < 1:
             raise ValueError("reset period must be >= 1")
-        if self.line_search not in ("exact", "golden", "estimate"):
+        if self.line_search == "golden":
+            self.line_search = "bracket"
+        if self.line_search not in ("exact", "bracket", "estimate"):
             raise ValueError(f"unknown line search kind {self.line_search!r}")
 
 
 @dataclass(frozen=True)
 class LineSearchResult:
-    """Accepted step, objective evaluations spent, and the accepted point
+    """Accepted step, trial points evaluated, and the accepted point
     ``exp(p, H, step)``."""
     step: float
     evaluations: int
@@ -86,79 +93,70 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> L
     """Locate a local minimizer of ``t -> value(exp(p, t H))`` on [0, inf).
 
     With 'exact' or 'estimate' kinds the step comes straight from the
-    problem; 'golden' brackets by repeated doubling from an initial scale
-    and refines by golden section to the relative width ``GOLDEN_TOL``.
+    problem.  'bracket' works on the slope ``d(t) = <gradient(exp(p, t H)),
+    velocity(p, H, t)>``, exact to round-off where value differences are
+    not.  It raises :class:`NoDecrease` unless ``d(0) < -gradient_floor
+    |H|``, doubles from the problem's step estimate (else ``INITIAL_STEP``)
+    to an upper end (``d >= 0``, or past a hump: still descending, but above
+    ``value(p)``), and runs Illinois regula falsi on ``d`` (bisection past a
+    hump) until an end's ``|d|`` is at round-off or the relative width is
+    ``BRACKET_TOL``.  It returns the end with the smaller ``|d|`` if its
+    value has not risen above ``value(p)`` beyond round-off.  A trial point
+    (one evaluation) costs an ``exp``, a gradient and, while descending, a
+    value.
     """
     config = config or SolverConfig()
     M = objective.manifold
     if M.norm(p, H) == 0.0:
         raise ZeroTangent("line search direction is zero")
 
-    if config.line_search != "golden":
+    if config.line_search != "bracket":
         exact = config.line_search == "exact"
         try:
             t = (objective.exact_line_step if exact else objective.step_estimate)(p, H)
         except NotImplementedError:
             what = "closed-form line step" if exact else "step estimate"
-            raise LineSearchFailed(f"problem provides no {what}; use 'golden'") from None
+            raise LineSearchFailed(f"problem provides no {what}; use 'bracket'") from None
         return LineSearchResult(t, 1, M.exp(p, H, t))
 
+    f0 = objective.value(p)
+    ceiling = f0 + VALUE_SLACK * max(1.0, abs(f0))
+    noise = objective.gradient_floor * M.norm(p, H)  # round-off in a slope
+    d0 = M.inner(p, objective.gradient(p), H)
+    if not d0 < -noise:
+        raise NoDecrease(f"slope {d0!r} along the direction is not below {-noise!r}")
     evals = 0
 
-    def fun(t):
+    def trial(t):
         nonlocal evals
+        if evals >= MAX_EVALUATIONS:
+            raise MaxEvaluations("slope search exhausted the evaluation budget")
         evals += 1
         q = M.exp(p, H, t)
-        return objective.value(q), q
+        d = M.inner(q, objective.gradient(q), M.velocity(p, H, t))
+        if not math.isfinite(d):
+            raise NoDecrease(f"slope {d!r} at step {t!r} is not finite")
+        # a point still descending but above value(p) lies past a hump
+        return _Trial(t, d, q, int(d >= 0.0 or not objective.value(q) <= ceiling))
 
-    f0 = objective.value(p)
-    t1 = _initial_scale(objective, p, H)
-
-    f1, q1 = fun(t1)
-    if f1 < f0:
-        a = 0.0
-        b, fb, qb = t1, f1, q1
-        c = GOLDEN_GROWTH * t1
-        fc, qc = fun(c)
-        while fc < fb:
-            if evals >= MAX_EVALUATIONS:
-                raise MaxEvaluations("bracketing exhausted the evaluation budget")
-            a = b
-            b, fb, qb = c, fc, qc
-            c = GOLDEN_GROWTH * c
-            fc, qc = fun(c)
-    else:
-        # shrink toward zero until the function decreases at all
-        while f1 >= f0:
-            if evals >= MAX_EVALUATIONS or t1 < 1e-300:
-                raise NoDecrease("no sampled step decreased the objective")
-            t1 /= GOLDEN_GROWTH
-            f1, q1 = fun(t1)
-        a, b, c = 0.0, t1, GOLDEN_GROWTH * t1
-        fb, qb = f1, q1
-
-    # golden section on [a, c]
-    x1 = c - _INV_GOLD * (c - a)
-    x2 = a + _INV_GOLD * (c - a)
-    (fx1, q1), (fx2, q2) = fun(x1), fun(x2)
-    while (c - a) > GOLDEN_TOL * max(abs(c), 1e-30):
-        if evals >= MAX_EVALUATIONS:
-            raise MaxEvaluations("golden section exhausted the evaluation budget")
-        if fx1 < fx2:
-            c, x2, fx2, q2 = x2, x1, fx1, q1
-            x1 = c - _INV_GOLD * (c - a)
-            fx1, q1 = fun(x1)
-        else:
-            a, x1, fx1, q1 = x1, x2, fx2, q2
-            x2 = a + _INV_GOLD * (c - a)
-            fx2, q2 = fun(x2)
-    if fx1 < fx2:
-        t, ft, q = x1, fx1, q1
-    else:
-        t, ft, q = x2, fx2, q2
-    if fb < ft:
-        t, q = b, qb
-    return LineSearchResult(float(t), evals, q)
+    # a local minimizer below value(p) lies between ends[0], descending, and
+    # the upper end ends[1]; w holds their Illinois-weighted slopes
+    ends = [_Trial(0.0, d0, p, 0), trial(_initial_scale(objective, p, H))]
+    while not ends[1].upper:
+        ends = [ends[1], trial(BRACKET_GROWTH * ends[1].t)]
+    w, side = [end.d for end in ends], None
+    while (min(abs(end.d) for end in ends) > noise
+           and ends[1].t - ends[0].t > BRACKET_TOL * ends[1].t):
+        a, b = ends[0].t, ends[1].t
+        # regula falsi across a sign change of d, bisection across a hump
+        end = trial(b - w[1] * (b - a) / (w[1] - w[0]) if w[1] > 0.0 else 0.5 * (a + b))
+        if end.upper == side:
+            w[1 - side] /= 2.0
+        ends[end.upper], w[end.upper], side = end, end.d, end.upper
+    best = min(ends, key=lambda end: abs(end.d))
+    if not objective.value(best.point) <= ceiling:
+        raise NoDecrease("the slope search point raised the objective")
+    return LineSearchResult(float(best.t), evals, best.point)
 
 
 def _stop_tol(objective, config):

@@ -135,6 +135,10 @@ class Sphere(Manifold):
             return np.asarray(w, dtype=float).copy()
         return sphere_transport(p, v / nv, t * nv, w)
 
+    def velocity(self, p, v, t):
+        nv = np.linalg.norm(v)
+        return v * np.cos(t * nv) - p * (nv * np.sin(t * nv))
+
     def inner(self, p, u, v):
         return float(np.asarray(u) @ np.asarray(v))
 

@@ -6,8 +6,9 @@ the parallel-transport equation, dense operator matrices in coordinate
 bases, truncated exponential series, and brute-force scans.  A few helpers
 only the tests use live here too: ``skew_exp`` (the group exponential of a
 checked skew matrix), ``solve_projected_linear`` (the projected Newton
-equation by dense solves) and ``reference_steepest_descent`` (steepest
-descent as a loop of its own).
+equation by dense solves), ``reference_steepest_descent`` (steepest
+descent as a loop of its own) and ``read_trace_csv`` (a trace file read
+back).
 """
 
 import numpy as np
@@ -225,3 +226,19 @@ def reference_steepest_descent(objective, p, config, error_fn=None):
         trace.append(p, objective.report_value(p), M.norm(p, g), error_fn(p))
     trace.converged = trace.grad_norms[-1] < tol
     return trace, None
+
+
+def read_trace_csv(path):
+    """Parse a trace file back into an :class:`IterationTrace` (points are
+    not stored in the CSV and come back as None)."""
+    trace = IterationTrace()
+    with open(path) as fh:
+        header = fh.readline()
+        if not header.startswith("iter,"):
+            raise ValueError(f"{path} is not a trace file")
+        for line in fh:
+            if not line.strip():
+                continue
+            _, value, grad_norm, error, step = line.strip().split(",")
+            trace.append(None, float(value), float(grad_norm), float(error), float(step))
+    return trace

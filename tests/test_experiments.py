@@ -3,12 +3,14 @@ import numpy as np
 import pytest
 
 import riemopt.experiments
+import riemopt.solvers
+from _oracles import read_trace_csv
 from riemopt.cli import main
 from riemopt.core import IterationTrace, estimate_order, longest_decreasing_run
 from riemopt.errors import LineSearchFailed
 from riemopt.experiments import (
     ExperimentSpec,
-    read_trace_csv,
+    fig2_matrices,
     run_experiment,
     run_fig1,
     run_fig2,
@@ -184,12 +186,48 @@ def test_fig2_cg_supports_golden_section(tmp_path):
     spec = ExperimentSpec("fig2", n=6, method="cg", seed=2, line_search="golden",
                           max_iter=400, out_dir=str(tmp_path))
     report, trace = run_fig2(spec)
-    # value-comparison searches bottom out near sqrt(eps)-level errors; the
-    # run either stops there cleanly or reports the stalled line search
-    assert report.final_error < 1e-5
+    assert report.error_message is None
+    assert report.converged
+    assert report.final_error <= 1e-10 * np.linalg.norm(fig2_matrices(6, 2)[0])
     assert report.iterations > 5
-    if report.error_message is not None:
-        assert "LineSearchFailed" in report.error_message
+
+
+# The slope search brackets the zero of the slope along the geodesic, which
+# stays exact to round-off where value comparisons stall near sqrt(eps).
+@pytest.mark.parametrize("seed", range(6))
+def test_fig1_sd_with_the_bracket_search_reaches_round_off(seed):
+    report, _ = run_fig1(ExperimentSpec("fig1", n=21, method="sd", seed=seed,
+                                        line_search="bracket"))
+    assert report.error_message is None
+    assert report.converged
+    assert report.final_error <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["sd", "cg"])
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("seed", range(4))
+def test_fig2_with_the_bracket_search_reaches_the_target(method, n, seed):
+    report, _ = run_fig2(ExperimentSpec("fig2", n=n, method=method, seed=seed,
+                                        line_search="bracket"))
+    assert report.error_message is None
+    assert report.converged
+    assert report.final_error <= 1e-10 * np.linalg.norm(fig2_matrices(n, seed)[0])
+
+
+def test_fig1_sd_bracket_search_spends_few_evaluations_per_step(monkeypatch):
+    # the golden section it replaces spent about 57 per step here
+    search, spent = riemopt.solvers.line_minimize_geodesic, []
+
+    def counted(*args, **kwargs):
+        result = search(*args, **kwargs)
+        spent.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(riemopt.solvers, "line_minimize_geodesic", counted)
+    report, _ = run_fig1(ExperimentSpec("fig1", n=21, method="sd", seed=0, line_search="golden"))
+    assert report.converged
+    assert len(spent) == report.iterations
+    assert sum(spent) <= 57 / 4 * len(spent)
 
 
 def test_cli_solver_error_exit_code(tmp_path, capsys, monkeypatch):

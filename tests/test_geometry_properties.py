@@ -62,3 +62,16 @@ def test_sphere_log_inverts_sphere_exp(n, seed, length):
     v, d = sphere_log(x, sphere_exp(x, h, 1.0))
     assert abs(d - length) <= 1e-12
     assert np.linalg.norm(v - h) <= 1e-12
+
+
+@PROPERTY
+@given(manifold=st.sampled_from(["sphere", "rotation"]), n=SIZES, seed=SEEDS, t=TIMES)
+def test_velocity_is_the_translated_velocity_and_the_slope_of_exp(manifold, n, seed, t):
+    M, p, v, _ = _draw(manifold, n, np.random.default_rng(seed))
+    nv = M.norm(p, v)
+    u = M.velocity(p, v, t)
+    assert M.norm(p, u - M.transport(p, v, t, v)) <= 1e-12 * nv
+    h = 1e-5 / nv  # a central difference of exp(p, v, .) at t, in ambient coordinates
+    q, slope = M.exp(p, v, t), (M.exp(p, v, t + h) - M.exp(p, v, t - h)) / (2.0 * h)
+    # on SO(n) the velocity is in algebra coordinates: the tangent at q is q u
+    assert np.linalg.norm(slope - (u if manifold == "sphere" else q @ u)) <= 1e-7 * nv

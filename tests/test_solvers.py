@@ -5,6 +5,7 @@ from _oracles import axis_angle, rand_rotation, rand_skew, rand_sym, rand_tangen
 from riemopt import (
     BrockettObjective,
     GeodesicObjective,
+    JacobiObjective,
     Manifold,
     RayleighObjective,
     SolverConfig,
@@ -26,6 +27,8 @@ from riemopt.errors import (
     NotRotation,
     NotUnitDirection,
 )
+from riemopt.experiments import jacobi_matrices
+from riemopt.sampling import random_rotation, rng_from_seed
 
 
 class Euclid(Manifold):
@@ -90,6 +93,26 @@ def test_line_search_uphill_raises():
     H = np.array([-1.0, 0.0])
     with pytest.raises(NoDecrease):
         line_minimize_geodesic(obj, p, H, SolverConfig(line_search="golden"))
+
+
+def test_golden_is_an_alias_of_the_bracket_search():
+    assert SolverConfig(line_search="golden").line_search == "bracket"
+    assert SolverConfig().line_search == "bracket"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bracket_search_steps_back_over_a_hump(seed):
+    # the first gradient step of `jacobi --n 10 --init random`: the first
+    # trial step, 1, lands past a hump of the objective along the geodesic,
+    # still descending but above the start; the minimizer it returns lies
+    # below the start
+    obj = JacobiObjective(jacobi_matrices(10, seed)[0])
+    T = random_rotation(rng_from_seed(seed + 1), 10)
+    H = -obj.gradient(T)
+    res = line_minimize_geodesic(obj, T, H)
+    assert obj.value(res.point) < obj.value(T)
+    slope = obj.manifold.inner(res.point, obj.gradient(res.point), H)
+    assert abs(slope) <= 1e-10 * obj.manifold.inner(T, H, H)
 
 
 def test_line_search_exact_vs_golden_on_sphere():

@@ -5,9 +5,10 @@ between two such runs::
     python tools/cli_sweep.py --compare A B
 
 Grid: ``fig1`` with every method at n = 5, 21 and 60, every start, the
-default and golden searches; ``fig2`` and ``jacobi`` at n = 5 and 10; seeds
-0, 3 and 7.  Run NAME writes its trace, report and exit code (``exit.txt``)
-into ``OUT/NAME/``; all runs share one subprocess with one BLAS thread."""
+default and golden searches; ``fig2`` and ``jacobi`` at n = 5 and 10,
+``jacobi`` from its default and from a random start; seeds 0, 3 and 7.
+Run NAME writes its trace, report and exit code (``exit.txt``) into
+``OUT/NAME/``; all runs share one subprocess with one BLAS thread."""
 
 import filecmp
 import itertools
@@ -18,7 +19,7 @@ import sys
 GRID = [("fig1", ["sd", "cg", "newton", "rqi", "newton-rq"], [5, 21, 60],
          ["default", "random", "near"], ["default", "golden"]),
         ("fig2", ["sd", "cg", "newton"], [5, 10], ["default"], ["default", "golden"]),
-        ("jacobi", ["newton"], [5, 10], ["default"], ["default"])]
+        ("jacobi", ["newton"], [5, 10], ["default", "random"], ["default"])]
 
 
 def sweep(out):
