@@ -21,19 +21,6 @@ from .errors import AllBelowFloor, NonDecreasingSequence, TooFewPoints
 STAGNATION_FLOOR = 100.0 * np.finfo(float).eps
 
 
-def check_symmetric(Q):
-    """``Q`` as a float array; ValueError unless it is square, finite and
-    exactly symmetric as stored."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("Q must be square")
-    if not np.all(np.isfinite(Q)):
-        raise ValueError("Q must be finite")
-    if not np.array_equal(Q, Q.T):
-        raise ValueError("Q must be exactly symmetric as stored")
-    return Q
-
-
 class Manifold(ABC):
     """Geodesic structure shared by every concrete manifold.
 
@@ -86,16 +73,15 @@ class GeodesicObjective(ABC):
     ``max(config.grad_tol, gradient_floor)``.  It is 0.0 unless the
     objective states one.
 
+    ``manifold`` is an attribute: the :class:`Manifold` the objective is
+    defined on.
+
     Points are immutable: an objective may reuse what it formed at the
     last point it saw, keyed on identity; do not change one in place.
     """
 
+    manifold: Manifold
     gradient_floor: float = 0.0
-
-    @property
-    @abstractmethod
-    def manifold(self) -> Manifold:
-        ...
 
     @abstractmethod
     def value(self, p) -> float:
@@ -133,6 +119,38 @@ class GeodesicObjective(ABC):
         """
         g = self.gradient(p)
         return self.manifold.norm(p, g)
+
+
+class MatrixObjective(GeodesicObjective):
+    """An objective defined by one finite, exactly symmetric matrix ``Q``
+    (ValueError unless it is square, finite and exactly symmetric as
+    stored) on the manifold ``manifold(n)`` for ``Q`` of size n.
+
+    :meth:`_at` keeps ``form(Q, p)`` for the last point ``p`` it saw,
+    keyed on identity, for the one ``form`` an objective uses.  The entry
+    is one tuple that holds its key, read once and replaced whole, so
+    threads that share an objective never pair a point with the value
+    formed at another.
+    """
+
+    def __init__(self, Q, manifold):
+        Q = np.asarray(Q, dtype=float)
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+            raise ValueError("Q must be square")
+        if not np.all(np.isfinite(Q)):
+            raise ValueError("Q must be finite")
+        if not np.array_equal(Q, Q.T):
+            raise ValueError("Q must be exactly symmetric as stored")
+        self.Q = Q
+        self.manifold = manifold(Q.shape[0])
+        self._last = (None, None)
+
+    def _at(self, p, form):
+        key, w = self._last
+        if key is not p:
+            w = form(self.Q, p)
+            self._last = (p, w)
+        return w
 
 
 @dataclass

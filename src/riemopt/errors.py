@@ -51,10 +51,6 @@ class NotRotation(GeometryError):
 
 # --- linear algebra on problems ---
 
-class SingularMatrix(RiemoptError):
-    pass
-
-
 class DegeneratePivot(RiemoptError):
     pass
 

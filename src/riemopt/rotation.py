@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .core import GeodesicObjective, Manifold, check_symmetric
+from .core import Manifold, MatrixObjective
 from .errors import (
     DegenerateCommutator,
     IndefiniteOperator,
@@ -207,7 +207,7 @@ def brockett_third_component(h, nu, X, i, j):
     return -2.0 * total
 
 
-class BrockettObjective(GeodesicObjective):
+class BrockettObjective(MatrixObjective):
     """Maximization of ``f(T) = tr(T^T Q T N)``, run as minimization of its
     negative.  ``Q`` must be finite and exactly symmetric, ``N`` a finite
     diagonal matrix of the same size with pairwise distinct entries
@@ -217,7 +217,7 @@ class BrockettObjective(GeodesicObjective):
     largest in the slot of the largest entry of ``N``."""
 
     def __init__(self, Q, N):
-        self.Q = check_symmetric(Q)
+        super().__init__(Q, SpecialOrthogonal)
         n = self.Q.shape[0]
         N = np.asarray(N, dtype=float)
         if N.shape != (n, n) or not np.all(np.isfinite(N)):
@@ -231,37 +231,23 @@ class BrockettObjective(GeodesicObjective):
         self.D = np.zeros_like(N)
         self.D[slots, slots] = np.sort(np.linalg.eigvalsh(self.Q))[::-1]
         self.gradient_floor = EPS * float(np.linalg.norm(self.Q) * np.linalg.norm(N))
-        self._manifold = SpecialOrthogonal(n)
-        self._last = (None, None)
-
-    @property
-    def manifold(self):
-        return self._manifold
-
-    def _conjugated(self, T):
-        # H = T^T Q T, kept for the last T by identity
-        key, H = self._last
-        if key is not T:
-            H = conjugated_matrix(self.Q, T)
-            self._last = (T, H)
-        return H
 
     def value(self, T):
         return -self.report_value(T)
 
     def report_value(self, T):
-        return float(np.trace(self._conjugated(T) @ self.N))
+        return float(np.trace(self._at(T, conjugated_matrix) @ self.N))
 
     def gradient(self, T):
         """Descent gradient ``-[H, N]`` in algebra coordinates (the tangent
         at ``T`` is ``T [H, N]`` for the ascent of ``f``)."""
-        return -commutator(self._conjugated(T), self.N)
+        return -commutator(self._at(T, conjugated_matrix), self.N)
 
     def hessian_apply(self, T, X):
         """``-L(X)/2`` with ``L(X) = [H, [X, N]] - [[X, H], N]``: the second
         differential of ``f`` is ``-1/2 tr(L(X) Y)`` against a tangent
         ``T Y``, so that of ``-f`` is ``<-L(X)/2, Y>``."""
-        return 0.5 * _brockett_neg_L(self._conjugated(T), self.N, X)
+        return 0.5 * _brockett_neg_L(self._at(T, conjugated_matrix), self.N, X)
 
     def newton_direction(self, T):
         """Newton direction: the skew ``X`` with ``L(X) = -2 [H, N]``.
@@ -273,7 +259,7 @@ class BrockettObjective(GeodesicObjective):
         with entries ``2 (h_i - h_j)(nu_i - nu_j)``; these entries at the
         current ``diag(H)`` precondition the solve.
         """
-        H = self._conjugated(T)
+        H = self._at(T, conjugated_matrix)
         b = 2.0 * commutator(H, self.N)
         h, nu = np.diag(H), np.diag(self.N)
         diag = _preconditioner(2.0 * np.subtract.outer(h, h) * np.subtract.outer(nu, nu))
@@ -287,7 +273,7 @@ class BrockettObjective(GeodesicObjective):
         ``[0, t]`` for ``t <= 2 tr(H Omega N) / (|[Omega, H]| |[Omega, N]|)``,
         so stepping by the bound never overshoots the first local maximum.
         """
-        H = self._conjugated(T)
+        H = self._at(T, conjugated_matrix)
         num = 2.0 * float(np.trace(H @ Omega @ self.N))
         if num <= 0.0:
             raise NotAscentDirection(f"phi'(0) = {num!r} is not positive")
@@ -298,7 +284,7 @@ class BrockettObjective(GeodesicObjective):
 
     def error_metric(self, T):
         """``|H - D|_F``: the distance of ``H = T^T Q T`` from the target ``D``."""
-        return float(np.linalg.norm(self._conjugated(T) - self.D))
+        return float(np.linalg.norm(self._at(T, conjugated_matrix) - self.D))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +299,7 @@ def _jacobi_neg_M(H, P, X):
             - commutator(H, commutator(X, P)))
 
 
-class JacobiObjective(GeodesicObjective):
+class JacobiObjective(MatrixObjective):
     """Off-diagonal-mass reduction: maximization of ``f(T) = tr(H pi(H))``
     with ``H = T^T Q T`` and ``pi`` the diagonal projection, run as
     minimization of its negative.  ``Q`` must be finite and exactly
@@ -321,39 +307,25 @@ class JacobiObjective(GeodesicObjective):
     order ``2 eps |Q|_F^2``, the objective's ``gradient_floor``."""
 
     def __init__(self, Q):
-        self.Q = check_symmetric(Q)
+        super().__init__(Q, SpecialOrthogonal)
         self.gradient_floor = 2.0 * EPS * float(np.linalg.norm(self.Q)) ** 2
-        self._manifold = SpecialOrthogonal(self.Q.shape[0])
-        self._last = (None, None)
-
-    @property
-    def manifold(self):
-        return self._manifold
-
-    def _conjugated(self, T):
-        # H = T^T Q T, kept for the last T by identity
-        key, H = self._last
-        if key is not T:
-            H = conjugated_matrix(self.Q, T)
-            self._last = (T, H)
-        return H
 
     def value(self, T):
         return -self.report_value(T)
 
     def report_value(self, T):
-        return float(np.sum(np.diag(self._conjugated(T)) ** 2))
+        return float(np.sum(np.diag(self._at(T, conjugated_matrix)) ** 2))
 
     def gradient(self, T):
         """Descent gradient ``-2 [H, pi(H)]`` in algebra coordinates."""
-        H = self._conjugated(T)
+        H = self._at(T, conjugated_matrix)
         return -2.0 * commutator(H, diag_part(H))
 
     def hessian_apply(self, T, X):
         """``-M(X)`` with ``M(X) = [H, [X, pi(H)]] - [[X, H], pi(H)]
         - 2 [H, pi([X, H])]``: the second differential of ``f`` is
         ``-tr(M(X) Y)``, so that of ``-f`` is ``<-M(X), Y>``."""
-        H = self._conjugated(T)
+        H = self._at(T, conjugated_matrix)
         return _jacobi_neg_M(H, diag_part(H), X)
 
     def newton_direction(self, T):
@@ -363,7 +335,7 @@ class JacobiObjective(GeodesicObjective):
         ``H = diag(h)``, ``-M`` is diagonal in the ``E_ij - E_ji`` basis
         with entries ``2 (h_i - h_j)^2``; these entries at the current
         ``diag(H)`` precondition the solve."""
-        H = self._conjugated(T)
+        H = self._at(T, conjugated_matrix)
         P = diag_part(H)
         b = 2.0 * commutator(H, P)
         h = np.diag(H)
@@ -371,4 +343,4 @@ class JacobiObjective(GeodesicObjective):
         return _solve_definite(lambda X: _jacobi_neg_M(H, P, X), b, diag=diag)
 
     def error_metric(self, T):
-        return off_diagonal_norm(self._conjugated(T))
+        return off_diagonal_norm(self._at(T, conjugated_matrix))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import GeodesicObjective, Manifold, check_symmetric
+from .core import Manifold, MatrixObjective
 from .errors import (
     AntipodalPoints,
     DegeneratePivot,
@@ -177,28 +177,20 @@ def shift_solve(Q, rho, x):
     return -y if float(y @ x) < 0.0 else y
 
 
-def newton_tangent(x, y):
-    """Newton tangent ``-x + y / (x^T y)`` at ``x`` from
-    ``y = (Q - rho I)^{-1} x``, projected onto the tangent space, or None
-    when the pivot is degenerate: ``|x^T y| < 1e-14 |y|``."""
-    pivot = float(x @ y)
-    if not abs(pivot) >= 1e-14 * np.linalg.norm(y):
-        return None
-    return project_tangent(x, -x + y / pivot)
-
-
 def rayleigh_newton_step(Q, x):
-    """Newton direction ``H = -x + y / (x^T y)`` with ``y = (Q - rho I)^{-1} x``.
+    """Newton direction ``H = -x + y / (x^T y)`` with ``y = (Q - rho I)^{-1} x``,
+    projected onto the tangent space.
 
-    Raises :class:`DegeneratePivot` when the pivot ``x^T y`` is degenerate.
+    Raises :class:`DegeneratePivot` when the pivot is degenerate:
+    ``|x^T y| < 1e-14 |y|``.
     """
     x = np.asarray(x, dtype=float)
     rho = float(x @ Q @ x)
     y = shift_solve(Q, rho, x)
-    H = newton_tangent(x, y)
-    if H is None:
+    pivot = float(x @ y)
+    if not abs(pivot) >= 1e-14 * np.linalg.norm(y):
         raise DegeneratePivot("x^T (Q - rho I)^{-1} x vanishes; no tangent step")
-    return H
+    return project_tangent(x, -x + y / pivot)
 
 
 def _line_rotation(a, b):
@@ -233,7 +225,7 @@ def rayleigh_line_max(Q, x, h, qx=None):
     return _line_rotation(a, b)
 
 
-class RayleighObjective(GeodesicObjective):
+class RayleighObjective(MatrixObjective):
     """Extremization of the Rayleigh quotient ``rho(x) = x^T Q x`` for a
     finite, exactly symmetric ``Q`` (ValueError otherwise).  At round-off
     the gradient norm ``2|Qx - rho x|`` was measured at up to
@@ -247,25 +239,11 @@ class RayleighObjective(GeodesicObjective):
     def __init__(self, Q, which="max"):
         if which not in ("max", "min"):
             raise ValueError("which must be 'max' or 'min'")
-        self.Q = check_symmetric(Q)
+        super().__init__(Q, Sphere)
         self.which = which
         self._sign = -1.0 if which == "max" else 1.0
         n = self.Q.shape[0]
         self.gradient_floor = 6.0 * np.sqrt(n) * EPS * float(np.linalg.norm(self.Q))
-        self._manifold = Sphere(n)
-        self._last = (None, None)
-
-    @property
-    def manifold(self):
-        return self._manifold
-
-    def _qx(self, x):
-        # Qx, kept for the last x by identity
-        key, w = self._last
-        if key is not x:
-            w = self.Q @ x
-            self._last = (x, w)
-        return w
 
     def value(self, x):
         return self._sign * self.report_value(x)
@@ -280,7 +258,7 @@ class RayleighObjective(GeodesicObjective):
         otherwise caps the attainable accuracy of gradient-based iterations
         near an eigenvector.
         """
-        w = self._qx(x)
+        w = self._at(x, np.matmul)
         g = 2.0 * (w - (x @ w) * x)
         return self._sign * project_tangent(x, g)
 
@@ -300,7 +278,7 @@ class RayleighObjective(GeodesicObjective):
         nh = np.linalg.norm(h)
         if nh == 0.0:
             raise ZeroTangent("line search direction is zero")
-        c, s, _ = rayleigh_line_max(self.Q, x, h / nh, self._qx(x))
+        c, s, _ = rayleigh_line_max(self.Q, x, h / nh, self._at(x, np.matmul))
         t = float(np.arctan2(s, c))
         if self.which == "min":
             t += 0.5 * np.pi  # the minimum lies a quarter turn past the maximum

@@ -6,9 +6,9 @@ the parallel-transport equation, dense operator matrices in coordinate
 bases, truncated exponential series, and brute-force scans.  A few helpers
 only the tests use live here too: ``skew_exp`` (the group exponential of a
 checked skew matrix), ``solve_projected_linear`` (the projected Newton
-equation by dense solves), ``reference_steepest_descent`` (steepest
-descent as a loop of its own) and ``read_trace_csv`` (a trace file read
-back).
+equation by dense solves) and its error ``SingularMatrix``,
+``reference_steepest_descent`` (steepest descent as a loop of its own)
+and ``read_trace_csv`` (a trace file read back).
 """
 
 import numpy as np
@@ -16,9 +16,13 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from riemopt import IterationTrace, line_minimize_geodesic
-from riemopt.errors import DegeneratePivot, RiemoptError, SingularMatrix
+from riemopt.errors import DegeneratePivot, RiemoptError
 
 SKEW_TOL = 1e-12
+
+
+class SingularMatrix(RiemoptError):
+    """Raised by :func:`solve_projected_linear` on an exactly singular ``A``."""
 
 
 def fd_slope(f, h=1e-5):

@@ -16,9 +16,14 @@ def descending_diag(n):
     return np.diag(np.arange(n, 0, -1.0))
 
 
+#: The three objectives as functions of ``Q`` (Brockett with a 3-by-3 ``N``).
+each_objective = pytest.mark.parametrize(
+    "make", [lambda Q: BrockettObjective(Q, descending_diag(3)), JacobiObjective, RayleighObjective],
+    ids=["brockett", "jacobi", "rayleigh"])
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-@pytest.mark.parametrize("make", [lambda Q: BrockettObjective(Q, descending_diag(3)), JacobiObjective],
-                         ids=["brockett", "jacobi"])
+@each_objective
 def test_objectives_reject_a_non_finite_matrix(make, bad):
     Q = np.diag([3.0, 2.0, 1.0])
     Q[0, 2] = Q[2, 0] = bad
@@ -26,9 +31,15 @@ def test_objectives_reject_a_non_finite_matrix(make, bad):
         make(Q)
 
 
-@pytest.mark.parametrize("make", [lambda Q: BrockettObjective(Q, descending_diag(2)),
-                                  JacobiObjective, RayleighObjective],
-                         ids=["brockett", "jacobi", "rayleigh"])
+@each_objective
+def test_objectives_reject_a_non_symmetric_matrix(make):
+    Q = np.diag([3.0, 2.0, 1.0])
+    Q[0, 2] = 1e-15
+    with pytest.raises(ValueError, match="symmetric"):
+        make(Q)
+
+
+@each_objective
 def test_objectives_reject_a_non_square_matrix(make):
     with pytest.raises(ValueError, match="square"):
         make(np.ones((2, 3)))

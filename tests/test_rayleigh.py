@@ -8,6 +8,7 @@ from _oracles import (
     rand_sym,
     rand_tangent,
     rand_unit,
+    SingularMatrix,
     solve_projected_linear,
 )
 from riemopt import (
@@ -17,7 +18,7 @@ from riemopt import (
     sphere_exp,
     sphere_transport,
 )
-from riemopt.errors import DegeneratePivot, NotTangent, SingularMatrix
+from riemopt.errors import DegeneratePivot, NotTangent
 
 
 def e(n, i):

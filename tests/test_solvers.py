@@ -57,11 +57,7 @@ class Euclid(Manifold):
 class Paraboloid(GeodesicObjective):
     def __init__(self, center):
         self.center = np.asarray(center, float)
-        self._manifold = Euclid(len(self.center))
-
-    @property
-    def manifold(self):
-        return self._manifold
+        self.manifold = Euclid(len(self.center))
 
     def value(self, p):
         d = p - self.center
@@ -572,7 +568,7 @@ class _CountedRayleigh(RayleighObjective):
 
     def __init__(self, Q):
         super().__init__(Q)
-        self._manifold = _CountingSphere(len(Q))
+        self.manifold = _CountingSphere(len(Q))
 
 
 def _counted_run(solver, reset_period=None):

@@ -6,9 +6,10 @@ between two such runs::
 
 Grid: ``fig1`` with every method at n = 5, 21 and 60, every start, the
 default and golden searches; ``fig2`` and ``jacobi`` at n = 5 and 10,
-``jacobi`` from its default and from a random start; seeds 0, 3 and 7.
-Run NAME writes its trace, report and exit code (``exit.txt``) into
-``OUT/NAME/``; all runs share one subprocess with one BLAS thread."""
+``jacobi`` from its default and from a random start; ``fd-check``, which
+builds all three objectives; seeds 0, 3 and 7.  Run NAME writes its trace,
+report and exit code (``exit.txt``) into ``OUT/NAME/``; all runs share one
+subprocess with one BLAS thread."""
 
 import filecmp
 import itertools
@@ -20,26 +21,32 @@ GRID = [("fig1", ["sd", "cg", "newton", "rqi", "newton-rq"], [5, 21, 60],
          ["default", "random", "near"], ["default", "golden"]),
         ("fig2", ["sd", "cg", "newton"], [5, 10], ["default"], ["default", "golden"]),
         ("jacobi", ["newton"], [5, 10], ["default", "random"], ["default"])]
+SEEDS = [0, 3, 7]
+
+
+def run(main, run_dir, argv):
+    try:
+        code = main(argv + ["--out", run_dir])
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    os.makedirs(run_dir, exist_ok=True)
+    with open(os.path.join(run_dir, "exit.txt"), "w") as fh:
+        fh.write(f"{code}\n")
 
 
 def sweep(out):
     from riemopt.cli import main
 
     for experiment, *axes in GRID:
-        for method, n, init, search, seed in itertools.product(*axes, [0, 3, 7]):
+        for method, n, init, search, seed in itertools.product(*axes, SEEDS):
             if method == "rqi" and search != "default":
                 continue
-            run_dir = os.path.join(out, f"{experiment}-{method}-n{n}-s{seed}-{init}-{search}")
             argv = [experiment, "--method", method, "--n", str(n), "--seed", str(seed)]
             argv += [] if init == "default" else ["--init", init]
             argv += [] if search == "default" else ["--line-search", search]
-            try:
-                code = main(argv + ["--out", run_dir])
-            except SystemExit as exc:  # a usage error
-                code = exc.code
-            os.makedirs(run_dir, exist_ok=True)
-            with open(os.path.join(run_dir, "exit.txt"), "w") as fh:
-                fh.write(f"{code}\n")
+            run(main, os.path.join(out, f"{experiment}-{method}-n{n}-s{seed}-{init}-{search}"), argv)
+    for seed in SEEDS:
+        run(main, os.path.join(out, f"fd-check-s{seed}"), ["fd-check", "--seed", str(seed)])
 
 
 def differ(a, b):
