@@ -9,6 +9,7 @@ point, where they form a vector space.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -19,6 +20,13 @@ from .errors import AllBelowFloor, NonDecreasingSequence, TooFewPoints
 #: Entries at or below this value are treated as round-off plateau and are
 #: excluded from order fits.
 STAGNATION_FLOOR = 100.0 * np.finfo(float).eps
+
+
+def _fro(A):
+    """Frobenius norm of a real array: the arithmetic of ``np.linalg.norm``
+    without its dispatch, so the result is bitwise the same."""
+    x = A.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 class Manifold(ABC):
@@ -57,7 +65,7 @@ class Manifold(ABC):
         """Raise a GeometryError unless ``p`` is on the manifold to round-off."""
 
     def norm(self, p, v) -> float:
-        return float(np.sqrt(self.inner(p, v, v)))
+        return math.sqrt(self.inner(p, v, v))
 
 
 class GeodesicObjective(ABC):

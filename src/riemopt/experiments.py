@@ -169,12 +169,10 @@ def _fmt(x):
 
 
 def write_trace_csv(path, trace, value_label):
+    # the trace holds floats, which format as _fmt does
+    rows = zip(trace.values, trace.grad_norms, trace.errors, trace.steps)
     lines = [f"iter,{value_label},grad_norm,error,step"]
-    for i in range(len(trace)):
-        lines.append(",".join([
-            str(i), _fmt(trace.values[i]), _fmt(trace.grad_norms[i]),
-            _fmt(trace.errors[i]), _fmt(trace.steps[i]),
-        ]))
+    lines += [f"{i},{v:.17g},{g:.17g},{e:.17g},{s:.17g}" for i, (v, g, e, s) in enumerate(rows)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

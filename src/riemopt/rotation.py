@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .core import Manifold, MatrixObjective
+from .core import Manifold, MatrixObjective, _fro
 from .errors import (
     DegenerateCommutator,
     IndefiniteOperator,
@@ -35,6 +35,12 @@ def commutator(A, B):
     return A @ B - B @ A
 
 
+def _commutator_diag(X, d):
+    # [X, diag(d)]: each entry of the dense X D - D X has one nonzero term,
+    # so the scalings give the same bits
+    return X * d - d[:, None] * X
+
+
 def diag_part(A):
     """Projection of a square matrix onto its diagonal."""
     return np.diag(np.diag(A))
@@ -42,7 +48,7 @@ def diag_part(A):
 
 def off_diagonal_norm(A):
     """Frobenius norm of the off-diagonal part."""
-    return float(np.linalg.norm(A - diag_part(A)))
+    return _fro(A - diag_part(A))
 
 
 def skew_part(A):
@@ -55,11 +61,17 @@ def polar_orthonormalize(T):
     return U @ Vt
 
 
+def _drift(R):
+    """``|R^T R - I|_F``, the identity subtracted in place."""
+    G = R.T @ R
+    G.flat[:: len(G) + 1] -= 1.0
+    return _fro(G)
+
+
 def so_geodesic(T, X, t=1.0):
     """Point ``T e^{tX}`` with drift control back onto the group."""
     R = np.asarray(T, dtype=float) @ expm(t * np.asarray(X, dtype=float))
-    n = R.shape[0]
-    if np.linalg.norm(R.T @ R - np.eye(n)) > DRIFT_TOL:
+    if _drift(R) > DRIFT_TOL:
         R = polar_orthonormalize(R)
     return R
 
@@ -106,11 +118,10 @@ class SpecialOrthogonal(Manifold):
 
     def inner(self, p, u, v):
         # -tr(uv) equals the Frobenius pairing for skew matrices
-        return float(np.sum(np.asarray(u) * np.asarray(v)))
+        return float((np.asarray(u) * np.asarray(v)).sum())
 
     def check_point(self, p):
-        T = np.asarray(p, dtype=float)
-        drift = np.linalg.norm(T.T @ T - np.eye(self.n))
+        drift = _drift(np.asarray(p, dtype=float))
         if drift > DRIFT_TOL:
             raise NotRotation(f"|T^T T - I|_F = {drift:.3e} exceeds {DRIFT_TOL:.1e}")
 
@@ -227,7 +238,8 @@ class BrockettObjective(MatrixObjective):
         if len(np.unique(np.diag(N))) != n:
             raise ValueError("N must have pairwise distinct diagonal entries")
         self.N = N
-        slots = np.argsort(np.diag(N))[::-1]
+        self._nu = np.diag(N).copy()
+        slots = np.argsort(self._nu)[::-1]
         self.D = np.zeros_like(N)
         self.D[slots, slots] = np.sort(np.linalg.eigvalsh(self.Q))[::-1]
         self.gradient_floor = EPS * float(np.linalg.norm(self.Q) * np.linalg.norm(N))
@@ -236,12 +248,13 @@ class BrockettObjective(MatrixObjective):
         return -self.report_value(T)
 
     def report_value(self, T):
-        return float(np.trace(self._at(T, conjugated_matrix) @ self.N))
+        # tr(H N) as the trace of the scaling H * nu: the same bits
+        return float((self._at(T, conjugated_matrix) * self._nu).trace())
 
     def gradient(self, T):
         """Descent gradient ``-[H, N]`` in algebra coordinates (the tangent
         at ``T`` is ``T [H, N]`` for the ascent of ``f``)."""
-        return -commutator(self._at(T, conjugated_matrix), self.N)
+        return -_commutator_diag(self._at(T, conjugated_matrix), self._nu)
 
     def hessian_apply(self, T, X):
         """``-L(X)/2`` with ``L(X) = [H, [X, N]] - [[X, H], N]``: the second
@@ -260,8 +273,8 @@ class BrockettObjective(MatrixObjective):
         current ``diag(H)`` precondition the solve.
         """
         H = self._at(T, conjugated_matrix)
-        b = 2.0 * commutator(H, self.N)
-        h, nu = np.diag(H), np.diag(self.N)
+        b = 2.0 * _commutator_diag(H, self._nu)
+        h, nu = np.diag(H), self._nu
         diag = _preconditioner(2.0 * np.subtract.outer(h, h) * np.subtract.outer(nu, nu))
         return _solve_definite(lambda X: _brockett_neg_L(H, self.N, X), b, diag=diag)
 
@@ -274,17 +287,18 @@ class BrockettObjective(MatrixObjective):
         so stepping by the bound never overshoots the first local maximum.
         """
         H = self._at(T, conjugated_matrix)
-        num = 2.0 * float(np.trace(H @ Omega @ self.N))
+        HO = H @ Omega
+        num = 2.0 * float((HO * self._nu).trace())
         if num <= 0.0:
             raise NotAscentDirection(f"phi'(0) = {num!r} is not positive")
-        den = np.linalg.norm(commutator(Omega, H)) * np.linalg.norm(commutator(Omega, self.N))
+        den = _fro(Omega @ H - HO) * _fro(_commutator_diag(Omega, self._nu))
         if den == 0.0:
             raise DegenerateCommutator("step bound undefined: commutator norms vanish")
         return num / den
 
     def error_metric(self, T):
         """``|H - D|_F``: the distance of ``H = T^T Q T`` from the target ``D``."""
-        return float(np.linalg.norm(self._at(T, conjugated_matrix) - self.D))
+        return _fro(self._at(T, conjugated_matrix) - self.D)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +333,7 @@ class JacobiObjective(MatrixObjective):
     def gradient(self, T):
         """Descent gradient ``-2 [H, pi(H)]`` in algebra coordinates."""
         H = self._at(T, conjugated_matrix)
-        return -2.0 * commutator(H, diag_part(H))
+        return -2.0 * _commutator_diag(H, H.diagonal())
 
     def hessian_apply(self, T, X):
         """``-M(X)`` with ``M(X) = [H, [X, pi(H)]] - [[X, H], pi(H)]
@@ -337,8 +351,8 @@ class JacobiObjective(MatrixObjective):
         ``diag(H)`` precondition the solve."""
         H = self._at(T, conjugated_matrix)
         P = diag_part(H)
-        b = 2.0 * commutator(H, P)
         h = np.diag(H)
+        b = 2.0 * _commutator_diag(H, h)
         diag = _preconditioner(2.0 * np.subtract.outer(h, h) ** 2)
         return _solve_definite(lambda X: _jacobi_neg_M(H, P, X), b, diag=diag)
 

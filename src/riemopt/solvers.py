@@ -89,7 +89,8 @@ def _initial_scale(objective, p, H):
         return INITIAL_STEP
 
 
-def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> LineSearchResult:
+def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None, *,
+                           gradient=None) -> LineSearchResult:
     """Locate a local minimizer of ``t -> value(exp(p, t H))`` on [0, inf).
 
     With 'exact' or 'estimate' kinds the step comes straight from the
@@ -103,7 +104,8 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> L
     ``BRACKET_TOL``.  It returns the end with the smaller ``|d|`` if its
     value has not risen above ``value(p)`` beyond round-off.  A trial point
     (one evaluation) costs an ``exp``, a gradient and, while descending, a
-    value.
+    value.  ``gradient``, when given, is ``objective.gradient(p)`` already
+    formed.
     """
     config = config or SolverConfig()
     M = objective.manifold
@@ -122,7 +124,7 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None) -> L
     f0 = objective.value(p)
     ceiling = f0 + VALUE_SLACK * max(1.0, abs(f0))
     noise = objective.gradient_floor * M.norm(p, H)  # round-off in a slope
-    d0 = M.inner(p, objective.gradient(p), H)
+    d0 = M.inner(p, objective.gradient(p) if gradient is None else gradient, H)
     if not d0 < -noise:
         raise NoDecrease(f"slope {d0!r} along the direction is not below {-noise!r}")
     evals = 0
@@ -174,11 +176,12 @@ def _gradient(objective, p, trace):
     return g, gn
 
 
-def _line_search(objective, p, H, config, trace):
-    """:func:`line_minimize_geodesic` along ``H``; any failure of the search
-    raises :class:`LineSearchFailed` carrying ``trace``."""
+def _line_search(objective, p, H, config, trace, g):
+    """:func:`line_minimize_geodesic` along ``H`` with the gradient ``g`` at
+    ``p``; any failure of the search raises :class:`LineSearchFailed`
+    carrying ``trace``."""
     try:
-        return line_minimize_geodesic(objective, p, H, config)
+        return line_minimize_geodesic(objective, p, H, config, gradient=g)
     except (NoDecrease, MaxEvaluations, NotAscentDirection, DegenerateCommutator,
             LineSearchFailed) as exc:
         raise LineSearchFailed(str(exc), trace=trace) from exc
@@ -207,12 +210,12 @@ def _descend(objective, p, config, error_fn, reset_period):
         if gn < tol:
             break
         try:
-            ls = _line_search(objective, p, H, config, trace)
+            ls = _line_search(objective, p, H, config, trace, g)
         except LineSearchFailed:
             if H is G:
                 raise
             H = G  # drop conjugacy, retry along the gradient
-            ls = _line_search(objective, p, H, config, trace)
+            ls = _line_search(objective, p, H, config, trace, g)
         lam, p_next = ls.step, ls.point
         trace.record_step(lam)
         g, gn = _gradient(objective, p_next, trace)
@@ -260,7 +263,7 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
         except (IndefiniteOperator, DegeneratePivot, np.linalg.LinAlgError):
             H = None
         if H is None or M.norm(p, H) == 0.0:
-            ls = _line_search(objective, p, -g, config, trace)
+            ls = _line_search(objective, p, -g, config, trace, g)
             step, p = ls.step, ls.point
         else:
             step, p = 1.0, M.exp(p, H, 1.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import Manifold, MatrixObjective
+from .core import Manifold, MatrixObjective, _fro
 from .errors import (
     AntipodalPoints,
     DegeneratePivot,
@@ -63,14 +63,14 @@ def sphere_exp(x, h, t=1.0):
     """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
-    nh = np.linalg.norm(h)
+    nh = _fro(h)
     if nh == 0.0:
         if t == 0.0:
             return x.copy()
         raise ZeroTangent("cannot move along a zero tangent")
     ang = t * nh
     y = x * np.cos(ang) + (h / nh) * np.sin(ang)
-    return y / np.linalg.norm(y)
+    return y / _fro(y)
 
 
 def sphere_transport(x, h, t, v):
@@ -275,7 +275,7 @@ class RayleighObjective(MatrixObjective):
         return rayleigh_newton_step(self.Q, x)
 
     def exact_line_step(self, x, h):
-        nh = np.linalg.norm(h)
+        nh = _fro(h)
         if nh == 0.0:
             raise ZeroTangent("line search direction is zero")
         c, s, _ = rayleigh_line_max(self.Q, x, h / nh, self._at(x, np.matmul))

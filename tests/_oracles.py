@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a route different from the
 library code under test: high-order finite differences, ODE integration of
 the parallel-transport equation, dense operator matrices in coordinate
-bases, truncated exponential series, and brute-force scans.  A few helpers
+bases, truncated exponential series, brute-force scans, and the SO(n)
+objectives' diagonal commutators as two dense products.  A few helpers
 only the tests use live here too: ``skew_exp`` (the group exponential of a
 checked skew matrix), ``solve_projected_linear`` (the projected Newton
 equation by dense solves) and its error ``SingularMatrix``,
@@ -151,6 +152,27 @@ def dense_skew_solve(apply_op, rhs):
         X[i, j] = coeffs[c]
         X[j, i] = -coeffs[c]
     return X
+
+
+def dense_commutator(X, d):
+    """``[X, diag(d)]`` as two dense products and a subtraction."""
+    D = np.diag(d)
+    return X @ D - D @ X
+
+
+def dense_brockett(H, N, Omega):
+    """Brockett's descent gradient ``-[H, N]``, value ``tr(HN)`` and step
+    bound along ``Omega`` by dense products, with ``np.trace`` and
+    ``np.linalg.norm``."""
+    num = 2.0 * float(np.trace(H @ Omega @ N))
+    den = np.linalg.norm(Omega @ H - H @ Omega) * np.linalg.norm(Omega @ N - N @ Omega)
+    return -(H @ N - N @ H), float(np.trace(H @ N)), num / den
+
+
+def dense_jacobi_gradient(H):
+    """Jacobi's descent gradient ``-2 [H, pi(H)]`` by dense products."""
+    P = np.diag(np.diag(H))
+    return -2.0 * (H @ P - P @ H)
 
 
 def circle_scan_max(fun, resolution=1e-5):

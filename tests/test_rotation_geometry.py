@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import expm_series, rand_rotation, rand_skew, skew_exp, transport_ode_rotation
-from riemopt import SpecialOrthogonal, so_geodesic, so_transport
+from riemopt import SpecialOrthogonal, rotation, so_geodesic, so_transport
 
 
 def test_exp_of_zero_is_identity():
@@ -65,6 +65,41 @@ def test_geodesic_stays_orthogonal():
     for t in np.linspace(-2.0, 2.0, 9):
         R = so_geodesic(T, X, t)
         assert np.linalg.norm(R.T @ R - np.eye(5)) <= 1e-10
+
+
+def _counted_polar(monkeypatch):
+    calls = []
+    polar = rotation.polar_orthonormalize
+
+    def counted(R):
+        calls.append(1)
+        return polar(R)
+
+    monkeypatch.setattr(rotation, "polar_orthonormalize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8])
+def test_geodesic_pulls_a_drifted_point_back_onto_the_group(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n = 6
+    T = rand_rotation(rng, n)
+    T_off = T + 1e-9 * rng.normal(size=(n, n))  # |T'T - I|_F far above DRIFT_TOL
+    X = rand_skew(rng, n)
+    calls = _counted_polar(monkeypatch)
+    R = so_geodesic(T_off, X, 0.3)
+    assert calls == [1]
+    assert np.linalg.norm(R.T @ R - np.eye(n)) <= 1e-14
+    assert np.linalg.norm(R - T @ skew_exp(X, 0.3)) <= 1e-8
+
+
+def test_geodesic_on_the_group_is_the_plain_product(monkeypatch):
+    rng = np.random.default_rng(9)
+    T = rand_rotation(rng, 6)
+    X = rand_skew(rng, 6)
+    calls = _counted_polar(monkeypatch)
+    assert np.array_equal(so_geodesic(T, X, 0.3), T @ skew_exp(X, 0.3))
+    assert calls == []
 
 
 def test_transport_at_zero():

@@ -27,6 +27,7 @@ from riemopt.errors import (
     NotRotation,
     NotUnitDirection,
 )
+from riemopt import solvers
 from riemopt.experiments import jacobi_matrices
 from riemopt.sampling import random_rotation, rng_from_seed
 
@@ -591,6 +592,37 @@ def test_cg_transports_twice_per_conjugate_step(k):
     trace, transports = _counted_run(conjugate_gradient, reset_period=k)
     conjugate_steps = sum(1 for i in range(trace.iterations) if i % k != k - 1)
     assert transports == 2 * conjugate_steps
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, conjugate_gradient])
+def test_bracket_search_takes_the_solvers_gradient_at_the_start(solver, monkeypatch):
+    # per iterate one gradient for the step and one for the error metric (the
+    # gradient norm), and one per trial point; none again for d(0)
+    rng = np.random.default_rng(16)
+    obj = RayleighObjective(rand_sym(rng, 8))
+    x = rand_unit(rng, 8)
+    formed = []
+    gradient = obj.gradient
+    monkeypatch.setattr(obj, "gradient", lambda p: formed.append(1) or gradient(p))
+    fresh = line_minimize_geodesic(obj, x, -gradient(x))
+    assert len(formed) == fresh.evaluations + 1
+    formed.clear()
+    given = line_minimize_geodesic(obj, x, -gradient(x), gradient=gradient(x))
+    assert len(formed) == given.evaluations
+    assert (given.step, given.evaluations) == (fresh.step, fresh.evaluations)
+    assert np.array_equal(given.point, fresh.point)
+    search, evaluations = solvers.line_minimize_geodesic, []
+
+    def counted(*args, **kwargs):
+        result = search(*args, **kwargs)
+        evaluations.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(solvers, "line_minimize_geodesic", counted)
+    formed.clear()
+    trace = solver(obj, x, SolverConfig(max_iter=30))
+    assert len(evaluations) == trace.iterations >= 10
+    assert len(formed) == 2 * len(trace) + sum(evaluations)
 
 
 class _NoNewtonNoEstimate(Paraboloid):

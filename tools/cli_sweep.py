@@ -6,10 +6,11 @@ between two such runs::
 
 Grid: ``fig1`` with every method at n = 5, 21 and 60, every start, the
 default and golden searches; ``fig2`` and ``jacobi`` at n = 5 and 10,
-``jacobi`` from its default and from a random start; ``fd-check``, which
-builds all three objectives; seeds 0, 3 and 7.  Run NAME writes its trace,
-report and exit code (``exit.txt``) into ``OUT/NAME/``; all runs share one
-subprocess with one BLAS thread."""
+``jacobi`` from its default and from a random start; ``fig2`` sd and cg
+(both searches) and ``jacobi`` at n = 30 from near starts, a benchmark
+size; ``fd-check``, which builds all three objectives; seeds 0, 3 and 7.
+Run NAME writes its trace, report and exit code (``exit.txt``) into
+``OUT/NAME/``; all runs share one subprocess with one BLAS thread."""
 
 import filecmp
 import itertools
@@ -20,7 +21,9 @@ import sys
 GRID = [("fig1", ["sd", "cg", "newton", "rqi", "newton-rq"], [5, 21, 60],
          ["default", "random", "near"], ["default", "golden"]),
         ("fig2", ["sd", "cg", "newton"], [5, 10], ["default"], ["default", "golden"]),
-        ("jacobi", ["newton"], [5, 10], ["default", "random"], ["default"])]
+        ("fig2", ["sd", "cg"], [30], ["near"], ["default", "golden"]),
+        ("jacobi", ["newton"], [5, 10], ["default", "random"], ["default"]),
+        ("jacobi", ["newton"], [30], ["near"], ["default"])]
 SEEDS = [0, 3, 7]
 
 
