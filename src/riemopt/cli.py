@@ -64,11 +64,14 @@ def build_parser():
 
 
 def _spec_from_args(args):
+    if args.experiment == "fd-check":
+        return ExperimentSpec(experiment="fd-check", n=8, method="all",
+                              seed=args.seed, out_dir=args.out)
     init, eps = ("default", None) if args.init is None else args.init
     return ExperimentSpec(
         experiment=args.experiment,
         n=args.n,
-        method=args.method if hasattr(args, "method") else "all",
+        method=args.method,
         seed=args.seed,
         init=init,
         init_eps=eps,
@@ -83,9 +86,11 @@ def _spec_from_args(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.experiment == "fd-check":
-        spec = ExperimentSpec(experiment="fd-check", n=8, method="all",
-                              seed=args.seed, out_dir=args.out)
+    try:
+        spec = _spec_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if spec.experiment == "fd-check":
         try:
             report, _ = run_experiment(spec)
         except ToleranceBreached as exc:
@@ -95,10 +100,6 @@ def main(argv=None):
               f"{report.duration:.2f}s)")
         return 0
 
-    try:
-        spec = _spec_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))
     report, trace = run_experiment(spec)
     if report.error_message is not None:
         print(f"{spec.experiment}/{spec.method}: solver error: {report.error_message}")

@@ -78,10 +78,12 @@ class ExperimentSpec:
             raise ValueError(f"method {self.method!r} not available for {self.experiment}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.init not in ("default", "random", "near"):
             raise ValueError(f"unknown init mode {self.init!r}")
-        if self.init_eps is not None and self.init_eps <= 0.0:
-            raise ValueError("near-optimum perturbation scale must be positive")
+        if self.init_eps is not None and not 0.0 < self.init_eps < np.inf:
+            raise ValueError("near-optimum perturbation scale must be positive and finite")
         if self.line_search is not None and self.method == "rqi":
             raise ValueError("rqi takes no line search")
         if self.line_search in _UNSERVED_SEARCHES.get(self.experiment, ()):

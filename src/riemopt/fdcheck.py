@@ -23,30 +23,33 @@ from .sphere import RayleighObjective
 
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
+DIRECTIONS = 8  # tangents per instance of a family check
 
 
-def geodesic_slope(value_fn, manifold, p, u, step=GRAD_STEP):
+def geodesic_slope(value_fn, manifold, p, u):
     """Central-difference derivative of ``value_fn`` along ``exp_p(t u)``."""
-    return (value_fn(manifold.exp(p, u, step)) - value_fn(manifold.exp(p, u, -step))) / (2.0 * step)
+    h = GRAD_STEP
+    return (value_fn(manifold.exp(p, u, h)) - value_fn(manifold.exp(p, u, -h))) / (2.0 * h)
 
 
-def geodesic_curvature(value_fn, manifold, p, u, step=HESS_STEP):
+def geodesic_curvature(value_fn, manifold, p, u):
     """Central-difference second derivative along ``exp_p(t u)``."""
-    plus = value_fn(manifold.exp(p, u, step))
-    minus = value_fn(manifold.exp(p, u, -step))
-    return (plus - 2.0 * value_fn(p) + minus) / (step * step)
+    h = HESS_STEP
+    plus = value_fn(manifold.exp(p, u, h))
+    minus = value_fn(manifold.exp(p, u, -h))
+    return (plus - 2.0 * value_fn(p) + minus) / (h * h)
 
 
 def relative_error(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _family_check(seed, instances, directions, draw_objective, draw_point, draw_direction):
+def _family_check(seed, instances, draw_objective, draw_point, draw_direction):
     """Max relative gradient/Hessian-form errors over seeded instances.
 
     Each instance draws, in this order, an objective from
     ``draw_objective(rng)``, a point from ``draw_point(rng)`` and
-    ``directions`` tangents from ``draw_direction(rng, p)``, and checks
+    ``DIRECTIONS`` tangents from ``draw_direction(rng, p)``, and checks
     its ``value`` against its ``gradient`` and against the second
     covariant differential ``<hessian_apply(p, u), u>``.
     """
@@ -56,7 +59,7 @@ def _family_check(seed, instances, directions, draw_objective, draw_point, draw_
         objective = draw_objective(rng)
         manifold = objective.manifold
         p = draw_point(rng)
-        dirs = [draw_direction(rng, p) for _ in range(directions)]
+        dirs = [draw_direction(rng, p) for _ in range(DIRECTIONS)]
         g = objective.gradient(p)
         for u in dirs:
             slope = geodesic_slope(objective.value, manifold, p, u)
@@ -67,21 +70,21 @@ def _family_check(seed, instances, directions, draw_objective, draw_point, draw_
     return grad_err, hess_err
 
 
-def rayleigh_family_check(n=8, seed=0, instances=20, directions=8):
+def rayleigh_family_check(n=8, seed=0, instances=20):
     """Max relative gradient/Hessian-form errors over seeded quotient instances."""
-    return _family_check(seed, instances, directions,
+    return _family_check(seed, instances,
                          lambda rng: RayleighObjective(random_symmetric(rng, n), "min"),
                          lambda rng: random_unit_vector(rng, n), random_unit_tangent)
 
 
-def brockett_family_check(n=6, seed=0, instances=20, directions=8):
+def brockett_family_check(n=6, seed=0, instances=20):
     N = np.diag(np.arange(n, 0, -1.0))
-    return _family_check(seed, instances, directions,
+    return _family_check(seed, instances,
                          lambda rng: BrockettObjective(random_symmetric(rng, n), N),
                          lambda rng: random_rotation(rng, n), lambda rng, T: random_unit_skew(rng, n))
 
 
-def jacobi_family_check(n=5, seed=0, instances=20, directions=8):
-    return _family_check(seed, instances, directions,
+def jacobi_family_check(n=5, seed=0, instances=20):
+    return _family_check(seed, instances,
                          lambda rng: JacobiObjective(random_symmetric(rng, n)),
                          lambda rng: random_rotation(rng, n), lambda rng, T: random_unit_skew(rng, n))

@@ -126,26 +126,25 @@ class SpecialOrthogonal(Manifold):
             raise NotRotation(f"|T^T T - I|_F = {drift:.3e} exceeds {DRIFT_TOL:.1e}")
 
 
-def _solve_definite(apply_op, b, rel_tol=1e-12, max_iter=None, *, diag):
+def _solve_definite(apply_op, b, *, diag):
     """Linear conjugate gradient for a self-adjoint positive definite
     operator on the algebra, in Frobenius arithmetic, preconditioned by the
     elementwise positive ``diag``.
 
-    Stops when the residual norm drops below ``rel_tol |b|``.  Raises
+    Stops when the residual norm drops below ``1e-12 |b|``, or after
+    ``n(n-1)/2`` iterations, the algebra's dimension.  Raises
     :class:`IndefiniteOperator` as soon as a search direction has
     nonpositive curvature.
     """
-    nb = float(np.linalg.norm(b))
+    nb = _fro(b)
     x = np.zeros_like(b)
     if nb == 0.0:
         return x
-    if max_iter is None:
-        n = b.shape[0]
-        max_iter = n * (n - 1) // 2
+    n = b.shape[0]
     r = b.copy()
     p = r / diag
     rz = float(np.sum(r * p))
-    for _ in range(max_iter):
+    for _ in range(n * (n - 1) // 2):
         Ap = apply_op(p)
         pAp = float(np.sum(p * Ap))
         if pAp <= 0.0:
@@ -153,7 +152,7 @@ def _solve_definite(apply_op, b, rel_tol=1e-12, max_iter=None, *, diag):
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        if np.linalg.norm(r) <= rel_tol * nb:
+        if _fro(r) <= 1e-12 * nb:
             break
         z = r / diag
         rz_new = float(np.sum(r * z))
@@ -186,11 +185,6 @@ def conjugated_matrix(Q, T):
     """``H = T^T Q T``, symmetrized to remove round-off asymmetry."""
     H = T.T @ Q @ T
     return 0.5 * (H + H.T)
-
-
-def _brockett_neg_L(H, N, X):
-    # -L(X) in the form the Newton solve applies
-    return commutator(commutator(X, H), N) - commutator(H, commutator(X, N))
 
 
 def brockett_third_component(h, nu, X, i, j):
@@ -259,24 +253,23 @@ class BrockettObjective(MatrixObjective):
     def hessian_apply(self, T, X):
         """``-L(X)/2`` with ``L(X) = [H, [X, N]] - [[X, H], N]``: the second
         differential of ``f`` is ``-1/2 tr(L(X) Y)`` against a tangent
-        ``T Y``, so that of ``-f`` is ``<-L(X)/2, Y>``."""
-        return 0.5 * _brockett_neg_L(self._at(T, conjugated_matrix), self.N, X)
+        ``T Y``, so that of ``-f`` is ``<-L(X)/2, Y>``.  At a diagonal
+        ``H = diag(h)`` it is diagonal in the ``E_ij - E_ji`` basis, with
+        entries ``(h_i - h_j)(nu_i - nu_j)``."""
+        H = self._at(T, conjugated_matrix)
+        return 0.5 * (_commutator_diag(commutator(X, H), self._nu)
+                      - commutator(H, _commutator_diag(X, self._nu)))
 
     def newton_direction(self, T):
-        """Newton direction: the skew ``X`` with ``L(X) = -2 [H, N]``.
-
-        Solved as ``(-L)(X) = 2 [H, N]`` by linear conjugate gradient,
-        since ``-L`` is positive definite near the maximum.  Raises
-        :class:`IndefiniteOperator` away from it.  At a diagonal
-        ``H = diag(h)``, ``-L`` is diagonal in the ``E_ij - E_ji`` basis
-        with entries ``2 (h_i - h_j)(nu_i - nu_j)``; these entries at the
-        current ``diag(H)`` precondition the solve.
-        """
+        """Newton direction: solves ``hessian_apply(T, X) = -gradient(T)`` by
+        linear conjugate gradient, preconditioned by the Hessian's entries
+        at the current ``diag(H)``.  Raises :class:`IndefiniteOperator` on
+        nonpositive curvature, as met away from the maximum."""
         H = self._at(T, conjugated_matrix)
-        b = 2.0 * _commutator_diag(H, self._nu)
         h, nu = np.diag(H), self._nu
-        diag = _preconditioner(2.0 * np.subtract.outer(h, h) * np.subtract.outer(nu, nu))
-        return _solve_definite(lambda X: _brockett_neg_L(H, self.N, X), b, diag=diag)
+        diag = _preconditioner(np.subtract.outer(h, h) * np.subtract.outer(nu, nu))
+        b = _commutator_diag(H, nu)  # -gradient(T), without a gradient evaluation
+        return _solve_definite(lambda X: self.hessian_apply(T, X), b, diag=diag)
 
     def step_estimate(self, T, Omega):
         """Curvature-bound step for the geodesic ``T e^{t Omega}``.
@@ -305,14 +298,6 @@ class BrockettObjective(MatrixObjective):
 # Diagonalization objective  f(T) = tr(H diag(H)),  H = T' Q T
 
 
-def _jacobi_neg_M(H, P, X):
-    # -M(X) in the form the Newton solve applies, with P = pi(H)
-    adXH = commutator(X, H)
-    return (commutator(adXH, P)
-            + 2.0 * commutator(H, diag_part(adXH))
-            - commutator(H, commutator(X, P)))
-
-
 class JacobiObjective(MatrixObjective):
     """Off-diagonal-mass reduction: maximization of ``f(T) = tr(H pi(H))``
     with ``H = T^T Q T`` and ``pi`` the diagonal projection, run as
@@ -338,23 +323,24 @@ class JacobiObjective(MatrixObjective):
     def hessian_apply(self, T, X):
         """``-M(X)`` with ``M(X) = [H, [X, pi(H)]] - [[X, H], pi(H)]
         - 2 [H, pi([X, H])]``: the second differential of ``f`` is
-        ``-tr(M(X) Y)``, so that of ``-f`` is ``<-M(X), Y>``."""
+        ``-tr(M(X) Y)``, so that of ``-f`` is ``<-M(X), Y>``.  At a diagonal
+        ``H = diag(h)`` it is diagonal in the ``E_ij - E_ji`` basis, with
+        entries ``2 (h_i - h_j)^2``."""
         H = self._at(T, conjugated_matrix)
-        return _jacobi_neg_M(H, diag_part(H), X)
+        h, adXH = H.diagonal(), commutator(X, H)
+        return (_commutator_diag(adXH, h) + 2.0 * _commutator_diag(H, adXH.diagonal())
+                - commutator(H, _commutator_diag(X, h)))
 
     def newton_direction(self, T):
-        """Newton direction: the skew ``X`` with ``M(X) = -2 [H, pi(H)]``,
-        solved as ``(-M)(X) = 2 [H, pi(H)]`` against the operator that is
-        positive definite near a diagonalizer.  At a diagonal
-        ``H = diag(h)``, ``-M`` is diagonal in the ``E_ij - E_ji`` basis
-        with entries ``2 (h_i - h_j)^2``; these entries at the current
-        ``diag(H)`` precondition the solve."""
+        """Newton direction: solves ``hessian_apply(T, X) = -gradient(T)`` by
+        linear conjugate gradient, preconditioned by the Hessian's entries
+        at the current ``diag(H)``.  Raises :class:`IndefiniteOperator` on
+        nonpositive curvature, as met away from a diagonalizer."""
         H = self._at(T, conjugated_matrix)
-        P = diag_part(H)
-        h = np.diag(H)
-        b = 2.0 * _commutator_diag(H, h)
+        h = H.diagonal()
         diag = _preconditioner(2.0 * np.subtract.outer(h, h) ** 2)
-        return _solve_definite(lambda X: _jacobi_neg_M(H, P, X), b, diag=diag)
+        b = 2.0 * _commutator_diag(H, h)  # -gradient(T), without a gradient evaluation
+        return _solve_definite(lambda X: self.hessian_apply(T, X), b, diag=diag)
 
     def error_metric(self, T):
         return off_diagonal_norm(self._at(T, conjugated_matrix))

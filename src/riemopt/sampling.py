@@ -13,8 +13,8 @@ def rng_from_seed(seed):
     return np.random.default_rng(seed)
 
 
-def random_symmetric(rng, n, scale=1.0):
-    A = rng.normal(size=(n, n)) * scale
+def random_symmetric(rng, n):
+    A = rng.normal(size=(n, n))
     return 0.5 * (A + A.T)
 
 

@@ -25,16 +25,16 @@ TANGENT_TOL = 1e-12
 EPS = np.finfo(float).eps
 
 
-def check_unit(x, tol=UNIT_TOL):
+def check_unit(x):
     x = np.asarray(x, dtype=float)
-    if abs(x @ x - 1.0) > tol:
-        raise NotUnitDirection(f"|x^T x - 1| = {abs(x @ x - 1.0):.3e} exceeds {tol:.1e}")
+    if abs(x @ x - 1.0) > UNIT_TOL:
+        raise NotUnitDirection(f"|x^T x - 1| = {abs(x @ x - 1.0):.3e} exceeds {UNIT_TOL:.1e}")
     return x
 
 
-def check_tangent(x, v, tol=TANGENT_TOL):
+def check_tangent(x, v):
     v = np.asarray(v, dtype=float)
-    bound = tol * max(np.linalg.norm(v), 1e-300)
+    bound = TANGENT_TOL * max(np.linalg.norm(v), 1e-300)
     if abs(x @ v) > bound:
         raise NotTangent(f"|x^T v| = {abs(x @ v):.3e} exceeds {bound:.3e}")
     return v
@@ -130,13 +130,13 @@ class Sphere(Manifold):
         return sphere_exp(p, v, t)
 
     def transport(self, p, v, t, w):
-        nv = np.linalg.norm(v)
+        nv = _fro(v)
         if nv == 0.0:
             return np.asarray(w, dtype=float).copy()
         return sphere_transport(p, v / nv, t * nv, w)
 
     def velocity(self, p, v, t):
-        nv = np.linalg.norm(v)
+        nv = _fro(v)
         return v * np.cos(t * nv) - p * (nv * np.sin(t * nv))
 
     def inner(self, p, u, v):

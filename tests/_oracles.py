@@ -4,20 +4,22 @@ Everything here recomputes expected values by a route different from the
 library code under test: high-order finite differences, ODE integration of
 the parallel-transport equation, dense operator matrices in coordinate
 bases, truncated exponential series, brute-force scans, and the SO(n)
-objectives' diagonal commutators as two dense products.  A few helpers
+objectives' diagonal commutators and Hessians as dense products.  A few helpers
 only the tests use live here too: ``skew_exp`` (the group exponential of a
 checked skew matrix), ``solve_projected_linear`` (the projected Newton
 equation by dense solves) and its error ``SingularMatrix``,
-``reference_steepest_descent`` (steepest descent as a loop of its own)
-and ``read_trace_csv`` (a trace file read back).
+``reference_steepest_descent`` (steepest descent as a loop of its own),
+``read_trace_csv`` (a trace file read back) and ``experiment_objective``
+(the objective of a CLI experiment).
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from riemopt import IterationTrace, line_minimize_geodesic
+from riemopt import BrockettObjective, IterationTrace, JacobiObjective, line_minimize_geodesic
 from riemopt.errors import DegeneratePivot, RiemoptError
+from riemopt.experiments import fig2_matrices, jacobi_matrices
 
 SKEW_TOL = 1e-12
 
@@ -173,6 +175,34 @@ def dense_jacobi_gradient(H):
     """Jacobi's descent gradient ``-2 [H, pi(H)]`` by dense products."""
     P = np.diag(np.diag(H))
     return -2.0 * (H @ P - P @ H)
+
+
+def dense_brockett_neg_L(H, N, X):
+    """``-L(X) = [[X, H], N] - [H, [X, N]]``, twice Brockett's Hessian, by
+    dense products with the dense diagonal ``N``."""
+    XH = X @ H - H @ X
+    XN = X @ N - N @ X
+    return (XH @ N - N @ XH) - (H @ XN - XN @ H)
+
+
+def dense_jacobi_neg_M(H, X):
+    """``-M(X) = [[X, H], P] + 2 [H, pi([X, H])] - [H, [X, P]]`` with
+    ``P = pi(H)``, Jacobi's Hessian, by dense products."""
+    P = np.diag(np.diag(H))
+    XH = X @ H - H @ X
+    D = np.diag(np.diag(XH))
+    XP = X @ P - P @ X
+    return (XH @ P - P @ XH) + 2.0 * (H @ D - D @ H) - (H @ XP - XP @ H)
+
+
+def experiment_objective(kind, n, seed):
+    """Objective of the CLI experiment ``kind`` (``fig2`` or ``jacobi``)
+    and its optimum ``T_hat``."""
+    if kind == "fig2":
+        Q, N, T_hat = fig2_matrices(n, seed)
+        return BrockettObjective(Q, N), T_hat
+    Q, T_hat = jacobi_matrices(n, seed)
+    return JacobiObjective(Q), T_hat
 
 
 def circle_scan_max(fun, resolution=1e-5):

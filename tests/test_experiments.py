@@ -125,6 +125,12 @@ def test_cli_rejects_bad_init():
 @pytest.mark.parametrize("argv, message", [
     (["fig1", "--n", "1"], "n must be >= 2"),
     (["fig2", "--init", "near:-0.5"], "perturbation scale must be positive"),
+    (["fig2", "--init", "near:nan"], "perturbation scale must be positive and finite"),
+    (["jacobi", "--init", "near:inf"], "perturbation scale must be positive and finite"),
+    (["fig1", "--seed", "-1"], "seed must be >= 0"),
+    (["fig2", "--seed", "-1"], "seed must be >= 0"),
+    (["jacobi", "--seed", "-1"], "seed must be >= 0"),
+    (["fd-check", "--seed", "-1"], "seed must be >= 0"),
     (["fig1", "--method", "rqi", "--line-search", "exact"], "rqi takes no line search"),
     (["fig1", "--tol", "0"], "gradient tolerance must be positive and finite"),
     (["fig1", "--method", "cg", "--n", "8", "--tol", "inf"],
@@ -143,7 +149,8 @@ def test_cli_rejects_bad_init():
      "fig1 takes no 'estimate' line search"),
     (["fig1", "--method", "newton-rq", "--line-search", "estimate"],
      "fig1 takes no 'estimate' line search"),
-], ids=["n", "init-eps", "rqi-line-search", "tol-zero", "tol-inf", "tol-nan", "max-iter",
+], ids=["n", "init-eps", "init-eps-nan", "init-eps-inf", "fig1-seed", "fig2-seed",
+        "jacobi-seed", "fd-check-seed", "rqi-line-search", "tol-zero", "tol-inf", "tol-nan", "max-iter",
         "reset-period", "reset-period-not-cg", "fig2-sd-exact", "fig2-cg-exact",
         "jacobi-exact", "jacobi-estimate", "fig1-sd-estimate", "fig1-newton-estimate",
         "fig1-newton-rq-estimate"])

@@ -6,22 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import dense_skew_solve
-from riemopt import BrockettObjective, JacobiObjective, SolverConfig, newton, so_geodesic
+from _oracles import dense_skew_solve, experiment_objective
+from riemopt import BrockettObjective, SolverConfig, newton, so_geodesic
 import riemopt.rotation as rotation
 import riemopt.solvers as solvers
 from riemopt.errors import IndefiniteOperator
 from riemopt.experiments import ExperimentSpec, fig2_matrices, jacobi_matrices, run_experiment
 from riemopt.sampling import random_rotation, random_unit_skew, rng_from_seed
-
-
-def _objective(kind, n, seed):
-    """Objective of the CLI experiment ``kind`` and its optimum ``T_hat``."""
-    if kind == "fig2":
-        Q, N, T_hat = fig2_matrices(n, seed)
-        return BrockettObjective(Q, N), T_hat
-    Q, T_hat = jacobi_matrices(n, seed)
-    return JacobiObjective(Q), T_hat
 
 
 def _near(T_hat, seed, eps):
@@ -34,7 +25,7 @@ def _near(T_hat, seed, eps):
 @given(kind=st.sampled_from(["fig2", "jacobi"]), n=st.integers(8, 30),
        seed=st.integers(0, 2**16), eps=st.sampled_from([1e-3, 1e-2, 1e-1]))
 def test_newton_direction_matches_a_dense_solve_near_the_optimum(kind, n, seed, eps):
-    obj, T_hat = _objective(kind, n, seed)
+    obj, T_hat = experiment_objective(kind, n, seed)
     T = _near(T_hat, seed, eps)
     X = obj.newton_direction(T)
     want = dense_skew_solve(lambda Z: obj.hessian_apply(T, Z), -obj.gradient(T))
@@ -44,7 +35,7 @@ def test_newton_direction_matches_a_dense_solve_near_the_optimum(kind, n, seed, 
 @pytest.mark.parametrize("kind", ["fig2", "jacobi"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_random_rotation_is_indefinite_and_newton_falls_back(kind, seed, monkeypatch):
-    obj, _ = _objective(kind, 10, seed)
+    obj, _ = experiment_objective(kind, 10, seed)
     T = random_rotation(np.random.default_rng(100 + seed), 10)
     with pytest.raises(IndefiniteOperator):
         obj.newton_direction(T)
@@ -71,7 +62,7 @@ def test_constant_diagonal_gives_no_preconditioner_and_no_nan():
 @pytest.mark.parametrize("kind", ["fig2", "jacobi"])
 def test_one_direction_at_n60_takes_few_inner_iterations(kind, monkeypatch):
     # the unpreconditioned solve took 341 (fig2) and 384 (jacobi) here
-    obj, T_hat = _objective(kind, 60, 0)
+    obj, T_hat = experiment_objective(kind, 60, 0)
     T = _near(T_hat, 0, 0.1)
     applies = []
     solve = rotation._solve_definite
@@ -104,7 +95,7 @@ def test_newton_at_n60_stops_converged_at_the_round_off_floor(experiment, eps):
 @given(kind=st.sampled_from(["fig2", "jacobi"]), n=st.integers(5, 80),
        seed=st.integers(0, 2**16), eps=st.sampled_from([1e-2, 1e-1]))
 def test_gradient_at_the_round_off_floor_stays_below_half_the_stated_floor(kind, n, seed, eps):
-    obj, T_hat = _objective(kind, n, seed)
+    obj, T_hat = experiment_objective(kind, n, seed)
     floor = obj.gradient_floor
     obj.gradient_floor = 0.0  # keep iterating at round-off
     # six steps: two or three to reach the floor, and fewer than the five
