@@ -15,7 +15,7 @@ this metric.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .core import Manifold, MatrixObjective, _fro
 from .errors import (
@@ -66,6 +66,30 @@ def _drift(R):
     G = R.T @ R
     G.flat[:: len(G) + 1] -= 1.0
     return _fro(G)
+
+
+def expm(X):
+    """``e^X`` of a real skew ``X``, bitwise ``scipy.linalg.expm``.
+
+    The same scaling and squaring (Al-Mohy and Higham, SIAM J. Matrix Anal.
+    Appl. 31, 2009) on scipy's own Pade kernels, without the dispatch: a
+    nonzero skew matrix is neither diagonal nor triangular, so scipy always
+    takes this generic path for it, and on zero the path gives the identity
+    bit for bit, as scipy's diagonal path does.  The workspace is fresh per
+    call, so the result shares no memory with the input or another result.
+    """
+    n = len(X)
+    A = np.empty((5, n, n))
+    A[0] = X
+    m, s = pick_pade_structure(A)
+    info = pade_UV_calc(A, m) if m >= 0 else m
+    if info != 0:  # scipy's codes: m < 0 or info <= -11 is a failed allocation
+        raise (MemoryError if m < 0 or info <= -11 else RuntimeError)(
+            f"matrix exponential failed (error code {info})")
+    E = A[0]
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def so_geodesic(T, X, t=1.0):
@@ -122,7 +146,7 @@ class SpecialOrthogonal(Manifold):
 
     def check_point(self, p):
         drift = _drift(np.asarray(p, dtype=float))
-        if drift > DRIFT_TOL:
+        if not drift <= DRIFT_TOL:  # NaN fails too
             raise NotRotation(f"|T^T T - I|_F = {drift:.3e} exceeds {DRIFT_TOL:.1e}")
 
 

@@ -27,7 +27,7 @@ EPS = np.finfo(float).eps
 
 def check_unit(x):
     x = np.asarray(x, dtype=float)
-    if abs(x @ x - 1.0) > UNIT_TOL:
+    if not abs(x @ x - 1.0) <= UNIT_TOL:  # NaN fails too
         raise NotUnitDirection(f"|x^T x - 1| = {abs(x @ x - 1.0):.3e} exceeds {UNIT_TOL:.1e}")
     return x
 
@@ -35,7 +35,7 @@ def check_unit(x):
 def check_tangent(x, v):
     v = np.asarray(v, dtype=float)
     bound = TANGENT_TOL * max(np.linalg.norm(v), 1e-300)
-    if abs(x @ v) > bound:
+    if not abs(x @ v) <= bound < np.inf:  # an inf v gives an inf bound
         raise NotTangent(f"|x^T v| = {abs(x @ v):.3e} exceeds {bound:.3e}")
     return v
 
@@ -78,7 +78,7 @@ def sphere_transport(x, h, t, v):
     with unit direction ``h``, to the point at arc length ``t``."""
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
-    if abs(h @ h - 1.0) > UNIT_TOL:
+    if not abs(h @ h - 1.0) <= UNIT_TOL:
         raise NotUnitDirection("transport direction must have unit length")
     v = check_tangent(x, v)
     return v - (h @ v) * (x * np.sin(t) + h * (1.0 - np.cos(t)))

@@ -3,6 +3,7 @@ import pytest
 
 from _oracles import expm_series, rand_rotation, rand_skew, skew_exp, transport_ode_rotation
 from riemopt import SpecialOrthogonal, rotation, so_geodesic, so_transport
+from riemopt.errors import NotRotation
 
 
 def test_exp_of_zero_is_identity():
@@ -164,3 +165,17 @@ def test_manifold_contract():
     np.testing.assert_allclose(M.exp(T, X, 0.0), T)
     got = M.transport(T, X, 0.6, Y)
     np.testing.assert_allclose(got, transport_ode_rotation(X, Y, 0.6), atol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["one", "all"])
+def test_check_point_rejects_non_finite_points(bad, where):
+    # a NaN drift compares false against the tolerance, so the check must not
+    # be written as "drift > tol"
+    T = rand_rotation(np.random.default_rng(12), 4)
+    if where == "one":
+        T[1, 2] = bad
+    else:
+        T[:] = bad
+    with pytest.raises(NotRotation):
+        SpecialOrthogonal(4).check_point(T)

@@ -4,6 +4,7 @@ import pytest
 from _oracles import rand_tangent, rand_unit, transport_ode_sphere
 from riemopt import Sphere, sphere_distance, sphere_exp, sphere_log, sphere_transport
 from riemopt.errors import AntipodalPoints, NotTangent, NotUnitDirection, ZeroTangent
+from riemopt.sphere import check_tangent, check_unit
 
 
 def e(n, i):
@@ -164,3 +165,47 @@ def test_manifold_contract():
     got = M.transport(x, u, t, v)
     want = transport_ode_sphere(x, u / np.linalg.norm(u), t * np.linalg.norm(u), v)
     np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def _spoiled(x, bad):
+    x = x.copy()
+    x[1] = bad
+    return x
+
+
+# a NaN error compares false against its tolerance, so none of these checks
+# may be written as "error > tol"
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unit_check_rejects_non_finite_points(bad):
+    x = _spoiled(rand_unit(np.random.default_rng(13), 5), bad)
+    with pytest.raises(NotUnitDirection):
+        check_unit(x)
+    with pytest.raises(NotUnitDirection):
+        Sphere(5).check_point(x)
+    with pytest.raises(NotUnitDirection):
+        Sphere(5).check_point(np.full(5, bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tangent_check_rejects_non_finite_points(bad):
+    rng = np.random.default_rng(14)
+    x = rand_unit(rng, 5)
+    v = rand_tangent(rng, x, unit=False)
+    with pytest.raises(NotTangent):
+        check_tangent(_spoiled(x, bad), v)
+    with pytest.raises(NotTangent):
+        check_tangent(np.full(5, bad), v)
+    with pytest.raises(NotTangent):
+        check_tangent(x, _spoiled(v, bad))
+    with pytest.raises(NotTangent):
+        sphere_transport(_spoiled(x, bad), e(5, 1), 0.5, v)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_transport_rejects_a_non_finite_direction(bad):
+    rng = np.random.default_rng(15)
+    x = rand_unit(rng, 5)
+    h = rand_tangent(rng, x, unit=True)
+    v = rand_tangent(rng, x, unit=False)
+    with pytest.raises(NotUnitDirection):
+        sphere_transport(x, _spoiled(h, bad), 0.5, v)

@@ -5,8 +5,10 @@
 Each tree has a worker process (one BLAS thread) that imports riemopt from
 it and times each CLI run in-process by process CPU time, which a shared
 machine disturbs less than wall time.  After a warm-up round, ROUNDS rounds
-(default 7) alternate the trees, the first rotating by class and round.
-Prints each class's min and median CPU ms per tree and B/A of the medians."""
+(default 11) alternate the trees, the first rotating by class and round.
+Prints each class's min and median CPU ms per tree and B/A of both.  On a
+shared machine load moves the medians more than the minima: a class whose
+median ratio moves while its minimum ratio stays near 1 reads as load."""
 
 import contextlib
 import io
@@ -56,7 +58,7 @@ if __name__ == "__main__":
     if sys.argv[1] == "--worker":
         sys.exit(worker())
     procs = [start(src) for src in sys.argv[1:3]]
-    rounds = int(sys.argv[3]) if len(sys.argv) > 3 else 7
+    rounds = int(sys.argv[3]) if len(sys.argv) > 3 else 11
     times = [[[] for _ in CLASSES] for _ in procs]
     for r in range(rounds + 1):
         for k in range(len(CLASSES)):
@@ -66,8 +68,10 @@ if __name__ == "__main__":
                     times[t][k].append(ms)
     for proc in procs:
         proc.communicate()
-    print(f"{'class':48s} {'min A':>8s} {'min B':>8s} {'med A':>8s} {'med B':>8s} {'B/A':>6s}")
+    print(f"{'class':48s} {'min A':>8s} {'min B':>8s} {'min B/A':>8s}"
+          f" {'med A':>8s} {'med B':>8s} {'med B/A':>8s}")
     for k, name in enumerate(CLASSES):
         a, b = (ts[k] for ts in times)
         ma, mb = statistics.median(a), statistics.median(b)
-        print(f"{name:48s} {min(a):8.2f} {min(b):8.2f} {ma:8.2f} {mb:8.2f} {mb / ma:6.3f}")
+        print(f"{name:48s} {min(a):8.2f} {min(b):8.2f} {min(b) / min(a):8.3f}"
+              f" {ma:8.2f} {mb:8.2f} {mb / ma:8.3f}")

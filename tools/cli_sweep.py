@@ -7,7 +7,9 @@ between two such runs::
 Grid: ``fig1`` with every method at n = 5, 21 and 60, every start, the
 default and golden searches; ``fig2`` and ``jacobi`` at n = 5 and 10,
 ``jacobi`` from its default and from a random start; ``fig2`` sd and cg
-(both searches) and ``jacobi`` at n = 30 from near starts, a benchmark
+(both searches) at n = 10 from a random start, the benchmark's heaviest
+class, whose steps reach Pade order 7 in the exponential; ``fig2`` sd and
+cg (both searches) and ``jacobi`` at n = 30 from near starts, a benchmark
 size; Newton on SO(n) at benchmark sizes: ``fig2`` at n = 20 from a random
 start (every step a gradient fallback) and at n = 60 from a near start,
 ``jacobi`` at n = 60 from a near start; ``fd-check``, which builds all
@@ -24,6 +26,7 @@ import sys
 GRID = [("fig1", ["sd", "cg", "newton", "rqi", "newton-rq"], [5, 21, 60],
          ["default", "random", "near"], ["default", "golden"]),
         ("fig2", ["sd", "cg", "newton"], [5, 10], ["default"], ["default", "golden"]),
+        ("fig2", ["sd", "cg"], [10], ["random"], ["default", "golden"]),
         ("fig2", ["sd", "cg"], [30], ["near"], ["default", "golden"]),
         ("fig2", ["newton"], [20], ["random"], ["default"]),
         ("fig2", ["newton"], [60], ["near"], ["default"]),
