@@ -129,10 +129,22 @@ class GeodesicObjective(ABC):
         return self.manifold.norm(p, g)
 
 
+def _check_symmetric(Q):
+    """``Q`` as floats; ValueError unless square, finite and exactly symmetric."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise ValueError("Q must be square")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("Q must be finite")
+    if not np.array_equal(Q, Q.T):
+        raise ValueError("Q must be exactly symmetric as stored")
+    return Q
+
+
 class MatrixObjective(GeodesicObjective):
     """An objective defined by one finite, exactly symmetric matrix ``Q``
-    (ValueError unless it is square, finite and exactly symmetric as
-    stored) on the manifold ``manifold(n)`` for ``Q`` of size n.
+    (ValueError otherwise) on the manifold ``manifold(n)`` for ``Q`` of
+    size n; ``Q_fro`` is ``|Q|_F``.
 
     :meth:`_at` keeps ``form(Q, p)`` for the last point ``p`` it saw,
     keyed on identity, for the one ``form`` an objective uses.  The entry
@@ -142,15 +154,9 @@ class MatrixObjective(GeodesicObjective):
     """
 
     def __init__(self, Q, manifold):
-        Q = np.asarray(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ValueError("Q must be square")
-        if not np.all(np.isfinite(Q)):
-            raise ValueError("Q must be finite")
-        if not np.array_equal(Q, Q.T):
-            raise ValueError("Q must be exactly symmetric as stored")
-        self.Q = Q
-        self.manifold = manifold(Q.shape[0])
+        self.Q = _check_symmetric(Q)
+        self.Q_fro = _fro(self.Q)
+        self.manifold = manifold(self.Q.shape[0])
         self._last = (None, None)
 
     def _at(self, p, form):

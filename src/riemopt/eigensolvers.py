@@ -9,11 +9,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import IterationTrace
+from .core import IterationTrace, _fro
 from .solvers import SolverConfig, conjugate_gradient, newton
 from .sphere import RayleighObjective, normalized_start, project_tangent, sphere_distance
-# the shift solve is looked up here by name, so that it can be wrapped
-from .sphere import shift_solve as _shift_solve
+# looked up here by name, so that it can be wrapped; the objective checks Q
+from .sphere import _shift_solve
 
 
 @dataclass
@@ -35,29 +35,17 @@ class EigenResult:
         return self.trace.iterations
 
 
-def _residual(Q, x):
-    w = Q @ x
-    rho = float(x @ w)
-    r = project_tangent(x, w - rho * x)
-    return rho, r
-
-
-def _residual_norm(Q):
-    return lambda p: float(np.linalg.norm(Q @ p - (p @ Q @ p) * p))
-
-
 def _on_quotient(solver, Q, x0, config, error_fn, which="max") -> EigenResult:
     """``solver`` on the Rayleigh quotient from ``x0 / |x0|``.  Its gradient
     is ``2(Qx - rho x)``, so the residual tolerance ``grad_tol * |Q|_F``
     becomes ``2 grad_tol |Q|_F``."""
     objective = RayleighObjective(Q, which)
-    Q = objective.Q
     config = config or SolverConfig()
     # a zero Q still needs a positive tolerance (its every point is critical)
-    scale = max(float(np.linalg.norm(Q)), np.finfo(float).tiny)
+    scale = max(objective.Q_fro, np.finfo(float).tiny)
     config = replace(config, grad_tol=2.0 * config.grad_tol * scale)
     trace = solver(objective, normalized_start(x0), config,
-                   error_fn=error_fn or _residual_norm(Q))
+                   error_fn=error_fn or objective.residual_norm)
     return EigenResult(trace.values[-1], trace.points[-1], trace)
 
 
@@ -87,24 +75,24 @@ def rqi(Q, x0, config=None, error_fn=None) -> EigenResult:
     objective = RayleighObjective(Q)
     Q = objective.Q
     x = normalized_start(x0)
-    tol = max(config.grad_tol * np.linalg.norm(Q), objective.gradient_floor / 2.0)
-    error_fn = error_fn or _residual_norm(Q)
+    tol = max(config.grad_tol * objective.Q_fro, objective.gradient_floor / 2.0)
+    error_fn = error_fn or objective.residual_norm
 
     trace = IterationTrace()
-    rho, r = _residual(Q, x)
-    trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
-    for _ in range(config.max_iter):
-        if np.linalg.norm(r) <= tol:
+    for i in range(config.max_iter + 1):
+        w = objective._cached(x, 0)  # Qx, which the default error reads too
+        rho = float(x @ w)
+        nr = _fro(project_tangent(x, w - rho * x))
+        trace.append(x, rho, 2.0 * nr, error_fn(x))
+        if nr <= tol or i == config.max_iter:
             break
         y = _shift_solve(Q, rho, x)
-        x_next = y / np.linalg.norm(y)
+        x_next = y / _fro(y)
         if float(x_next @ x) < 0.0:
             x_next = -x_next
         trace.record_step(sphere_distance(x, x_next))
         x = x_next
-        rho, r = _residual(Q, x)
-        trace.append(x, rho, 2.0 * np.linalg.norm(r), error_fn(x))
-    trace.converged = bool(np.linalg.norm(r) <= tol)
+    trace.converged = bool(nr <= tol)
     return EigenResult(rho, x, trace)
 
 

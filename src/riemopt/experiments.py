@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConvergenceReport, estimate_order, longest_decreasing_run
+from .core import ConvergenceReport, _fro, estimate_order, longest_decreasing_run
 from .errors import OrderFitError, SolverError, ToleranceBreached
 from .eigensolvers import cg_extreme_eigen, newton_rayleigh, rqi
 from .fdcheck import brockett_family_check, jacobi_family_check, rayleigh_family_check
@@ -148,7 +148,7 @@ def axis_angle(x, axis):
     the resolution of ``arccos`` of the dot product.
     """
     c = abs(float(x @ axis))
-    s = float(np.linalg.norm(x - (x @ axis) * axis))
+    s = _fro(x - (x @ axis) * axis)
     return float(np.arctan2(s, c))
 
 

@@ -260,7 +260,7 @@ class BrockettObjective(MatrixObjective):
         slots = np.argsort(self._nu)[::-1]
         self.D = np.zeros_like(N)
         self.D[slots, slots] = np.sort(np.linalg.eigvalsh(self.Q))[::-1]
-        self.gradient_floor = EPS * float(np.linalg.norm(self.Q) * np.linalg.norm(N))
+        self.gradient_floor = EPS * (self.Q_fro * _fro(N))
 
     def value(self, T):
         return -self.report_value(T)
@@ -331,7 +331,7 @@ class JacobiObjective(MatrixObjective):
 
     def __init__(self, Q):
         super().__init__(Q, SpecialOrthogonal)
-        self.gradient_floor = 2.0 * EPS * float(np.linalg.norm(self.Q)) ** 2
+        self.gradient_floor = 2.0 * EPS * self.Q_fro ** 2
 
     def value(self, T):
         return -self.report_value(T)

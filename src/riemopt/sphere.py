@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import Manifold, MatrixObjective, _fro
+from .core import Manifold, MatrixObjective, _check_symmetric, _fro
 from .errors import (
     AntipodalPoints,
     DegeneratePivot,
@@ -34,7 +34,7 @@ def check_unit(x):
 
 def check_tangent(x, v):
     v = np.asarray(v, dtype=float)
-    bound = TANGENT_TOL * max(np.linalg.norm(v), 1e-300)
+    bound = TANGENT_TOL * max(_fro(v), 1e-300)
     if not abs(x @ v) <= bound < np.inf:  # an inf v gives an inf bound
         raise NotTangent(f"|x^T v| = {abs(x @ v):.3e} exceeds {bound:.3e}")
     return v
@@ -43,7 +43,7 @@ def check_tangent(x, v):
 def normalized_start(x0):
     """``x0 / |x0|``; a zero or non-finite start has no direction."""
     x = np.asarray(x0, dtype=float)
-    nx = float(np.linalg.norm(x))
+    nx = _fro(x)
     if not (np.isfinite(nx) and nx > 0.0):
         raise NotUnitDirection(f"start must be finite and nonzero, |x0| = {nx!r}")
     return x / nx
@@ -151,15 +151,16 @@ class Sphere(Manifold):
 
 
 def _shifted(Q, rho):
-    # Q - rho I as a Fortran-ordered copy, which getrf may overwrite
-    A = np.array(Q, dtype=float, order="F")
-    A[np.diag_indices_from(A)] -= rho
+    # a fresh Fortran-ordered Q - rho I for getrf to overwrite; a C-ordered
+    # Q is copied in memory order as Q.T, which holds the same entries
+    A = (Q.T if Q.flags.c_contiguous else Q).copy(order="F")
+    A.ravel(order="K")[:: A.shape[0] + 1] -= rho
     return A
 
 
 def shift_solve(Q, rho, x):
-    """Solve ``(Q - rho I) y = x`` by one LU factorization (LAPACK
-    ``getrf`` and ``getrs``).
+    """Solve ``(Q - rho I) y = x`` for a finite, exactly symmetric ``Q``
+    (ValueError otherwise) by one LU factorization (LAPACK getrf, getrs).
 
     Near an eigenvalue the shift is nearly singular and ``y`` is large,
     but the solve is backward stable and ``y`` is dominated by the target
@@ -168,6 +169,10 @@ def shift_solve(Q, rho, x):
     overflows, the limiting direction is the null singular vector of a
     full SVD, which is the same step at infinite amplification.
     """
+    return _shift_solve(_check_symmetric(Q), rho, x)
+
+
+def _shift_solve(Q, rho, x):
     lu, piv, info = lapack.dgetrf(_shifted(Q, rho), overwrite_a=True)
     if info == 0:  # no exactly zero pivot
         y, _ = lapack.dgetrs(lu, piv, x)
@@ -177,20 +182,27 @@ def shift_solve(Q, rho, x):
     return -y if float(y @ x) < 0.0 else y
 
 
-def rayleigh_newton_step(Q, x):
+def rayleigh_newton_step(Q, x, rho=None):
     """Newton direction ``H = -x + y / (x^T y)`` with ``y = (Q - rho I)^{-1} x``,
     projected onto the tangent space.
 
-    Raises :class:`DegeneratePivot` when the pivot is degenerate:
-    ``|x^T y| < 1e-14 |y|``.
+    ``Q`` is checked as by :func:`shift_solve` unless the caller, having
+    checked it, passes ``rho = x^T Q x``.  Raises :class:`DegeneratePivot`
+    when the pivot is degenerate: ``|x^T y| < 1e-14 |y|``.
     """
     x = np.asarray(x, dtype=float)
-    rho = float(x @ Q @ x)
-    y = shift_solve(Q, rho, x)
+    if rho is None:
+        Q = _check_symmetric(Q)
+        rho = _quotient(Q, x)
+    y = _shift_solve(Q, rho, x)
     pivot = float(x @ y)
-    if not abs(pivot) >= 1e-14 * np.linalg.norm(y):
+    if not abs(pivot) >= 1e-14 * _fro(y):
         raise DegeneratePivot("x^T (Q - rho I)^{-1} x vanishes; no tangent step")
     return project_tangent(x, -x + y / pivot)
+
+
+def _quotient(Q, x):
+    return float(x @ Q @ x)
 
 
 def _line_rotation(a, b):
@@ -243,13 +255,23 @@ class RayleighObjective(MatrixObjective):
         self.which = which
         self._sign = -1.0 if which == "max" else 1.0
         n = self.Q.shape[0]
-        self.gradient_floor = 6.0 * np.sqrt(n) * EPS * float(np.linalg.norm(self.Q))
+        self.gradient_floor = 6.0 * np.sqrt(n) * EPS * self.Q_fro
+
+    def _cached(self, x, k):
+        # Qx (k = 0) or rho = x^T Q x (k = 1) at the last point, each formed
+        # on its first request; the entry is replaced whole, as _at's is
+        key, entry = self._last
+        entry = entry if key is x else (None, None)
+        if entry[k] is None:
+            entry = (self.Q @ x, entry[1]) if k == 0 else (entry[0], _quotient(self.Q, x))
+            self._last = (x, entry)
+        return entry[k]
 
     def value(self, x):
         return self._sign * self.report_value(x)
 
     def report_value(self, x):
-        return float(x @ self.Q @ x)
+        return self._cached(x, 1)
 
     def gradient(self, x):
         """Signed ``2(Qx - rho(x) x)``, with an explicit tangency projection.
@@ -258,7 +280,7 @@ class RayleighObjective(MatrixObjective):
         otherwise caps the attainable accuracy of gradient-based iterations
         near an eigenvector.
         """
-        w = self._at(x, np.matmul)
+        w = self._cached(x, 0)
         g = 2.0 * (w - (x @ w) * x)
         return self._sign * project_tangent(x, g)
 
@@ -272,13 +294,17 @@ class RayleighObjective(MatrixObjective):
 
     def newton_direction(self, x):
         # identical for rho and -rho: H = -(Hess)^{-1} grad is sign-free
-        return rayleigh_newton_step(self.Q, x)
+        return rayleigh_newton_step(self.Q, x, self._cached(x, 1))
+
+    def residual_norm(self, x):
+        """``|Qx - rho x|``, the eigen drivers' default error."""
+        return _fro(self._cached(x, 0) - self._cached(x, 1) * x)
 
     def exact_line_step(self, x, h):
         nh = _fro(h)
         if nh == 0.0:
             raise ZeroTangent("line search direction is zero")
-        c, s, _ = rayleigh_line_max(self.Q, x, h / nh, self._at(x, np.matmul))
+        c, s, _ = rayleigh_line_max(self.Q, x, h / nh, self._cached(x, 0))
         t = float(np.arctan2(s, c))
         if self.which == "min":
             t += 0.5 * np.pi  # the minimum lies a quarter turn past the maximum

@@ -1,8 +1,8 @@
 """One evaluation per iterate.
 
 The SO(n) objectives keep ``H = T'QT`` for the last point, the Rayleigh
-quotient keeps ``Qx``, and ``SpecialOrthogonal.transport`` keeps the
-half-geodesic ``e^{-tX/2}`` for the last direction and step.  These tests
+quotient keeps ``Qx`` and ``x^T Q x``, and ``SpecialOrthogonal.transport``
+keeps the half-geodesic ``e^{-tX/2}`` for the last direction and step.  These tests
 check that the caches return exactly what a fresh computation returns, that
 the solvers form each quantity once per iterate, and that two threads sharing
 one objective see no stale entry.
@@ -22,9 +22,10 @@ from riemopt import (
     SolverConfig,
     conjugate_gradient,
     newton,
+    newton_rayleigh,
     steepest_descent,
 )
-from riemopt import rotation
+from riemopt import rotation, sphere
 from riemopt.experiments import fig2_matrices
 from riemopt.rotation import SpecialOrthogonal, so_geodesic, so_transport
 
@@ -85,22 +86,42 @@ CASES = {
 }
 
 
+def _call_order(rng, calls, points):
+    # every method at every point, then the same calls in a shuffled order,
+    # so that the cache is hit, missed and refilled as a golden search does
+    order = [(name, i) for name in calls for i in range(len(points))]
+    return order + [order[k] for k in rng.permutation(len(order))]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cached_methods_match_a_fresh_objective(case):
     rng = np.random.default_rng(11)
     build, points, calls = CASES[case](rng)
     points.append(points[0].copy())  # equal values, another array
     shared = build()
-    # every method at every point, then the same calls in a shuffled order,
-    # so that the cache is hit, missed and refilled as a golden search does
-    order = [(name, i) for name in calls for i in range(len(points))]
-    order += [order[k] for k in rng.permutation(len(order))]
-    for name, i in order:
+    for name, i in _call_order(rng, calls, points):
         p = points[i]
         args = calls[name](build(), p)
         got = _outcome(getattr(shared, name), p, *args)
         want = _outcome(getattr(build(), name), p, *args)
         assert _same(got, want), (name, i)
+
+
+def test_rayleigh_entry_is_a_fresh_Qx_and_quotient():
+    rng = np.random.default_rng(11)
+    build, points, calls = _rayleigh_case(rng)
+    calls["residual_norm"] = lambda obj, x: ()  # the eigen drivers' default error
+    points.append(points[0].copy())
+    shared = build()
+    Q = shared.Q
+    for name, i in _call_order(rng, calls, points):
+        p = points[i]
+        _outcome(getattr(shared, name), p, *calls[name](build(), p))
+        # whichever part the call left unformed is formed here, once
+        for k in rng.permutation(2):
+            got = shared._cached(p, k)
+            want = Q @ p if k == 0 else float(p @ Q @ p)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, i, k)
 
 
 def test_transport_matches_so_transport():
@@ -147,6 +168,17 @@ def test_newton_on_jacobi_forms_H_once_per_iterate(monkeypatch):
     trace = newton(JacobiObjective(Q), T0)
     assert trace.converged and trace.iterations >= 2
     assert counts["H"] == len(trace)
+
+
+def test_newton_rayleigh_forms_the_quotient_once_per_iterate(monkeypatch):
+    rng = np.random.default_rng(3)
+    Q = rand_sym(rng, 40)
+    counts = {}
+    _count(monkeypatch, sphere, "_quotient", counts, "rho")
+    res = newton_rayleigh(Q, rand_unit(rng, 40))
+    assert res.converged and res.iterations >= 2
+    # the step, the reported value and the default error share it
+    assert counts["rho"] == len(res.trace)
 
 
 @pytest.mark.parametrize("reset_period", [1, 3, None])

@@ -1,11 +1,12 @@
 """The shift solve ``(Q - rho I) y = x`` behind every Newton and quotient
 step on the sphere, the Newton tangent formed from it, and the entry checks
-of the eigenpair drivers."""
+of the eigenpair drivers and of the public shift entry points."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from _oracles import midpoint_start, rand_sym, rand_unit
 from riemopt import (
@@ -56,6 +57,47 @@ def test_shift_solve_residual_and_flag(n, seed, kind, frac):
         assert null
     else:
         assert solved or null
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["C", "F", "strided"]), frac=st.floats(-1.5, 1.5))
+def test_shift_solve_is_one_lu_solve_bit_for_bit(n, seed, layout, frac):
+    # the copy in memory order changes nothing but the cost: the same
+    # matrix reaches getrf and the caller's Q is left as it was
+    rng = np.random.default_rng(seed)
+    Q = rand_sym(rng, n)
+    if layout == "F":
+        Q = np.asfortranarray(Q)
+    elif layout == "strided":
+        wide = np.zeros((2 * n, 2 * n))
+        wide[::2, ::2] = Q
+        Q = wide[::2, ::2]
+    before = Q.copy()
+    rho = frac * float(np.abs(Q).max())
+    x = rand_unit(rng, n)
+
+    y = shift_solve(Q, rho, x)
+
+    assert y.tobytes() == lu_solve(lu_factor(Q - rho * np.eye(n)), x).tobytes()
+    assert Q.tobytes() == before.tobytes()
+
+
+_BAD = {"non-square": (np.ones((3, 2)), "square"),
+        "inf": (np.diag([3.0, np.inf, 1.0]), "finite"),
+        "non-symmetric": (np.diag([3.0, 2.0, 1.0]) + np.eye(3, k=1) * 1e-3, "symmetric")}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD))
+@pytest.mark.parametrize("entry", ["shift_solve", "rayleigh_newton_step"])
+def test_public_shift_entry_points_reject_a_bad_matrix(entry, bad):
+    # a non-symmetric Q would otherwise solve the transposed system
+    Q, match = _BAD[bad]
+    x = np.ones(3) / np.sqrt(3.0)
+    call = {"shift_solve": lambda: shift_solve(Q, 0.5, x),
+            "rayleigh_newton_step": lambda: rayleigh_newton_step(Q, x)}[entry]
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_shift_drivers_run_without_an_svd(monkeypatch):

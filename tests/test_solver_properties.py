@@ -1,5 +1,6 @@
 """Solver invariants over random sizes and seeds: ``newton_rayleigh`` is
-the generic ``newton``, steepest descent and conjugate gradient with the
+the generic ``newton``, the eigen drivers' default error is the residual
+``|Qx - (x^T Q x) x|`` bit for bit, steepest descent and conjugate gradient with the
 exact line search never raise the value they minimize beyond round-off,
 steepest descent (conjugate gradient with a reset at every step) runs the
 loop of the reference steepest descent point for point, a loop on the
@@ -40,6 +41,10 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 EPS = np.finfo(float).eps
 
 
+def _residual(Q):
+    return lambda p: float(np.linalg.norm(Q @ p - (p @ Q @ p) * p))
+
+
 @PROPERTY
 @given(n=st.integers(5, 120), seed=SEEDS)
 def test_newton_rayleigh_is_the_generic_newton(n, seed):
@@ -47,12 +52,9 @@ def test_newton_rayleigh_is_the_generic_newton(n, seed):
     Q = rand_sym(rng, n)
     x0 = rng.normal(size=n)
 
-    def residual(p):
-        return float(np.linalg.norm(Q @ p - (p @ Q @ p) * p))
-
     res = newton_rayleigh(Q, x0)
     config = SolverConfig(grad_tol=2.0 * 1e-12 * float(np.linalg.norm(Q)))
-    trace = newton(RayleighObjective(Q), x0 / np.linalg.norm(x0), config, error_fn=residual)
+    trace = newton(RayleighObjective(Q), x0 / np.linalg.norm(x0), config, error_fn=_residual(Q))
     assert len(res.trace) == len(trace)
     for p, q in zip(res.trace.points, trace.points):
         np.testing.assert_array_equal(p, q)
@@ -61,6 +63,17 @@ def test_newton_rayleigh_is_the_generic_newton(n, seed):
     assert res.converged == trace.converged
     np.testing.assert_array_equal(res.eigenvector, trace.points[-1])
     assert res.eigenvalue == trace.values[-1]
+
+
+@PROPERTY
+@given(n=st.integers(2, 120), seed=SEEDS, driver=st.sampled_from([rqi, cg_extreme_eigen]))
+def test_default_error_is_the_residual_bit_for_bit(n, seed, driver):
+    rng = np.random.default_rng(seed)
+    Q = rand_sym(rng, n)
+    res = driver(Q, rng.normal(size=n))
+    assert res.trace.errors == [_residual(Q)(p) for p in res.trace.points]
+    if driver is rqi:  # its values are x^T (Qx), not x^T Q x
+        assert res.trace.values == [float(p @ (Q @ p)) for p in res.trace.points]
 
 
 @PROPERTY
