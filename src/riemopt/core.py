@@ -143,8 +143,8 @@ def _check_symmetric(Q):
 
 class MatrixObjective(GeodesicObjective):
     """An objective defined by one finite, exactly symmetric matrix ``Q``
-    (ValueError otherwise) on the manifold ``manifold(n)`` for ``Q`` of
-    size n; ``Q_fro`` is ``|Q|_F``.
+    with a finite ``Q_fro = |Q|_F`` (ValueError otherwise) on the manifold
+    ``manifold(n)`` for ``Q`` of size n.
 
     :meth:`_at` keeps ``form(Q, p)`` for the last point ``p`` it saw,
     keyed on identity, for the one ``form`` an objective uses.  The entry
@@ -156,6 +156,8 @@ class MatrixObjective(GeodesicObjective):
     def __init__(self, Q, manifold):
         self.Q = _check_symmetric(Q)
         self.Q_fro = _fro(self.Q)
+        if math.isinf(self.Q_fro):
+            raise ValueError("|Q|_F overflows to inf; scale Q down")
         self.manifold = manifold(self.Q.shape[0])
         self._last = (None, None)
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import IterationTrace, _fro
-from .solvers import SolverConfig, conjugate_gradient, newton
-from .sphere import RayleighObjective, normalized_start, project_tangent, sphere_distance
+from .solvers import SolverConfig, _stop_tol, conjugate_gradient, newton
+from .sphere import RayleighObjective, _rescaled, normalized_start, project_tangent, sphere_distance
 # looked up here by name, so that it can be wrapped; the objective checks Q
 from .sphere import _shift_solve
 
@@ -19,9 +19,7 @@ from .sphere import _shift_solve
 @dataclass
 class EigenResult:
     """Eigenpair estimate; ``converged`` and ``iterations`` read the loop's
-    ``trace``: the residual ``|Qx - rho x|`` fell below ``grad_tol *
-    |Q|_F``, or below half the quotient's ``gradient_floor`` when that is
-    larger."""
+    ``trace``, stopped as :func:`_on_quotient` says."""
     eigenvalue: float
     eigenvector: np.ndarray
     trace: IterationTrace
@@ -36,9 +34,10 @@ class EigenResult:
 
 
 def _on_quotient(solver, Q, x0, config, error_fn, which="max") -> EigenResult:
-    """``solver`` on the Rayleigh quotient from ``x0 / |x0|``.  Its gradient
-    is ``2(Qx - rho x)``, so the residual tolerance ``grad_tol * |Q|_F``
-    becomes ``2 grad_tol |Q|_F``."""
+    """``solver`` on the Rayleigh quotient from ``x0 / |x0|``, default error
+    ``|Qx - rho x|``.  It stops by the solvers' rule with ``grad_tol`` read
+    relative to ``|Q|_F``: converged once the gradient ``2(Qx - rho x)``
+    drops below ``max(2 grad_tol |Q|_F, gradient_floor)``."""
     objective = RayleighObjective(Q, which)
     config = config or SolverConfig()
     # a zero Q still needs a positive tolerance (its every point is critical)
@@ -63,37 +62,32 @@ def newton_rayleigh(Q, x0, config=None, error_fn=None) -> EigenResult:
     return _on_quotient(newton, Q, x0, config, error_fn)
 
 
-def rqi(Q, x0, config=None, error_fn=None) -> EigenResult:
-    """Rayleigh quotient iteration: ``x <- y / |y|`` for
-    ``y = (Q - rho I)^{-1} x``, signed so successive iterates keep a
-    positive inner product; the trace records each step's angle.  It stops
-    as converged at ``|Qx - rho x| <= max(grad_tol |Q|_F, floor / 2)``,
-    with ``floor`` the quotient's ``gradient_floor`` (the gradient is
-    ``2(Qx - rho x)``).  Bad input raises as in :func:`newton_rayleigh`.
-    """
-    config = config or SolverConfig()
-    objective = RayleighObjective(Q)
-    Q = objective.Q
-    x = normalized_start(x0)
-    tol = max(config.grad_tol * objective.Q_fro, objective.gradient_floor / 2.0)
-    error_fn = error_fn or objective.residual_norm
-
+def _rqi(objective, x, config, error_fn):
     trace = IterationTrace()
+    tol = _stop_tol(objective, config)
     for i in range(config.max_iter + 1):
         w = objective._cached(x, 0)  # Qx, which the default error reads too
         rho = float(x @ w)
-        nr = _fro(project_tangent(x, w - rho * x))
-        trace.append(x, rho, 2.0 * nr, error_fn(x))
-        if nr <= tol or i == config.max_iter:
+        gn = 2.0 * _fro(project_tangent(x, w - rho * x))
+        trace.append(x, rho, gn, error_fn(x))
+        if gn < tol or i == config.max_iter:
             break
-        y = _shift_solve(Q, rho, x)
-        x_next = y / _fro(y)
+        y, ny = _rescaled(_shift_solve(objective.Q, rho, x))
+        x_next = y / ny
         if float(x_next @ x) < 0.0:
             x_next = -x_next
         trace.record_step(sphere_distance(x, x_next))
         x = x_next
-    trace.converged = bool(nr <= tol)
-    return EigenResult(rho, x, trace)
+    trace.converged = bool(gn < tol)
+    return trace
+
+
+def rqi(Q, x0, config=None, error_fn=None) -> EigenResult:
+    """Rayleigh quotient iteration: ``x <- y / |y|`` for ``y = (Q - rho I)^{-1} x``
+    and ``rho = x^T (Qx)``, signed so successive iterates keep a positive inner
+    product; the trace records each step's angle.  Bad input raises as in
+    :func:`newton_rayleigh`."""
+    return _on_quotient(_rqi, Q, x0, config, error_fn)
 
 
 def cg_extreme_eigen(Q, x0, config=None, which="max", error_fn=None) -> EigenResult:

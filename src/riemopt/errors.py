@@ -77,14 +77,6 @@ class SolverError(RiemoptError):
         self.trace = trace
 
 
-class NoDecrease(SolverError):
-    pass
-
-
-class MaxEvaluations(SolverError):
-    pass
-
-
 class LineSearchFailed(SolverError):
     pass
 

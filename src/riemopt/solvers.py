@@ -20,8 +20,6 @@ from .errors import (
     Diverged,
     IndefiniteOperator,
     LineSearchFailed,
-    MaxEvaluations,
-    NoDecrease,
     NonFinite,
     NotAscentDirection,
     ZeroTangent,
@@ -96,16 +94,17 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None, *,
     With 'exact' or 'estimate' kinds the step comes straight from the
     problem.  'bracket' works on the slope ``d(t) = <gradient(exp(p, t H)),
     velocity(p, H, t)>``, exact to round-off where value differences are
-    not.  It raises :class:`NoDecrease` unless ``d(0) < -gradient_floor
-    |H|``, doubles from the problem's step estimate (else ``INITIAL_STEP``)
-    to an upper end (``d >= 0``, or past a hump: still descending, but above
-    ``value(p)``), and runs Illinois regula falsi on ``d`` (bisection past a
-    hump) until an end's ``|d|`` is at round-off or the relative width is
-    ``BRACKET_TOL``.  It returns the end with the smaller ``|d|`` if its
-    value has not risen above ``value(p)`` beyond round-off.  A trial point
-    (one evaluation) costs an ``exp``, a gradient and, while descending, a
-    value.  ``gradient``, when given, is ``objective.gradient(p)`` already
-    formed.
+    not.  It needs ``d(0) < -gradient_floor |H|``, doubles from the
+    problem's step estimate (else ``INITIAL_STEP``) to an upper end
+    (``d >= 0``, or past a hump: still descending, but above ``value(p)``),
+    and runs Illinois regula falsi on ``d`` (bisection past a hump) until an
+    end's ``|d|`` is at round-off or the relative width is ``BRACKET_TOL``.
+    It returns the end with the smaller ``|d|`` if its value has not risen
+    above ``value(p)`` beyond round-off.  A trial point (one evaluation)
+    costs an ``exp``, a gradient and, while descending, a value.
+    ``gradient``, when given, is ``objective.gradient(p)`` already formed.
+    A zero ``H`` raises :class:`ZeroTangent`, every other failure (a step
+    estimate's refusal chained) :class:`LineSearchFailed`.
     """
     config = config or SolverConfig()
     M = objective.manifold
@@ -119,6 +118,8 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None, *,
         except NotImplementedError:
             what = "closed-form line step" if exact else "step estimate"
             raise LineSearchFailed(f"problem provides no {what}; use 'bracket'") from None
+        except (NotAscentDirection, DegenerateCommutator) as exc:
+            raise LineSearchFailed(str(exc)) from exc
         return LineSearchResult(t, 1, M.exp(p, H, t))
 
     f0 = objective.value(p)
@@ -126,18 +127,18 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None, *,
     noise = objective.gradient_floor * M.norm(p, H)  # round-off in a slope
     d0 = M.inner(p, objective.gradient(p) if gradient is None else gradient, H)
     if not d0 < -noise:
-        raise NoDecrease(f"slope {d0!r} along the direction is not below {-noise!r}")
+        raise LineSearchFailed(f"slope {d0!r} along the direction is not below {-noise!r}")
     evals = 0
 
     def trial(t):
         nonlocal evals
         if evals >= MAX_EVALUATIONS:
-            raise MaxEvaluations("slope search exhausted the evaluation budget")
+            raise LineSearchFailed("slope search exhausted the evaluation budget")
         evals += 1
         q = M.exp(p, H, t)
         d = M.inner(q, objective.gradient(q), M.velocity(p, H, t))
         if not math.isfinite(d):
-            raise NoDecrease(f"slope {d!r} at step {t!r} is not finite")
+            raise LineSearchFailed(f"slope {d!r} at step {t!r} is not finite")
         # a point still descending but above value(p) lies past a hump
         return _Trial(t, d, q, int(d >= 0.0 or not objective.value(q) <= ceiling))
 
@@ -157,12 +158,13 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None, *,
         ends[end.upper], w[end.upper], side = end, end.d, end.upper
     best = min(ends, key=lambda end: abs(end.d))
     if not objective.value(best.point) <= ceiling:
-        raise NoDecrease("the slope search point raised the objective")
+        raise LineSearchFailed("the slope search point raised the objective")
     return LineSearchResult(float(best.t), evals, best.point)
 
 
 def _stop_tol(objective, config):
-    """Gradient norm below which a loop stops as converged."""
+    """Gradient norm below which every loop, the eigen drivers' included,
+    stops as converged."""
     return max(config.grad_tol, objective.gradient_floor)
 
 
@@ -178,13 +180,12 @@ def _gradient(objective, p, trace):
 
 def _line_search(objective, p, H, config, trace, g):
     """:func:`line_minimize_geodesic` along ``H`` with the gradient ``g`` at
-    ``p``; any failure of the search raises :class:`LineSearchFailed`
-    carrying ``trace``."""
+    ``p``; its :class:`LineSearchFailed` carries ``trace``."""
     try:
         return line_minimize_geodesic(objective, p, H, config, gradient=g)
-    except (NoDecrease, MaxEvaluations, NotAscentDirection, DegenerateCommutator,
-            LineSearchFailed) as exc:
-        raise LineSearchFailed(str(exc), trace=trace) from exc
+    except LineSearchFailed as exc:
+        exc.trace = trace
+        raise
 
 
 def _start_trace(objective, p, error_fn):
@@ -245,8 +246,7 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
 
     There is no damping or line search.  On an indefinite or singular
     second differential, a degenerate pivot or a zero direction, it takes one
-    line-minimized gradient step instead.  It stops as converged once the
-    gradient norm drops below ``max(grad_tol, objective.gradient_floor)``.
+    line-minimized gradient step instead.
     """
     config = config or SolverConfig()
     error_fn = error_fn or objective.error_metric

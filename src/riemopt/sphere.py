@@ -40,10 +40,20 @@ def check_tangent(x, v):
     return v
 
 
+def _rescaled(y):
+    """``(y, |y|)``, ``y`` first divided by ``max|y|`` when ``|y|`` over- or
+    underflows, so that a finite nonzero ``y`` has a finite positive norm."""
+    with np.errstate(over="ignore"):
+        ny = _fro(y)
+    if ny in (0.0, np.inf) and 0.0 < (s := np.max(np.abs(y), initial=0.0)) < np.inf:
+        y = y / s
+        ny = _fro(y)
+    return y, ny
+
+
 def normalized_start(x0):
     """``x0 / |x0|``; a zero or non-finite start has no direction."""
-    x = np.asarray(x0, dtype=float)
-    nx = _fro(x)
+    x, nx = _rescaled(np.asarray(x0, dtype=float))
     if not (np.isfinite(nx) and nx > 0.0):
         raise NotUnitDirection(f"start must be finite and nonzero, |x0| = {nx!r}")
     return x / nx
@@ -194,9 +204,9 @@ def rayleigh_newton_step(Q, x, rho=None):
     if rho is None:
         Q = _check_symmetric(Q)
         rho = _quotient(Q, x)
-    y = _shift_solve(Q, rho, x)
+    y, ny = _rescaled(_shift_solve(Q, rho, x))
     pivot = float(x @ y)
-    if not abs(pivot) >= 1e-14 * _fro(y):
+    if not abs(pivot) >= 1e-14 * ny:
         raise DegeneratePivot("x^T (Q - rho I)^{-1} x vanishes; no tangent step")
     return project_tangent(x, -x + y / pivot)
 

@@ -211,6 +211,41 @@ def test_cg_rejects_nonsymmetric_matrix():
         cg_extreme_eigen(Q, np.ones(3))
 
 
+@pytest.mark.parametrize("driver", [rqi, newton_rayleigh, cg_extreme_eigen])
+def test_drivers_reject_a_matrix_whose_norm_overflows(driver):
+    # finite entries, but |Q|_F and every tolerance read from it are inf
+    with pytest.raises(ValueError, match=r"\|Q\|_F"):
+        driver(1e160 * diag_desc(3), np.ones(3))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+@pytest.mark.parametrize("driver", [rqi, newton_rayleigh, cg_extreme_eigen])
+def test_a_start_whose_norm_over_or_underflows_is_normalized(driver, scale):
+    # |x0|^2 is inf or 0; dividing by max|x0| first gives the same bits
+    # as the start of ordinary size
+    x0 = np.array([1.0, 2.0, 2.0])
+    res = driver(diag_desc(3), scale * x0)
+    np.testing.assert_array_equal(res.trace.points[0], x0 / 3.0)
+    np.testing.assert_array_equal(res.eigenvector, driver(diag_desc(3), x0).eigenvector)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-145, 1e-140])
+@pytest.mark.parametrize("driver", [rqi, newton_rayleigh])
+def test_shift_drivers_on_a_tiny_matrix(driver, scale):
+    # near an eigenvalue |y| for y = (Q - rho I)^{-1} x overflows though y is
+    # finite; the iterate must stay a unit vector, and the Newton pivot test
+    # must not read the overflow as a degenerate pivot
+    for n in (5, 50):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            unit = rand_sym(rng, n)
+            res = driver(scale * unit, rng.normal(size=n))
+            x, rho = res.eigenvector, res.eigenvalue / scale
+            assert res.converged
+            assert abs(x @ x - 1.0) <= 1e-14
+            assert np.linalg.norm(unit @ x - rho * x) <= 1e-10 * np.linalg.norm(unit)
+
+
 # (method, seed) -> (iterations, final error, arc length of the step taken
 # from the last but one row); the zero-length last rqi step is a row of its
 # own.  rqi records that angle as its step; newton-rq records the geodesic

@@ -40,6 +40,12 @@ def test_objectives_reject_a_non_symmetric_matrix(make):
 
 
 @each_objective
+def test_objectives_reject_a_matrix_whose_norm_overflows(make):
+    with pytest.raises(ValueError, match=r"\|Q\|_F"):
+        make(1e154 * descending_diag(3))
+
+
+@each_objective
 def test_objectives_reject_a_non_square_matrix(make):
     with pytest.raises(ValueError, match="square"):
         make(np.ones((2, 3)))

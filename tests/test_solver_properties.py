@@ -4,9 +4,9 @@ the generic ``newton``, the eigen drivers' default error is the residual
 exact line search never raise the value they minimize beyond round-off,
 steepest descent (conjugate gradient with a reset at every step) runs the
 loop of the reference steepest descent point for point, a loop on the
-sphere reports convergence only below its stop tolerance, and the Rayleigh
-quotient's round-off floor sits above the gradient norms that Newton and
-quotient iteration reach at round-off."""
+sphere reports convergence exactly when it ends below its stop tolerance,
+and the Rayleigh quotient's round-off floor sits above the gradient norms
+that Newton and quotient iteration reach at round-off."""
 
 import numpy as np
 import pytest
@@ -139,9 +139,9 @@ def _loop_trace(loop, Q, x0, config):
 
 
 def _stop_tol(loop, Q, grad_tol):
-    """Gradient norm at or below which ``loop`` may stop as converged: the
-    generic ``newton`` reads ``grad_tol`` as absolute, the eigen drivers as
-    a residual relative to ``|Q|_F``; all of them read the floor."""
+    """Gradient norm below which ``loop`` stops as converged: the generic
+    ``newton`` reads ``grad_tol`` as absolute, the eigen drivers as a
+    residual relative to ``|Q|_F``; all of them read the floor."""
     floor = RayleighObjective(Q).gradient_floor
     if loop is newton:
         return max(grad_tol, floor)
@@ -165,8 +165,12 @@ def test_converged_means_below_the_stop_tolerance(n, seed, kind, loop, grad_tol,
     except SolverError as exc:
         assert not exc.trace.converged
         return
+    tol = _stop_tol(loop, Q, grad_tol)
     if trace.converged:
-        assert trace.grad_norms[-1] <= _stop_tol(loop, Q, grad_tol)
+        assert trace.grad_norms[-1] < tol
+    else:  # the converse: only the budget ends an unconverged run
+        assert trace.iterations == max_iter
+        assert trace.grad_norms[-1] >= tol
 
 
 def _gradients_past_the_stop(loop, Q, x, steps=3):

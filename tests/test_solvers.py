@@ -18,14 +18,15 @@ from riemopt import (
     steepest_descent,
 )
 from riemopt.errors import (
+    DegenerateCommutator,
     Diverged,
     IndefiniteOperator,
     LineSearchFailed,
-    NoDecrease,
     NonFinite,
     NotAscentDirection,
     NotRotation,
     NotUnitDirection,
+    ZeroTangent,
 )
 from riemopt import solvers
 from riemopt.experiments import jacobi_matrices
@@ -88,8 +89,76 @@ def test_line_search_uphill_raises():
     obj = Paraboloid([1.0, 0.0])
     p = np.zeros(2)
     H = np.array([-1.0, 0.0])
-    with pytest.raises(NoDecrease):
+    with pytest.raises(LineSearchFailed):
         line_minimize_geodesic(obj, p, H, SolverConfig(line_search="golden"))
+
+
+class _Linear(GeodesicObjective):
+    """``c^T p`` on flat space: the slope along ``-c`` is ``-|c|^2`` at every
+    step, so the slope search never finds an upper end."""
+
+    def __init__(self, c):
+        self.c = np.asarray(c, float)
+        self.manifold = Euclid(len(self.c))
+
+    def value(self, p):
+        return float(self.c @ p)
+
+    def gradient(self, p):
+        return self.c.copy()
+
+
+class _NaNAwayFromZero(Paraboloid):
+    """A gradient that is NaN at every point but the origin."""
+
+    def gradient(self, p):
+        return super().gradient(p) if not np.any(p) else np.full_like(p, np.nan)
+
+
+class _ValueUpsideDown(Paraboloid):
+    """The paraboloid's slope, but the negative of its value: the zero of the
+    slope raises the value."""
+
+    def value(self, p):
+        return -super().value(p)
+
+
+class _RefusingEstimate(Paraboloid):
+    def __init__(self, center, error):
+        super().__init__(center)
+        self.error = error
+
+    def step_estimate(self, p, h):
+        raise self.error("the estimate refuses h")
+
+
+@pytest.mark.parametrize("objective, direction, kind, message, cause", [
+    (Paraboloid([1.0, 0.0]), [-1.0, 0.0], "bracket", "is not below", None),
+    (_NaNAwayFromZero([1.0, 0.0]), [1.0, 0.0], "bracket", "is not finite", None),
+    (_ValueUpsideDown([1.0, 0.0]), [1.0, 0.0], "bracket", "raised the objective", None),
+    (_Linear([1.0, 0.0]), [-1.0, 0.0], "bracket", "evaluation budget", None),
+    (Paraboloid([1.0, 0.0]), [1.0, 0.0], "exact", "no closed-form line step", None),
+    (Paraboloid([1.0, 0.0]), [1.0, 0.0], "estimate", "no step estimate", None),
+    (_RefusingEstimate([1.0, 0.0], NotAscentDirection), [1.0, 0.0], "estimate",
+     "refuses", NotAscentDirection),
+    (_RefusingEstimate([1.0, 0.0], DegenerateCommutator), [1.0, 0.0], "estimate",
+     "refuses", DegenerateCommutator),
+], ids=["uphill", "non-finite-slope", "raised-value", "budget", "no-closed-form",
+        "no-estimate", "estimate-not-ascent", "estimate-degenerate"])
+def test_every_line_search_failure_is_line_search_failed(objective, direction, kind,
+                                                         message, cause):
+    with pytest.raises(LineSearchFailed, match=message) as info:
+        line_minimize_geodesic(objective, np.zeros(2), np.array(direction),
+                               SolverConfig(line_search=kind))
+    assert type(info.value) is LineSearchFailed and info.value.trace is None
+    assert isinstance(info.value.__cause__, cause or type(None))
+
+
+@pytest.mark.parametrize("kind", ["exact", "bracket", "estimate"])
+def test_line_search_on_a_zero_direction_raises_zero_tangent(kind):
+    with pytest.raises(ZeroTangent):
+        line_minimize_geodesic(Paraboloid([1.0, 0.0]), np.zeros(2), np.zeros(2),
+                               SolverConfig(line_search=kind))
 
 
 def test_golden_is_an_alias_of_the_bracket_search():
