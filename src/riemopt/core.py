@@ -155,7 +155,8 @@ class MatrixObjective(GeodesicObjective):
 
     def __init__(self, Q, manifold):
         self.Q = _check_symmetric(Q)
-        self.Q_fro = _fro(self.Q)
+        with np.errstate(over="ignore"):  # an overflow raises below
+            self.Q_fro = _fro(self.Q)
         if math.isinf(self.Q_fro):
             raise ValueError("|Q|_F overflows to inf; scale Q down")
         self.manifold = manifold(self.Q.shape[0])

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from _oracles import axis_angle, rand_sym, rand_tangent, rand_unit
-from riemopt import SolverConfig, cg_extreme_eigen, newton_rayleigh, rqi, sphere_log
+from riemopt import (
+    RayleighObjective,
+    SolverConfig,
+    cg_extreme_eigen,
+    newton,
+    newton_rayleigh,
+    rqi,
+    sphere_log,
+)
 from riemopt.experiments import ExperimentSpec, run_fig1
 from riemopt.sphere import _line_rotation
 
@@ -209,6 +217,30 @@ def test_cg_rejects_nonsymmetric_matrix():
     Q[0, 1] = 1e-3
     with pytest.raises(ValueError):
         cg_extreme_eigen(Q, np.ones(3))
+
+
+def _solve_to_an_eigenpair(method, Q, x0):
+    if method == "newton":
+        trace = newton(RayleighObjective(Q), x0, SolverConfig())
+        x = trace.points[-1]
+        return trace.converged, float(x @ Q @ x), x
+    res = method(Q, x0, SolverConfig())
+    return res.converged, res.eigenvalue, res.eigenvector
+
+
+@pytest.mark.parametrize("n, seed", [(n, s) for n in (200, 250, 300) for s in range(3)]
+                         + [(1000, 0)])
+@pytest.mark.parametrize("method", [rqi, newton_rayleigh, "newton"],
+                         ids=["rqi", "newton_rayleigh", "newton"])
+def test_shift_drivers_at_the_benchmark_sizes(method, n, seed):
+    # the benchmark's eigenpair targets, from a random start on a random Q
+    rng = np.random.default_rng(seed)
+    Q = rand_sym(rng, n)
+    converged, rho, x = _solve_to_an_eigenpair(method, Q, rand_unit(rng, n))
+    scale = np.linalg.norm(Q)
+    assert converged
+    assert np.linalg.norm(Q @ x - rho * x) <= 1e-10 * scale
+    assert np.min(np.abs(np.linalg.eigvalsh(Q) - rho)) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("driver", [rqi, newton_rayleigh, cg_extreme_eigen])

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import rand_rotation, rand_skew, rand_sym, rand_tangent, rand_unit
-from riemopt import BrockettObjective, JacobiObjective, RayleighObjective, newton
+from riemopt import (
+    BrockettObjective,
+    JacobiObjective,
+    RayleighObjective,
+    cg_extreme_eigen,
+    newton,
+    newton_rayleigh,
+    rqi,
+)
 from riemopt.experiments import FD_GRAD_TARGET, FD_HESS_TARGET
 from riemopt.fdcheck import geodesic_curvature, geodesic_slope, relative_error
 
@@ -43,6 +51,17 @@ def test_objectives_reject_a_non_symmetric_matrix(make):
 def test_objectives_reject_a_matrix_whose_norm_overflows(make):
     with pytest.raises(ValueError, match=r"\|Q\|_F"):
         make(1e154 * descending_diag(3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [
+    lambda Q: BrockettObjective(Q, descending_diag(3)), JacobiObjective, RayleighObjective,
+    *(lambda Q, d=d: d(Q, np.ones(3)) for d in (rqi, newton_rayleigh, cg_extreme_eigen))],
+    ids=["brockett", "jacobi", "rayleigh", "rqi", "newton_rayleigh", "cg_extreme_eigen"])
+def test_an_overflowing_norm_raises_only_the_value_error(make):
+    # no RuntimeWarning from forming |Q|_F ahead of the ValueError
+    with pytest.raises(ValueError, match=r"\|Q\|_F"):
+        make(1e160 * descending_diag(3))
 
 
 @each_objective

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lapack
 
 from _oracles import midpoint_start, rand_sym, rand_unit
 from riemopt import (
@@ -59,12 +59,20 @@ def test_shift_solve_residual_and_flag(n, seed, kind, frac):
         assert solved or null
 
 
+def _ldl_solve(A, x):
+    """``A^{-1} x`` by LAPACK's Bunch-Kaufman sytrf, blocked, and sytrs."""
+    lwork = int(lapack.dsytrf_lwork(A.shape[0])[0])
+    ldl, piv, info = lapack.dsytrf(A, lwork=lwork)
+    assert info == 0
+    return lapack.dsytrs(ldl, piv, x)[0]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
        layout=st.sampled_from(["C", "F", "strided"]), frac=st.floats(-1.5, 1.5))
-def test_shift_solve_is_one_lu_solve_bit_for_bit(n, seed, layout, frac):
+def test_shift_solve_is_one_ldl_solve_bit_for_bit(n, seed, layout, frac):
     # the copy in memory order changes nothing but the cost: the same
-    # matrix reaches getrf and the caller's Q is left as it was
+    # matrix reaches sytrf and the caller's Q is left as it was
     rng = np.random.default_rng(seed)
     Q = rand_sym(rng, n)
     if layout == "F":
@@ -79,8 +87,42 @@ def test_shift_solve_is_one_lu_solve_bit_for_bit(n, seed, layout, frac):
 
     y = shift_solve(Q, rho, x)
 
-    assert y.tobytes() == lu_solve(lu_factor(Q - rho * np.eye(n)), x).tobytes()
+    assert y.tobytes() == _ldl_solve(Q - rho * np.eye(n), x).tobytes()
     assert Q.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 60, 250])
+def test_shift_solve_runs_the_blocked_factorization(monkeypatch, n):
+    # scipy's default workspace, n, runs the unblocked code: several times
+    # slower at the benchmark's sizes, and no test of the answer sees it
+    seen = []
+    dsytrf = lapack.dsytrf
+
+    def recording(a, **kwargs):
+        seen.append(kwargs.get("lwork"))
+        return dsytrf(a, **kwargs)
+
+    monkeypatch.setattr(lapack, "dsytrf", recording)
+    rng = np.random.default_rng(n)
+    shift_solve(rand_sym(rng, n), 0.25, rand_unit(rng, n))
+    assert len(seen) == 1
+    assert seen[0] is not None and seen[0] >= lapack.dsytrf_lwork(n)[0]
+
+
+@pytest.mark.parametrize("m", [1, 5, 40, 130])
+def test_shift_solve_with_only_two_by_two_pivots(m):
+    # a zero diagonal leaves Bunch-Kaufman no 1-by-1 pivot to take
+    rng = np.random.default_rng(m)
+    U, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    B = U * rng.uniform(1.0, 2.0, size=m)  # singular values in [1, 2]
+    Q = np.block([[np.zeros((m, m)), B], [B.T, np.zeros((m, m))]])
+    x = rand_unit(rng, 2 * m)
+    assert np.all(lapack.dsytrf(Q)[1] < 0)  # every pivot block is 2-by-2
+
+    y = shift_solve(Q, 0.0, x)
+
+    ref = np.linalg.solve(Q, x)
+    assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 _BAD = {"non-square": (np.ones((3, 2)), "square"),
