@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllBelowFloor, NonDecreasingSequence, TooFewPoints
+from .errors import OrderFitError
 
 #: Entries at or below this value are treated as round-off plateau and are
 #: excluded from order fits.
@@ -232,7 +232,7 @@ def estimate_order(errors, window=None, lag=1) -> ConvergenceReport:
     e = np.asarray(errors, dtype=float)
     if window is None:
         if len(e) > 0 and np.all(e <= STAGNATION_FLOOR):
-            raise AllBelowFloor("all entries at or below the stagnation floor")
+            raise OrderFitError("all entries at or below the stagnation floor")
         stop = len(e)
         while stop > 0 and e[stop - 1] <= STAGNATION_FLOOR:
             stop -= 1
@@ -241,14 +241,13 @@ def estimate_order(errors, window=None, lag=1) -> ConvergenceReport:
     seq = e[start:stop]
 
     if len(seq) < max(3, lag + 2):
-        raise TooFewPoints(f"need at least {max(3, lag + 2)} entries, got {len(seq)}")
+        raise OrderFitError(f"need at least {max(3, lag + 2)} entries, got {len(seq)}")
     if np.all(seq <= STAGNATION_FLOOR):
-        raise AllBelowFloor("all entries at or below the stagnation floor")
+        raise OrderFitError("all entries at or below the stagnation floor")
     if np.any(seq <= 0.0) or np.any(seq[lag:] >= seq[:-lag]):
-        raise NonDecreasingSequence(
-            "entries must be positive and strictly decreasing across the fit lag")
+        raise OrderFitError("entries must be positive and strictly decreasing across the fit lag")
     if np.any(seq <= STAGNATION_FLOOR):
-        raise AllBelowFloor("window reaches into the stagnation floor; shrink it")
+        raise OrderFitError("window reaches into the stagnation floor; shrink it")
 
     x = np.log(seq[:-lag])
     y = np.log(seq[lag:])

@@ -11,18 +11,6 @@ class OrderFitError(RiemoptError):
     pass
 
 
-class TooFewPoints(OrderFitError):
-    pass
-
-
-class NonDecreasingSequence(OrderFitError):
-    pass
-
-
-class AllBelowFloor(OrderFitError):
-    pass
-
-
 # --- geometry ---
 
 class GeometryError(RiemoptError):
@@ -49,22 +37,11 @@ class NotRotation(GeometryError):
     pass
 
 
-# --- linear algebra on problems ---
+# --- objectives ---
 
-class DegeneratePivot(RiemoptError):
-    pass
-
-
-class IndefiniteOperator(RiemoptError):
-    pass
-
-
-class NotAscentDirection(RiemoptError):
-    pass
-
-
-class DegenerateCommutator(RiemoptError):
-    pass
+class StepDeclined(RiemoptError):
+    """The objective declines a Newton direction or a step estimate here;
+    ``newton`` then takes a line-minimized gradient step."""
 
 
 # --- solvers ---

@@ -90,7 +90,8 @@ class ExperimentSpec:
             raise ValueError(f"{self.experiment} takes no {self.line_search!r} line search")
         if self.reset_period is not None and self.method != "cg":
             raise ValueError("only cg takes a reset period")
-        SolverConfig(grad_tol=self.tol, max_iter=self.max_iter or 0, reset_period=self.reset_period)
+        SolverConfig(grad_tol=self.tol, max_iter=self.max_iter or 0,
+                     line_search=self.line_search or "bracket", reset_period=self.reset_period)
 
 
 @dataclass

@@ -18,12 +18,7 @@ import numpy as np
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .core import Manifold, MatrixObjective, _fro
-from .errors import (
-    DegenerateCommutator,
-    IndefiniteOperator,
-    NotAscentDirection,
-    NotRotation,
-)
+from .errors import NotRotation, StepDeclined
 
 DRIFT_TOL = 1e-12
 #: Smallest preconditioner entry, relative to the largest.
@@ -157,7 +152,7 @@ def _solve_definite(apply_op, b, *, diag):
 
     Stops when the residual norm drops below ``1e-12 |b|``, or after
     ``n(n-1)/2`` iterations, the algebra's dimension.  Raises
-    :class:`IndefiniteOperator` as soon as a search direction has
+    :class:`StepDeclined` as soon as a search direction has
     nonpositive curvature.
     """
     nb = _fro(b)
@@ -172,7 +167,7 @@ def _solve_definite(apply_op, b, *, diag):
         Ap = apply_op(p)
         pAp = float(np.sum(p * Ap))
         if pAp <= 0.0:
-            raise IndefiniteOperator("operator has nonpositive curvature along a search direction")
+            raise StepDeclined("operator has nonpositive curvature along a search direction")
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
@@ -287,7 +282,7 @@ class BrockettObjective(MatrixObjective):
     def newton_direction(self, T):
         """Newton direction: solves ``hessian_apply(T, X) = -gradient(T)`` by
         linear conjugate gradient, preconditioned by the Hessian's entries
-        at the current ``diag(H)``.  Raises :class:`IndefiniteOperator` on
+        at the current ``diag(H)``.  Raises :class:`StepDeclined` on
         nonpositive curvature, as met away from the maximum."""
         H = self._at(T, conjugated_matrix)
         h, nu = np.diag(H), self._nu
@@ -307,10 +302,10 @@ class BrockettObjective(MatrixObjective):
         HO = H @ Omega
         num = 2.0 * float((HO * self._nu).trace())
         if num <= 0.0:
-            raise NotAscentDirection(f"phi'(0) = {num!r} is not positive")
+            raise StepDeclined(f"phi'(0) = {num!r} is not positive")
         den = _fro(Omega @ H - HO) * _fro(_commutator_diag(Omega, self._nu))
         if den == 0.0:
-            raise DegenerateCommutator("step bound undefined: commutator norms vanish")
+            raise StepDeclined("step bound undefined: commutator norms vanish")
         return num / den
 
     def error_metric(self, T):
@@ -358,7 +353,7 @@ class JacobiObjective(MatrixObjective):
     def newton_direction(self, T):
         """Newton direction: solves ``hessian_apply(T, X) = -gradient(T)`` by
         linear conjugate gradient, preconditioned by the Hessian's entries
-        at the current ``diag(H)``.  Raises :class:`IndefiniteOperator` on
+        at the current ``diag(H)``.  Raises :class:`StepDeclined` on
         nonpositive curvature, as met away from a diagonalizer."""
         H = self._at(T, conjugated_matrix)
         h = H.diagonal()

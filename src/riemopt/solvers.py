@@ -14,16 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GeodesicObjective, IterationTrace
-from .errors import (
-    DegenerateCommutator,
-    DegeneratePivot,
-    Diverged,
-    IndefiniteOperator,
-    LineSearchFailed,
-    NonFinite,
-    NotAscentDirection,
-    ZeroTangent,
-)
+from .errors import Diverged, LineSearchFailed, NonFinite, StepDeclined, ZeroTangent
 
 #: Slope search: bracket growth factor, first trial step when the problem
 #: has no step estimate, budget of trial points, and the relative bracket
@@ -83,7 +74,7 @@ class LineSearchResult:
 def _initial_scale(objective, p, H):
     try:
         return objective.step_estimate(p, H)
-    except (NotImplementedError, NotAscentDirection, DegenerateCommutator):
+    except (NotImplementedError, StepDeclined):
         return INITIAL_STEP
 
 
@@ -103,8 +94,8 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None, *,
     above ``value(p)`` beyond round-off.  A trial point (one evaluation)
     costs an ``exp``, a gradient and, while descending, a value.
     ``gradient``, when given, is ``objective.gradient(p)`` already formed.
-    A zero ``H`` raises :class:`ZeroTangent`, every other failure (a step
-    estimate's refusal chained) :class:`LineSearchFailed`.
+    A zero ``H`` raises :class:`ZeroTangent`, every other failure (a
+    :class:`StepDeclined` chained) :class:`LineSearchFailed`.
     """
     config = config or SolverConfig()
     M = objective.manifold
@@ -118,7 +109,7 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None, *,
         except NotImplementedError:
             what = "closed-form line step" if exact else "step estimate"
             raise LineSearchFailed(f"problem provides no {what}; use 'bracket'") from None
-        except (NotAscentDirection, DegenerateCommutator) as exc:
+        except StepDeclined as exc:
             raise LineSearchFailed(str(exc)) from exc
         return LineSearchResult(t, 1, M.exp(p, H, t))
 
@@ -260,7 +251,7 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
             break
         try:
             H = objective.newton_direction(p)
-        except (IndefiniteOperator, DegeneratePivot, np.linalg.LinAlgError):
+        except (StepDeclined, np.linalg.LinAlgError):
             H = None
         if H is None or M.norm(p, H) == 0.0:
             ls = _line_search(objective, p, -g, config, trace, g)

@@ -12,13 +12,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .core import Manifold, MatrixObjective, _check_symmetric, _fro
-from .errors import (
-    AntipodalPoints,
-    DegeneratePivot,
-    NotTangent,
-    NotUnitDirection,
-    ZeroTangent,
-)
+from .errors import AntipodalPoints, NotTangent, NotUnitDirection, StepDeclined, ZeroTangent
 
 UNIT_TOL = 1e-12
 TANGENT_TOL = 1e-12
@@ -35,8 +29,10 @@ def check_unit(x):
 def check_tangent(x, v):
     v = np.asarray(v, dtype=float)
     bound = TANGENT_TOL * max(_fro(v), 1e-300)
-    if not abs(x @ v) <= bound < np.inf:  # an inf v gives an inf bound
-        raise NotTangent(f"|x^T v| = {abs(x @ v):.3e} exceeds {bound:.3e}")
+    with np.errstate(invalid="ignore"):  # inf * 0 in an inf point
+        xv = abs(x @ v)
+    if not xv <= bound < np.inf:  # an inf v gives an inf bound
+        raise NotTangent(f"|x^T v| = {xv:.3e} exceeds {bound:.3e}")
     return v
 
 
@@ -200,7 +196,7 @@ def rayleigh_newton_step(Q, x, rho=None):
     projected onto the tangent space.
 
     ``Q`` is checked as by :func:`shift_solve` unless the caller, having
-    checked it, passes ``rho = x^T Q x``.  Raises :class:`DegeneratePivot`
+    checked it, passes ``rho = x^T Q x``.  Raises :class:`StepDeclined`
     when the pivot is degenerate: ``|x^T y| < 1e-14 |y|``.
     """
     x = np.asarray(x, dtype=float)
@@ -210,7 +206,7 @@ def rayleigh_newton_step(Q, x, rho=None):
     y, ny = _rescaled(_shift_solve(Q, rho, x))
     pivot = float(x @ y)
     if not abs(pivot) >= 1e-14 * ny:
-        raise DegeneratePivot("x^T (Q - rho I)^{-1} x vanishes; no tangent step")
+        raise StepDeclined("x^T (Q - rho I)^{-1} x vanishes; no tangent step")
     return project_tangent(x, -x + y / pivot)
 
 

@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from riemopt import BrockettObjective, IterationTrace, JacobiObjective, line_minimize_geodesic
-from riemopt.errors import DegeneratePivot, RiemoptError
+from riemopt.errors import RiemoptError, StepDeclined
 from riemopt.experiments import fig2_matrices, jacobi_matrices
 
 SKEW_TOL = 1e-12
@@ -119,7 +119,7 @@ def solve_projected_linear(A, x, v):
     Av, Ax = sol[:, 0], sol[:, 1]
     pivot = float(x @ Ax)
     if abs(pivot) < 1e-14 * np.linalg.norm(Ax):
-        raise DegeneratePivot(f"|x^T A^-1 x| = {abs(pivot):.3e} too small")
+        raise StepDeclined(f"|x^T A^-1 x| = {abs(pivot):.3e} too small")
     u = Av - (float(x @ Av) / pivot) * Ax
     return u - (x @ u) * x
 

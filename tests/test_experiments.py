@@ -33,6 +33,8 @@ def test_spec_validation():
         ExperimentSpec("fig2", method="rqi")
     with pytest.raises(ValueError):
         ExperimentSpec("fig1", method="rqi", line_search="exact")
+    with pytest.raises(ValueError, match="unknown line search"):
+        ExperimentSpec("fig1", method="sd", line_search="foo")
 
 
 def test_csv_round_trip(tmp_path):

@@ -1,7 +1,7 @@
 import pytest
 
 from riemopt import STAGNATION_FLOOR, estimate_order, longest_decreasing_run
-from riemopt.errors import AllBelowFloor, NonDecreasingSequence, TooFewPoints
+from riemopt.errors import OrderFitError
 
 
 def synthetic(p, theta, e0=1e-1, count=6):
@@ -55,20 +55,20 @@ def test_window_start_invariance():
 
 
 def test_too_few_points():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(OrderFitError, match="need at least 3 entries, got 2"):
         estimate_order([1e-1, 1e-2])
 
 
 def test_non_decreasing_rejected():
-    with pytest.raises(NonDecreasingSequence):
+    with pytest.raises(OrderFitError, match="positive and strictly decreasing"):
         estimate_order([1e-1, 1e-2, 1e-2, 1e-3])
-    with pytest.raises(NonDecreasingSequence):
+    with pytest.raises(OrderFitError, match="positive and strictly decreasing"):
         estimate_order([1e-1, -1e-2, 1e-3, 1e-4])
 
 
 def test_all_below_floor_rejected():
     tiny = STAGNATION_FLOOR
-    with pytest.raises(AllBelowFloor):
+    with pytest.raises(OrderFitError, match="all entries at or below the stagnation floor"):
         estimate_order([tiny * 0.9, tiny * 0.5, tiny * 0.1])
 
 

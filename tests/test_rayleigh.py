@@ -18,7 +18,7 @@ from riemopt import (
     sphere_exp,
     sphere_transport,
 )
-from riemopt.errors import DegeneratePivot, NotTangent
+from riemopt.errors import NotTangent, StepDeclined
 
 
 def e(n, i):
@@ -197,7 +197,7 @@ def test_solve_projected_errors():
     # pivot x^T A^{-1} x = 0 for an off-diagonal exchange matrix
     A = np.zeros((2, 2))
     A[0, 1] = A[1, 0] = 1.0
-    with pytest.raises(DegeneratePivot):
+    with pytest.raises(StepDeclined, match="too small"):
         solve_projected_linear(A, e(2, 0), e(2, 1))
 
 

@@ -19,7 +19,7 @@ from riemopt import (
     rayleigh_newton_step,
     rqi,
 )
-from riemopt.errors import DegeneratePivot, NotUnitDirection
+from riemopt.errors import NotUnitDirection, StepDeclined
 from riemopt.sphere import normalized_start, shift_solve
 
 
@@ -175,7 +175,7 @@ def test_tiny_pivot_stops_both_newton_drivers():
     assert np.linalg.cond(Q - rho * np.eye(2)) <= 1.0 + 1e-12
     y = shift_solve(Q, rho, x)
     assert 0.0 < abs(float(x @ y)) < 1e-14 * np.linalg.norm(y)
-    with pytest.raises(DegeneratePivot):
+    with pytest.raises(StepDeclined, match="vanishes; no tangent step"):
         rayleigh_newton_step(Q, x)
 
     res = newton_rayleigh(Q, x, SolverConfig(max_iter=5))

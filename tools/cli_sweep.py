@@ -2,7 +2,7 @@
 between two such runs::
 
     python tools/cli_sweep.py SRC OUT          # riemopt imported from SRC
-    python tools/cli_sweep.py --compare A B
+    python tools/cli_sweep.py --compare A B    # exit 1 if any file differs
 
 Grid: ``fig1`` with every method at n = 5, 21 and 60, every start, the
 default and golden searches; the shift solvers ``rqi``, ``newton-rq`` and
@@ -72,7 +72,9 @@ def differ(a, b):
 
 if __name__ == "__main__":
     if sys.argv[1] == "--compare":
-        sys.stdout.writelines(path + "\n" for path in differ(*sys.argv[2:4]))
+        paths = differ(*sys.argv[2:4])
+        sys.stdout.writelines(path + "\n" for path in paths)
+        sys.exit(1 if paths else 0)
     elif sys.argv[1] == "--worker":
         sweep(sys.argv[2])
     else:
