@@ -240,6 +240,8 @@ def estimate_order(errors, window=None, lag=1) -> ConvergenceReport:
     start, stop = int(window[0]), int(window[1])
     seq = e[start:stop]
 
+    if not np.all(np.isfinite(seq)):
+        raise OrderFitError("entries must be finite")
     if len(seq) < max(3, lag + 2):
         raise OrderFitError(f"need at least {max(3, lag + 2)} entries, got {len(seq)}")
     if np.all(seq <= STAGNATION_FLOOR):

@@ -9,9 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import IterationTrace, _fro
-from .solvers import SolverConfig, _stop_tol, conjugate_gradient, newton
-from .sphere import RayleighObjective, _rescaled, normalized_start, project_tangent, sphere_distance
+from .core import IterationTrace
+from .solvers import SolverConfig, _gradient, _stop_tol, conjugate_gradient, newton
+from .sphere import RayleighObjective, _rescaled, normalized_start, sphere_distance
 # looked up here by name, so that it can be wrapped; the objective checks Q
 from .sphere import _shift_solve
 
@@ -66,9 +66,8 @@ def _rqi(objective, x, config, error_fn):
     trace = IterationTrace()
     tol = _stop_tol(objective, config)
     for i in range(config.max_iter + 1):
-        w = objective._cached(x, 0)  # Qx, which the default error reads too
-        rho = float(x @ w)
-        gn = 2.0 * _fro(project_tangent(x, w - rho * x))
+        _, gn = _gradient(objective, x, trace)
+        rho = objective.report_value(x)
         trace.append(x, rho, gn, error_fn(x))
         if gn < tol or i == config.max_iter:
             break

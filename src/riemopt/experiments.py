@@ -84,6 +84,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.init_eps is not None and not 0.0 < self.init_eps < np.inf:
             raise ValueError("near-optimum perturbation scale must be positive and finite")
+        if self.init == "random" and self.init_eps is not None:
+            raise ValueError("a random start takes no perturbation scale")
         if self.line_search is not None and self.method == "rqi":
             raise ValueError("rqi takes no line search")
         if self.line_search in _UNSERVED_SEARCHES.get(self.experiment, ()):

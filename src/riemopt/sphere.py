@@ -196,13 +196,13 @@ def rayleigh_newton_step(Q, x, rho=None):
     projected onto the tangent space.
 
     ``Q`` is checked as by :func:`shift_solve` unless the caller, having
-    checked it, passes ``rho = x^T Q x``.  Raises :class:`StepDeclined`
+    checked it, passes ``rho = x^T (Qx)``.  Raises :class:`StepDeclined`
     when the pivot is degenerate: ``|x^T y| < 1e-14 |y|``.
     """
     x = np.asarray(x, dtype=float)
     if rho is None:
         Q = _check_symmetric(Q)
-        rho = _quotient(Q, x)
+        rho = _qx_rho(Q, x)[1]
     y, ny = _rescaled(_shift_solve(Q, rho, x))
     pivot = float(x @ y)
     if not abs(pivot) >= 1e-14 * ny:
@@ -210,8 +210,10 @@ def rayleigh_newton_step(Q, x, rho=None):
     return project_tangent(x, -x + y / pivot)
 
 
-def _quotient(Q, x):
-    return float(x @ Q @ x)
+def _qx_rho(Q, x):
+    """``(Qx, x^T (Qx))``: the Rayleigh quotient's one point entry."""
+    qx = Q @ x
+    return qx, float(x @ qx)
 
 
 def _line_rotation(a, b):
@@ -229,21 +231,23 @@ def _line_rotation(a, b):
     return float(c), float(s), float(s * s / (1.0 + c))
 
 
-def rayleigh_line_max(Q, x, h, qx=None):
+def _line_coefficients(Q, x, h, qx):
+    # rho(x cos t + h sin t) = const + (b cos 2t + a sin 2t) / 2 for a unit h
+    h = check_unit(h)
+    qh = Q @ h
+    return 2.0 * float(x @ qh), float(x @ qx) - float(h @ qh)
+
+
+def rayleigh_line_max(Q, x, h):
     """Closed-form maximizer of ``rho`` along the great circle ``x c + h s``.
 
     Returns ``(c, s, v)`` with ``c^2 + s^2 = 1`` and ``v = 1 - c`` computed
     stably as ``s^2 / (1 + c)``.  When ``rho`` is constant on the circle
     (``a = b = 0``) the point is already optimal and ``(1, 0, 0)`` is
-    returned.  ``qx``, when given, is ``Q x`` already formed.
+    returned.
     """
     x = np.asarray(x, dtype=float)
-    h = check_unit(h)
-    qh = Q @ h
-    qx = Q @ x if qx is None else qx
-    a = 2.0 * float(x @ qh)
-    b = float(x @ qx) - float(h @ qh)
-    return _line_rotation(a, b)
+    return _line_rotation(*_line_coefficients(Q, x, h, Q @ x))
 
 
 class RayleighObjective(MatrixObjective):
@@ -266,21 +270,11 @@ class RayleighObjective(MatrixObjective):
         n = self.Q.shape[0]
         self.gradient_floor = 6.0 * np.sqrt(n) * EPS * self.Q_fro
 
-    def _cached(self, x, k):
-        # Qx (k = 0) or rho = x^T Q x (k = 1) at the last point, each formed
-        # on its first request; the entry is replaced whole, as _at's is
-        key, entry = self._last
-        entry = entry if key is x else (None, None)
-        if entry[k] is None:
-            entry = (self.Q @ x, entry[1]) if k == 0 else (entry[0], _quotient(self.Q, x))
-            self._last = (x, entry)
-        return entry[k]
-
     def value(self, x):
         return self._sign * self.report_value(x)
 
     def report_value(self, x):
-        return self._cached(x, 1)
+        return self._at(x, _qx_rho)[1]
 
     def gradient(self, x):
         """Signed ``2(Qx - rho(x) x)``, with an explicit tangency projection.
@@ -289,37 +283,31 @@ class RayleighObjective(MatrixObjective):
         otherwise caps the attainable accuracy of gradient-based iterations
         near an eigenvector.
         """
-        w = self._cached(x, 0)
-        g = 2.0 * (w - (x @ w) * x)
-        return self._sign * project_tangent(x, g)
+        w, rho = self._at(x, _qx_rho)
+        return self._sign * project_tangent(x, 2.0 * (w - rho * x))
 
     def hessian_apply(self, x, u):
         """Signed second-covariant-differential operator
         ``2 (I - xx^T)(Q - rho I) u``."""
         u = check_tangent(x, u)
-        rho = self.report_value(x)
-        w = 2.0 * (self.Q @ u - rho * u)
+        w = 2.0 * (self.Q @ u - self.report_value(x) * u)
         return self._sign * project_tangent(x, w)
 
     def newton_direction(self, x):
         # identical for rho and -rho: H = -(Hess)^{-1} grad is sign-free
-        return rayleigh_newton_step(self.Q, x, self._cached(x, 1))
+        return rayleigh_newton_step(self.Q, x, self.report_value(x))
 
     def residual_norm(self, x):
         """``|Qx - rho x|``, the eigen drivers' default error."""
-        return _fro(self._cached(x, 0) - self._cached(x, 1) * x)
+        w, rho = self._at(x, _qx_rho)
+        return _fro(w - rho * x)
 
     def exact_line_step(self, x, h):
         nh = _fro(h)
         if nh == 0.0:
             raise ZeroTangent("line search direction is zero")
-        c, s, _ = rayleigh_line_max(self.Q, x, h / nh, self._cached(x, 0))
+        a, b = _line_coefficients(self.Q, x, h / nh, self._at(x, _qx_rho)[0])
+        # the maximizer of -value; t in (-pi/2, pi), and rho has period pi
+        c, s, _ = _line_rotation(-self._sign * a, -self._sign * b)
         t = float(np.arctan2(s, c))
-        if self.which == "min":
-            t += 0.5 * np.pi  # the minimum lies a quarter turn past the maximum
-        # rho has period pi along great circles
-        if t < 0.0:
-            t += np.pi
-        elif t >= np.pi:
-            t -= np.pi
-        return t / nh
+        return (t + np.pi if t < 0.0 else t) / nh

@@ -66,6 +66,14 @@ def test_non_decreasing_rejected():
         estimate_order([1e-1, -1e-2, 1e-3, 1e-4])
 
 
+@pytest.mark.parametrize("errs", [[1.0, float("nan"), 1e-3, 1e-6, 1e-9],
+                                  [float("inf"), 1e-1, 1e-3, 1e-6],
+                                  [1.0, 1e-2, 1e-4, float("nan")]])
+def test_non_finite_rejected(errs):
+    with pytest.raises(OrderFitError, match="entries must be finite"):
+        estimate_order(errs)
+
+
 def test_all_below_floor_rejected():
     tiny = STAGNATION_FLOOR
     with pytest.raises(OrderFitError, match="all entries at or below the stagnation floor"):

@@ -1,11 +1,11 @@
 """One evaluation per iterate.
 
 The SO(n) objectives keep ``H = T'QT`` for the last point, the Rayleigh
-quotient keeps ``Qx`` and ``x^T Q x``, and ``SpecialOrthogonal.transport``
-keeps the half-geodesic ``e^{-tX/2}`` for the last direction and step.  These tests
-check that the caches return exactly what a fresh computation returns, that
-the solvers form each quantity once per iterate, and that two threads sharing
-one objective see no stale entry.
+quotient keeps ``Qx`` and ``x^T (Qx)`` in one entry, and
+``SpecialOrthogonal.transport`` keeps the half-geodesic ``e^{-tX/2}`` for the
+last direction and step.  These tests check that the caches return exactly
+what a fresh computation returns, that the solvers form each quantity once
+per iterate, and that two threads sharing one objective see no stale entry.
 """
 
 import sys
@@ -117,11 +117,15 @@ def test_rayleigh_entry_is_a_fresh_Qx_and_quotient():
     for name, i in _call_order(rng, calls, points):
         p = points[i]
         _outcome(getattr(shared, name), p, *calls[name](build(), p))
-        # whichever part the call left unformed is formed here, once
-        for k in rng.permutation(2):
-            got = shared._cached(p, k)
-            want = Q @ p if k == 0 else float(p @ Q @ p)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, i, k)
+        # the call left the entry at p, whichever method it was
+        got = shared._at(p, _unformed)
+        want = (Q @ p, float(p @ (Q @ p)))
+        for part, fresh in zip(got, want):
+            assert np.asarray(part).tobytes() == np.asarray(fresh).tobytes(), (name, i)
+
+
+def _unformed(Q, p):
+    raise AssertionError("no entry at this point")
 
 
 def test_transport_matches_so_transport():
@@ -174,7 +178,7 @@ def test_newton_rayleigh_forms_the_quotient_once_per_iterate(monkeypatch):
     rng = np.random.default_rng(3)
     Q = rand_sym(rng, 40)
     counts = {}
-    _count(monkeypatch, sphere, "_quotient", counts, "rho")
+    _count(monkeypatch, sphere, "_qx_rho", counts, "rho")
     res = newton_rayleigh(Q, rand_unit(rng, 40))
     assert res.converged and res.iterations >= 2
     # the step, the reported value and the default error share it

@@ -1,12 +1,13 @@
 """Solver invariants over random sizes and seeds: ``newton_rayleigh`` is
-the generic ``newton``, the eigen drivers' default error is the residual
-``|Qx - (x^T Q x) x|`` bit for bit, steepest descent and conjugate gradient with the
-exact line search never raise the value they minimize beyond round-off,
-steepest descent (conjugate gradient with a reset at every step) runs the
-loop of the reference steepest descent point for point, a loop on the
-sphere reports convergence exactly when it ends below its stop tolerance,
-and the Rayleigh quotient's round-off floor sits above the gradient norms
-that Newton and quotient iteration reach at round-off."""
+the generic ``newton``, the eigen drivers report ``rho = x^T (Qx)`` and
+their default error is the residual ``|Qx - rho x|`` bit for bit, steepest
+descent and conjugate gradient with the exact line search never raise the
+value they minimize beyond round-off, steepest descent (conjugate gradient
+with a reset at every step) runs the loop of the reference steepest descent
+point for point, a loop on the sphere reports convergence exactly when it
+ends below its stop tolerance, and the Rayleigh quotient's round-off floor
+sits above the gradient norms that Newton and quotient iteration reach at
+round-off."""
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ EPS = np.finfo(float).eps
 
 
 def _residual(Q):
-    return lambda p: float(np.linalg.norm(Q @ p - (p @ Q @ p) * p))
+    return lambda p: float(np.linalg.norm(Q @ p - (p @ (Q @ p)) * p))
 
 
 @PROPERTY
@@ -72,8 +73,7 @@ def test_default_error_is_the_residual_bit_for_bit(n, seed, driver):
     Q = rand_sym(rng, n)
     res = driver(Q, rng.normal(size=n))
     assert res.trace.errors == [_residual(Q)(p) for p in res.trace.points]
-    if driver is rqi:  # its values are x^T (Qx), not x^T Q x
-        assert res.trace.values == [float(p @ (Q @ p)) for p in res.trace.points]
+    assert res.trace.values == [float(p @ (Q @ p)) for p in res.trace.points]
 
 
 @PROPERTY
