@@ -12,7 +12,8 @@ import numpy as np
 from .core import IterationTrace
 from .solvers import SolverConfig, _gradient, _stop_tol, conjugate_gradient, newton
 from .sphere import RayleighObjective, _rescaled, normalized_start, sphere_distance
-# looked up here by name, so that it can be wrapped; the objective checks Q
+# looked up here by name, so that it can be wrapped; it solves on the
+# objective's checked Q and its one reduction
 from .sphere import _shift_solve
 
 
@@ -71,7 +72,7 @@ def _rqi(objective, x, config, error_fn):
         trace.append(x, rho, gn, error_fn(x))
         if gn < tol or i == config.max_iter:
             break
-        y, ny = _rescaled(_shift_solve(objective.Q, rho, x))
+        y, ny = _rescaled(_shift_solve(objective, rho, x))
         x_next = y / ny
         if float(x_next @ x) < 0.0:
             x_next = -x_next

@@ -57,6 +57,15 @@ _METHODS = {
 _UNSERVED_SEARCHES = {"fig1": ("estimate",), "fig2": ("exact",), "jacobi": ("exact", "estimate")}
 
 
+def _start_mode(spec):
+    """``'random'`` or ``'near'``: the spec's init mode, or when it has none
+    its method's default start, at random for ``fig1`` sd and cg and near
+    the optimum for every other run."""
+    if spec.init != "default":
+        return spec.init
+    return "random" if spec.experiment == "fig1" and spec.method in ("sd", "cg") else "near"
+
+
 @dataclass
 class ExperimentSpec:
     experiment: str
@@ -84,7 +93,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.init_eps is not None and not 0.0 < self.init_eps < np.inf:
             raise ValueError("near-optimum perturbation scale must be positive and finite")
-        if self.init == "random" and self.init_eps is not None:
+        if _start_mode(self) == "random" and self.init_eps is not None:
             raise ValueError("a random start takes no perturbation scale")
         if self.line_search is not None and self.method == "rqi":
             raise ValueError("rqi takes no line search")
@@ -241,11 +250,10 @@ def _emit(spec, trace, report, value_label):
 # that runs
 
 
-def _start(spec, rng, default_init, default_eps, random_start, near_start):
-    """Start point: ``random_start(rng)`` or ``near_start(rng, eps)``, per
-    the spec's init mode, or per the method's default when it has none."""
-    init = default_init if spec.init == "default" else spec.init
-    if init == "random":
+def _start(spec, rng, default_eps, random_start, near_start):
+    """Start point: ``random_start(rng)`` or ``near_start(rng, eps)``, as
+    :func:`_start_mode` says."""
+    if _start_mode(spec) == "random":
         return random_start(rng)
     return near_start(rng, spec.init_eps if spec.init_eps is not None else default_eps)
 
@@ -253,7 +261,7 @@ def _start(spec, rng, default_init, default_eps, random_start, near_start):
 def _rotation_start(spec, T_hat, default_eps):
     """Random rotation, or a unit-speed geodesic step of length eps away
     from ``T_hat``, drawn independently of the seed's matrix draw."""
-    return _start(spec, rng_from_seed(spec.seed + 1), "near", default_eps,
+    return _start(spec, rng_from_seed(spec.seed + 1), default_eps,
                   lambda rng: random_rotation(rng, spec.n),
                   lambda rng, eps: so_geodesic(T_hat, random_unit_skew(rng, spec.n), eps))
 
@@ -300,8 +308,7 @@ def run_fig1(spec):
     Q = fig1_matrix(n)
     axis = np.zeros(n)
     axis[0] = 1.0
-    x0 = _start(spec, rng_from_seed(spec.seed),
-                "random" if spec.method in ("sd", "cg") else "near", 1e-1,
+    x0 = _start(spec, rng_from_seed(spec.seed), 1e-1,
                 lambda rng: random_unit_vector(rng, n),
                 lambda rng, eps: axis * np.cos(eps) + random_unit_tangent(rng, axis) * np.sin(eps))
 

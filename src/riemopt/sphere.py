@@ -157,53 +157,95 @@ class Sphere(Manifold):
 
 
 def _shifted(Q, rho):
-    # a fresh Fortran-ordered Q - rho I for sytrf to overwrite; a C-ordered
+    # a fresh Fortran-ordered Q - rho I for LAPACK to overwrite; a C-ordered
     # Q is copied in memory order as Q.T, which holds the same entries
     A = (Q.T if Q.flags.c_contiguous else Q).copy(order="F")
     A.ravel(order="K")[:: A.shape[0] + 1] -= rho
     return A
 
 
-def shift_solve(Q, rho, x):
-    """Solve ``(Q - rho I) y = x`` for a finite, exactly symmetric ``Q``
-    (ValueError otherwise) by one Bunch-Kaufman ``LDL^T`` factorization
-    (LAPACK sytrf with its blocked workspace, then sytrs), half the flops
-    of an LU.
+def _tridiagonal(Q):
+    """``Q = P T P^T`` by one blocked LAPACK sytrd (lower): ``(V, tau, d, e)``
+    with the diagonal ``d`` and off-diagonal ``e`` of ``T``, and ``P``'s
+    reflectors as a QR set ``(V, tau)`` on coordinates 2..n, which ormqr
+    applies to a vector in O(n^2) without forming ``P``."""
+    n = Q.shape[0]
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])  # the blocked code
+    A, d, e, tau, _ = lapack.dsytrd(_shifted(Q, 0.0), lower=1, lwork=lwork, overwrite_a=True)
+    # the reflectors sit in A[1:, :-1] with leading dimension n, and ormqr
+    # would copy that strided block on every call: move column j to offset
+    # j (n - 1) of the same buffer, in increasing j, so as to hold one n^2
+    # array; the last of the n - 1 reflectors is trivial (tau = 0)
+    m = n - 1
+    flat = A.ravel(order="F")
+    for j in range(m):
+        flat[j * m:(j + 1) * m] = flat[j * n + 1:j * n + 1 + m]
+    # scipy's gtsv wants one off-diagonal entry even at n = 1
+    return flat[:m * m].reshape((m, m), order="F"), tau, d, e if m else np.zeros(1)
 
-    Near an eigenvalue the shift is nearly singular and ``y`` is large,
-    but the solve is backward stable and ``y`` is dominated by the target
-    eigenvector, which is all the Newton and quotient iterations need.
-    When the shift is exactly singular (a zero pivot block) or the solve
-    overflows, the limiting direction is the null singular vector of a
-    full SVD, which is the same step at infinite amplification.
-    """
-    return _shift_solve(_check_symmetric(Q), rho, x)
 
-
-def _shift_solve(Q, rho, x):
-    lwork = int(lapack.dsytrf_lwork(Q.shape[0])[0])  # the blocked code
-    ldl, piv, info = lapack.dsytrf(_shifted(Q, rho), lwork=lwork, overwrite_a=True)
-    if info == 0:  # no exactly singular pivot block
-        y, _ = lapack.dsytrs(ldl, piv, x)
-        if np.all(np.isfinite(y)):
-            return y
+def _reduced_solve(Q, reduction, rho, x):
+    """``y = P (T - rho I)^{-1} P^T x`` on ``reduction = _tridiagonal(Q)``:
+    two ormqr calls and one gtsv, O(n^2) for any shift."""
+    V, tau, d, e = reduction
+    y = np.array(x, dtype=float)
+    m = tau.size  # n - 1: n = 1 has no reflector
+    if m:  # lwork = 1 runs the unblocked code, the faster one for one vector
+        y[1:] = lapack.dormqr("L", "T", V, tau, y[1:], 1)[0]
+    y, info = lapack.dgtsv(e, d - rho, e, y, overwrite_b=True)[3:]
+    if m:
+        y[1:] = lapack.dormqr("L", "N", V, tau, y[1:], 1)[0]
+    if info == 0 and np.all(np.isfinite(y)):  # info > 0: an exactly zero pivot
+        return y
     y = np.linalg.svd(_shifted(Q, rho))[2][-1]
     return -y if float(y @ x) < 0.0 else y
 
 
-def rayleigh_newton_step(Q, x, rho=None):
-    """Newton direction ``H = -x + y / (x^T y)`` with ``y = (Q - rho I)^{-1} x``,
-    projected onto the tangent space.
+def shift_solve(Q, rho, x):
+    """Solve ``(Q - rho I) y = x`` for a finite, exactly symmetric ``Q``
+    (ValueError otherwise) through ``Q = P T P^T``, one tridiagonal
+    reduction (LAPACK sytrd with its blocked workspace), then
+    ``y = P (T - rho I)^{-1} P^T x`` by two ormqr calls and one gtsv.  It
+    reduces ``Q`` once per call; :class:`RayleighObjective` keeps one
+    reduction for all its shifts, so each costs O(n^2).
 
-    ``Q`` is checked as by :func:`shift_solve` unless the caller, having
-    checked it, passes ``rho = x^T (Qx)``.  Raises :class:`StepDeclined`
-    when the pivot is degenerate: ``|x^T y| < 1e-14 |y|``.
+    Near an eigenvalue the shift is nearly singular and ``y`` is large,
+    but the solve is backward stable and ``y`` is dominated by the target
+    eigenvector, which is all the Newton and quotient iterations need.  An
+    exactly singular ``Q - rho I`` is in general not exactly singular
+    after the reduction's rounding: ``y`` is then a large finite vector
+    whose direction is a null vector to round-off.  When ``T - rho I`` has
+    an exactly zero pivot or the solve overflows, the limiting direction
+    is the null singular vector of a full SVD, which is the same step at
+    infinite amplification.
+    """
+    Q = _check_symmetric(Q)
+    return _reduced_solve(Q, _tridiagonal(Q), rho, x)
+
+
+def _shift_solve(objective, rho, x):
+    """:func:`shift_solve` on ``objective``'s checked ``Q``, through the one
+    reduction it keeps, built here on its first shift solve."""
+    return _reduced_solve(objective.Q, objective._reduction(), rho, x)
+
+
+def rayleigh_newton_step(Q, x, objective=None):
+    """Newton direction ``H = -x + y / (x^T y)`` with ``y = (Q - rho I)^{-1} x``
+    and ``rho = x^T (Qx)``, projected onto the tangent space.
+
+    ``Q`` is checked as by :func:`shift_solve`, and reduced for this one
+    call, unless the :class:`RayleighObjective` of this ``Q`` passes itself
+    as ``objective``: it has checked ``Q`` and keeps one reduction for all
+    its steps.  Raises :class:`StepDeclined` when the pivot is degenerate:
+    ``|x^T y| < 1e-14 |y|``.
     """
     x = np.asarray(x, dtype=float)
-    if rho is None:
+    if objective is None:
         Q = _check_symmetric(Q)
-        rho = _qx_rho(Q, x)[1]
-    y, ny = _rescaled(_shift_solve(Q, rho, x))
+        y = _reduced_solve(Q, _tridiagonal(Q), _qx_rho(Q, x)[1], x)
+    else:
+        y = _shift_solve(objective, objective.report_value(x), x)
+    y, ny = _rescaled(y)
     pivot = float(x @ y)
     if not abs(pivot) >= 1e-14 * ny:
         raise StepDeclined("x^T (Q - rho I)^{-1} x vanishes; no tangent step")
@@ -265,10 +307,19 @@ class RayleighObjective(MatrixObjective):
         if which not in ("max", "min"):
             raise ValueError("which must be 'max' or 'min'")
         super().__init__(Q, Sphere)
-        self.which = which
         self._sign = -1.0 if which == "max" else 1.0
         n = self.Q.shape[0]
         self.gradient_floor = 6.0 * np.sqrt(n) * EPS * self.Q_fro
+        self._reduced = None
+
+    def _reduction(self):
+        """``_tridiagonal(Q)``, built on the first shift solve and kept, as
+        ``Q`` is fixed.  It is assigned whole, as :meth:`_at` assigns its
+        entry, so threads that share the objective never see half of one."""
+        reduction = self._reduced
+        if reduction is None:
+            reduction = self._reduced = _tridiagonal(self.Q)
+        return reduction
 
     def value(self, x):
         return self._sign * self.report_value(x)
@@ -295,7 +346,7 @@ class RayleighObjective(MatrixObjective):
 
     def newton_direction(self, x):
         # identical for rho and -rho: H = -(Hess)^{-1} grad is sign-free
-        return rayleigh_newton_step(self.Q, x, self.report_value(x))
+        return rayleigh_newton_step(self.Q, x, self)
 
     def residual_norm(self, x):
         """``|Qx - rho x|``, the eigen drivers' default error."""

@@ -31,6 +31,8 @@ def test_spec_validation():
         ExperimentSpec("fig1", init="near", init_eps=-0.5)
     with pytest.raises(ValueError, match="random start"):
         ExperimentSpec("fig1", init="random", init_eps=0.5)
+    with pytest.raises(ValueError, match="random start"):
+        ExperimentSpec("fig1", method="sd", init_eps=0.5)  # sd starts at random
     with pytest.raises(ValueError):
         ExperimentSpec("fig2", method="rqi")
     with pytest.raises(ValueError):

@@ -239,3 +239,39 @@ def test_threads_sharing_an_objective_match_serial_runs():
         for trace in runs:
             for got, want in zip(_rows(trace), _rows(serial[k])):
                 assert np.array_equal(got, want)
+
+
+def test_threads_sharing_a_rayleigh_objective_match_serial_runs():
+    # a fresh objective per round, so that the threads race to build its
+    # one reduction and then share it; every run must match a serial one
+    rng = np.random.default_rng(11)
+    Q = rand_sym(rng, 40)
+    starts = [rand_unit(rng, 40) for _ in range(4)]
+    config = SolverConfig(max_iter=30)
+    serial = [newton(RayleighObjective(Q), x0, config) for x0 in starts]
+    results = [[] for _ in starts]
+
+    def run(k, shared, barrier):
+        barrier.wait(timeout=60)
+        results[k].append(newton(shared, starts[k], config))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = RayleighObjective(Q)
+            barrier = threading.Barrier(len(starts))
+            threads = [threading.Thread(target=run, args=(k, shared, barrier))
+                       for k in range(len(starts))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for k, runs in enumerate(results):
+        assert len(runs) == 5
+        for trace in runs:
+            for got, want in zip(_rows(trace), _rows(serial[k])):
+                assert np.array_equal(got, want)

@@ -27,7 +27,9 @@ CLASSES = ["fig1 --method sd --n 21", "fig1 --method cg --n 21", "fig1 --method 
            "fig2 --method newton --n 30 --init near", "jacobi --n 20 --init near:0.1",
            "jacobi --n 60 --init near:0.1", "fig1 --method rqi --n 250 --init random",
            "fig1 --method newton-rq --n 250 --init random",
-           "fig1 --method newton --n 250 --init random"]
+           "fig1 --method newton --n 250 --init random",
+           "fig1 --method rqi --n 1000 --init random",
+           "fig1 --method newton-rq --n 1000 --init random"]
 
 
 def worker():
