@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import IterationTrace
 from .solvers import SolverConfig, _gradient, _stop_tol, conjugate_gradient, newton
-from .sphere import RayleighObjective, _rescaled, normalized_start, sphere_distance
+from .sphere import RayleighObjective, _rescaled, normalized_start, sphere_log
 # looked up here by name, so that it can be wrapped; it solves on the
 # objective's checked Q and its one reduction
 from .sphere import _shift_solve
@@ -76,7 +76,7 @@ def _rqi(objective, x, config, error_fn):
         x_next = y / ny
         if float(x_next @ x) < 0.0:
             x_next = -x_next
-        trace.record_step(sphere_distance(x, x_next))
+        trace.record_step(sphere_log(x, x_next)[1])
         x = x_next
     trace.converged = bool(gn < tol)
     return trace
@@ -85,8 +85,9 @@ def _rqi(objective, x, config, error_fn):
 def rqi(Q, x0, config=None, error_fn=None) -> EigenResult:
     """Rayleigh quotient iteration: ``x <- y / |y|`` for ``y = (Q - rho I)^{-1} x``
     and ``rho = x^T (Qx)``, signed so successive iterates keep a positive inner
-    product; the trace records each step's angle.  Bad input raises as in
-    :func:`newton_rayleigh`."""
+    product; the trace records each step's angle by the arctan2 of
+    :func:`~riemopt.sphere.sphere_log` (arccos reads one below 1.5e-8 as 0).
+    Bad input raises as in :func:`newton_rayleigh`."""
     return _on_quotient(_rqi, Q, x0, config, error_fn)
 
 

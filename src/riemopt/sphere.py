@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import Manifold, MatrixObjective, _check_symmetric, _fro
+from .core import Manifold, MatrixObjective, _fro
 from .errors import AntipodalPoints, NotTangent, NotUnitDirection, StepDeclined, ZeroTangent
 
 UNIT_TOL = 1e-12
@@ -164,50 +164,13 @@ def _shifted(Q, rho):
     return A
 
 
-def _tridiagonal(Q):
-    """``Q = P T P^T`` by one blocked LAPACK sytrd (lower): ``(V, tau, d, e)``
-    with the diagonal ``d`` and off-diagonal ``e`` of ``T``, and ``P``'s
-    reflectors as a QR set ``(V, tau)`` on coordinates 2..n, which ormqr
-    applies to a vector in O(n^2) without forming ``P``."""
-    n = Q.shape[0]
-    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])  # the blocked code
-    A, d, e, tau, _ = lapack.dsytrd(_shifted(Q, 0.0), lower=1, lwork=lwork, overwrite_a=True)
-    # the reflectors sit in A[1:, :-1] with leading dimension n, and ormqr
-    # would copy that strided block on every call: move column j to offset
-    # j (n - 1) of the same buffer, in increasing j, so as to hold one n^2
-    # array; the last of the n - 1 reflectors is trivial (tau = 0)
-    m = n - 1
-    flat = A.ravel(order="F")
-    for j in range(m):
-        flat[j * m:(j + 1) * m] = flat[j * n + 1:j * n + 1 + m]
-    # scipy's gtsv wants one off-diagonal entry even at n = 1
-    return flat[:m * m].reshape((m, m), order="F"), tau, d, e if m else np.zeros(1)
-
-
-def _reduced_solve(Q, reduction, rho, x):
-    """``y = P (T - rho I)^{-1} P^T x`` on ``reduction = _tridiagonal(Q)``:
-    two ormqr calls and one gtsv, O(n^2) for any shift."""
-    V, tau, d, e = reduction
-    y = np.array(x, dtype=float)
-    m = tau.size  # n - 1: n = 1 has no reflector
-    if m:  # lwork = 1 runs the unblocked code, the faster one for one vector
-        y[1:] = lapack.dormqr("L", "T", V, tau, y[1:], 1)[0]
-    y, info = lapack.dgtsv(e, d - rho, e, y, overwrite_b=True)[3:]
-    if m:
-        y[1:] = lapack.dormqr("L", "N", V, tau, y[1:], 1)[0]
-    if info == 0 and np.all(np.isfinite(y)):  # info > 0: an exactly zero pivot
-        return y
-    y = np.linalg.svd(_shifted(Q, rho))[2][-1]
-    return -y if float(y @ x) < 0.0 else y
-
-
 def shift_solve(Q, rho, x):
-    """Solve ``(Q - rho I) y = x`` for a finite, exactly symmetric ``Q``
-    (ValueError otherwise) through ``Q = P T P^T``, one tridiagonal
-    reduction (LAPACK sytrd with its blocked workspace), then
-    ``y = P (T - rho I)^{-1} P^T x`` by two ormqr calls and one gtsv.  It
-    reduces ``Q`` once per call; :class:`RayleighObjective` keeps one
-    reduction for all its shifts, so each costs O(n^2).
+    """Solve ``(Q - rho I) y = x`` for ``Q`` as :class:`RayleighObjective`
+    takes it (ValueError otherwise: finite, exactly symmetric, n >= 2 and
+    ``|Q|_F`` finite), by :func:`_shift_solve` on a throwaway objective of
+    ``Q``: one tridiagonal reduction ``Q = P T P^T`` per call, then
+    ``y = P (T - rho I)^{-1} P^T x``.  A kept :class:`RayleighObjective`
+    reduces once for all its shifts, so each costs O(n^2).
 
     Near an eigenvalue the shift is nearly singular and ``y`` is large,
     but the solve is backward stable and ``y`` is dominated by the target
@@ -219,33 +182,40 @@ def shift_solve(Q, rho, x):
     is the null singular vector of a full SVD, which is the same step at
     infinite amplification.
     """
-    Q = _check_symmetric(Q)
-    return _reduced_solve(Q, _tridiagonal(Q), rho, x)
+    return _shift_solve(RayleighObjective(Q), rho, x)
 
 
 def _shift_solve(objective, rho, x):
-    """:func:`shift_solve` on ``objective``'s checked ``Q``, through the one
-    reduction it keeps, built here on its first shift solve."""
-    return _reduced_solve(objective.Q, objective._reduction(), rho, x)
+    """``y = P (T - rho I)^{-1} P^T x`` on ``objective``'s one reduction,
+    built here on its first shift solve: two ormqr calls and one gtsv,
+    O(n^2) for any shift, and an SVD of ``objective.Q - rho I`` on an
+    exactly zero pivot or a non-finite ``y``."""
+    V, tau, d, e = objective._reduction()
+    y = np.array(x, dtype=float)
+    # lwork = 1 runs the unblocked code, the faster one for one vector
+    y[1:] = lapack.dormqr("L", "T", V, tau, y[1:], 1)[0]
+    y, info = lapack.dgtsv(e, d - rho, e, y, overwrite_b=True)[3:]
+    y[1:] = lapack.dormqr("L", "N", V, tau, y[1:], 1)[0]
+    if info == 0 and np.all(np.isfinite(y)):  # info > 0: an exactly zero pivot
+        return y
+    y = np.linalg.svd(_shifted(objective.Q, rho))[2][-1]
+    return -y if float(y @ x) < 0.0 else y
 
 
 def rayleigh_newton_step(Q, x, objective=None):
     """Newton direction ``H = -x + y / (x^T y)`` with ``y = (Q - rho I)^{-1} x``
     and ``rho = x^T (Qx)``, projected onto the tangent space.
 
-    ``Q`` is checked as by :func:`shift_solve`, and reduced for this one
-    call, unless the :class:`RayleighObjective` of this ``Q`` passes itself
-    as ``objective``: it has checked ``Q`` and keeps one reduction for all
-    its steps.  Raises :class:`StepDeclined` when the pivot is degenerate:
-    ``|x^T y| < 1e-14 |y|``.
+    ``Q`` is checked and reduced for this one call, as by
+    :func:`shift_solve`, unless the :class:`RayleighObjective` of this
+    ``Q`` passes itself as ``objective``: it has checked ``Q`` and keeps
+    one reduction for all its steps.  Raises :class:`StepDeclined` when
+    the pivot is degenerate: ``|x^T y| < 1e-14 |y|``.
     """
     x = np.asarray(x, dtype=float)
     if objective is None:
-        Q = _check_symmetric(Q)
-        y = _reduced_solve(Q, _tridiagonal(Q), _qx_rho(Q, x)[1], x)
-    else:
-        y = _shift_solve(objective, objective.report_value(x), x)
-    y, ny = _rescaled(y)
+        objective = RayleighObjective(Q)
+    y, ny = _rescaled(_shift_solve(objective, objective.report_value(x), x))
     pivot = float(x @ y)
     if not abs(pivot) >= 1e-14 * ny:
         raise StepDeclined("x^T (Q - rho I)^{-1} x vanishes; no tangent step")
@@ -313,12 +283,29 @@ class RayleighObjective(MatrixObjective):
         self._reduced = None
 
     def _reduction(self):
-        """``_tridiagonal(Q)``, built on the first shift solve and kept, as
-        ``Q`` is fixed.  It is assigned whole, as :meth:`_at` assigns its
-        entry, so threads that share the objective never see half of one."""
+        """``Q = P T P^T`` by one blocked LAPACK sytrd (lower), built on the
+        first shift solve and kept, as ``Q`` is fixed: ``(V, tau, d, e)``
+        with the diagonal ``d`` and off-diagonal ``e`` of ``T``, and ``P``'s
+        reflectors as a QR set ``(V, tau)`` on coordinates 2..n, which
+        ormqr applies to a vector in O(n^2) without forming ``P``.  It is
+        assigned whole, as :meth:`_at` assigns its entry, so threads that
+        share the objective never see half of one."""
         reduction = self._reduced
         if reduction is None:
-            reduction = self._reduced = _tridiagonal(self.Q)
+            n = self.Q.shape[0]
+            lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])  # the blocked code
+            A, d, e, tau, _ = lapack.dsytrd(_shifted(self.Q, 0.0), lower=1, lwork=lwork,
+                                            overwrite_a=True)
+            # the reflectors sit in A[1:, :-1] with leading dimension n, and
+            # ormqr would copy that strided block on every call: move column
+            # j to offset j (n - 1) of the same buffer, in increasing j, so
+            # as to hold one n^2 array; the last of the n - 1 reflectors is
+            # trivial (tau = 0)
+            m = n - 1
+            flat = A.ravel(order="F")
+            for j in range(m):
+                flat[j * m:(j + 1) * m] = flat[j * n + 1:j * n + 1 + m]
+            reduction = self._reduced = (flat[:m * m].reshape((m, m), order="F"), tau, d, e)
         return reduction
 
     def value(self, x):

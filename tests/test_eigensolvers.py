@@ -279,12 +279,12 @@ def test_shift_drivers_on_a_tiny_matrix(driver, scale):
 
 
 # (method, seed) -> (iterations, final error, arc length of the step taken
-# from the last but one row); the zero-length last rqi step is a row of its
-# own.  rqi records that angle as its step; newton-rq records the geodesic
-# parameter, so its arc length is read from the points.
+# from the last but one row, read from the points).  rqi records that arc
+# as its step, which arccos would read as 0; newton-rq records the geodesic
+# parameter.
 _SHIFT_PINS = {
-    ("rqi", 0): (3, 0.0, 0.0),
-    ("rqi", 3): (3, 0.0, 0.0),
+    ("rqi", 0): (3, 0.0, 2.2878234660167895e-09),
+    ("rqi", 3): (3, 0.0, 1.5891375589845295e-09),
     ("newton-rq", 0): (3, 4.1359030627651384e-25, 5.9036160190249095e-09),
     ("newton-rq", 3): (3, 0.0, 4.6268335921344237e-09),
 }
@@ -297,9 +297,8 @@ def test_shift_drivers_keep_every_row(method, seed):
     assert report.converged
     assert report.iterations == iterations
     assert report.final_error == pytest.approx(final_error, rel=1e-6, abs=1e-30)
+    arc = sphere_log(trace.points[-2], trace.points[-1])[1]
     if method == "rqi":
-        arc = trace.steps[-2]
-    else:
-        arc = sphere_log(trace.points[-2], trace.points[-1])[1]
+        assert trace.steps[-2] == arc
     assert arc == pytest.approx(last_step, rel=1e-6, abs=1e-30)
     assert trace.steps[-1] == 0.0

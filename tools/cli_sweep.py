@@ -1,8 +1,9 @@
-"""Run the ``riemopt`` CLI over a fixed grid, or list the files that differ
-between two such runs::
+"""Run the ``riemopt`` CLI over a fixed grid, list the files that differ
+between two such runs, or regenerate the golden manifest::
 
     python tools/cli_sweep.py SRC OUT          # riemopt imported from SRC
     python tools/cli_sweep.py --compare A B    # exit 1 if any file differs
+    python tools/cli_sweep.py --golden         # rewrite tests/golden_sweep.json
 
 Grid: ``fig1`` with every method at n = 5, 21 and 60, every start, the
 default and golden searches; the shift solvers ``rqi``, ``newton-rq`` and
@@ -17,13 +18,22 @@ gradient fallback) and at n = 60 from a near start, ``jacobi`` at n = 60
 from a near start; ``fd-check``, which builds all three objectives;
 seeds 0, 3 and 7.
 Run NAME writes its trace, report and exit code (``exit.txt``) into
-``OUT/NAME/``; all runs share one subprocess with one BLAS thread."""
+``OUT/NAME/``; all runs share one subprocess with one BLAS thread.
+
+The golden manifest holds the SHA-256 of every file of the ``GOLDEN`` runs,
+made from this repository's ``src``, with the numpy, scipy and BLAS versions
+it was made under; ``tests/test_golden_sweep.py`` reruns those runs and
+compares.  A change that moves report or trace bytes regenerates it."""
 
 import filecmp
+import hashlib
 import itertools
+import json
 import os
+import platform
 import subprocess
 import sys
+import tempfile
 
 GRID = [("fig1", ["sd", "cg", "newton", "rqi", "newton-rq"], [5, 21, 60],
          ["default", "random", "near"], ["default", "golden"]),
@@ -36,6 +46,42 @@ GRID = [("fig1", ["sd", "cg", "newton", "rqi", "newton-rq"], [5, 21, 60],
         ("jacobi", ["newton"], [5, 10], ["default", "random"], ["default"]),
         ("jacobi", ["newton"], [30, 60], ["near"], ["default"])]
 SEEDS = [0, 3, 7]
+#: 58 runs in grid order: every experiment, method, search and start kind,
+#: each fig1 method at n = 5, 21 and 60 and every grid row's sizes
+GOLDEN = (
+    "fig1-sd-n5-s0-default-default", "fig1-sd-n21-s3-default-golden",
+    "fig1-sd-n60-s7-random-default", "fig1-sd-n5-s0-random-golden",
+    "fig1-sd-n21-s3-near-default", "fig1-sd-n60-s7-near-golden",
+    "fig1-cg-n5-s0-default-default", "fig1-cg-n21-s3-default-golden",
+    "fig1-cg-n60-s7-random-default", "fig1-cg-n5-s0-random-golden",
+    "fig1-cg-n21-s3-near-default", "fig1-cg-n60-s7-near-golden",
+    "fig1-newton-n5-s0-default-default", "fig1-newton-n21-s3-default-golden",
+    "fig1-newton-n60-s7-random-default", "fig1-newton-n5-s0-random-golden",
+    "fig1-newton-n21-s3-near-default", "fig1-newton-n60-s7-near-golden",
+    "fig1-rqi-n5-s0-default-default", "fig1-rqi-n21-s3-random-default",
+    "fig1-rqi-n60-s7-near-default",
+    "fig1-newton-rq-n5-s0-default-default", "fig1-newton-rq-n21-s3-default-golden",
+    "fig1-newton-rq-n60-s7-random-default", "fig1-newton-rq-n5-s0-random-golden",
+    "fig1-newton-rq-n21-s3-near-default", "fig1-newton-rq-n60-s7-near-golden",
+    "fig1-rqi-n250-s0-random-default", "fig1-newton-rq-n250-s3-random-default",
+    "fig1-newton-n250-s7-random-default",
+    "fig2-sd-n5-s0-default-default", "fig2-sd-n5-s3-default-golden",
+    "fig2-sd-n10-s7-default-default", "fig2-sd-n10-s0-default-golden",
+    "fig2-cg-n5-s3-default-default", "fig2-cg-n5-s7-default-golden",
+    "fig2-cg-n10-s0-default-default", "fig2-cg-n10-s3-default-golden",
+    "fig2-newton-n5-s7-default-default", "fig2-newton-n5-s0-default-golden",
+    "fig2-newton-n10-s3-default-default", "fig2-newton-n10-s7-default-golden",
+    "fig2-sd-n10-s0-random-default", "fig2-sd-n10-s3-random-golden",
+    "fig2-cg-n10-s7-random-default", "fig2-cg-n10-s0-random-golden",
+    "fig2-sd-n30-s7-near-default", "fig2-cg-n30-s7-near-default",
+    "fig2-cg-n30-s0-near-golden",
+    "fig2-newton-n20-s0-random-default", "fig2-newton-n60-s0-near-default",
+    "jacobi-newton-n5-s0-default-default", "jacobi-newton-n5-s3-random-default",
+    "jacobi-newton-n10-s7-default-default", "jacobi-newton-n10-s0-random-default",
+    "jacobi-newton-n30-s0-near-default", "jacobi-newton-n60-s3-near-default",
+    "fd-check-s0")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MANIFEST = os.path.join(ROOT, "tests", "golden_sweep.json")
 
 
 def run(main, run_dir, argv):
@@ -48,9 +94,8 @@ def run(main, run_dir, argv):
         fh.write(f"{code}\n")
 
 
-def sweep(out):
-    from riemopt.cli import main
-
+def runs():
+    """``(name, argv)`` of every run of the grid, in order."""
     for experiment, *axes in GRID:
         for method, n, init, search, seed in itertools.product(*axes, SEEDS):
             if method == "rqi" and search != "default":
@@ -58,9 +103,47 @@ def sweep(out):
             argv = [experiment, "--method", method, "--n", str(n), "--seed", str(seed)]
             argv += [] if init == "default" else ["--init", init]
             argv += [] if search == "default" else ["--line-search", search]
-            run(main, os.path.join(out, f"{experiment}-{method}-n{n}-s{seed}-{init}-{search}"), argv)
+            yield f"{experiment}-{method}-n{n}-s{seed}-{init}-{search}", argv
     for seed in SEEDS:
-        run(main, os.path.join(out, f"fd-check-s{seed}"), ["fd-check", "--seed", str(seed)])
+        yield f"fd-check-s{seed}", ["fd-check", "--seed", str(seed)]
+
+
+def sweep(out, selected):
+    """The ``(name, argv)`` runs ``selected`` into ``out``."""
+    from riemopt.cli import main
+
+    for name, argv in selected:
+        run(main, os.path.join(out, name), argv)
+
+
+def versions():
+    """The numpy, scipy and BLAS versions the run's bytes depend on."""
+    import numpy
+    import scipy
+
+    def blas(module):
+        try:
+            dep = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):  # a release without the dict form
+            return "unknown"
+        return f"{dep['name']} {dep['version']}"
+
+    return {"numpy": numpy.__version__, "numpy BLAS": blas(numpy),
+            "scipy": scipy.__version__, "scipy BLAS": blas(scipy),
+            "machine": platform.machine()}
+
+
+def golden(out):
+    """The ``GOLDEN`` runs made into ``out``: ``{name: {file: SHA-256}}``."""
+    sweep(out, [(name, argv) for name, argv in runs() if name in GOLDEN])
+    digests = {}
+    for name in GOLDEN:
+        run_dir = os.path.join(out, name)
+        digests[name] = {}
+        for file in sorted(os.listdir(run_dir)):
+            with open(os.path.join(run_dir, file), "rb") as fh:
+                digests[name][file] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
 
 
 def differ(a, b):
@@ -70,15 +153,29 @@ def differ(a, b):
     return sorted((fa | fb) - same)
 
 
+def in_worker(src, *args):
+    """This script with ``args`` in a subprocess that imports riemopt from
+    ``src`` and runs one BLAS thread."""
+    threads = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **threads)
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", *args],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+
+
 if __name__ == "__main__":
     if sys.argv[1] == "--compare":
         paths = differ(*sys.argv[2:4])
         sys.stdout.writelines(path + "\n" for path in paths)
         sys.exit(1 if paths else 0)
+    elif sys.argv[1:3] == ["--worker", "--golden"]:
+        with tempfile.TemporaryDirectory() as out:
+            manifest = {"versions": versions(), "runs": golden(out)}
+        with open(MANIFEST, "w") as fh:
+            json.dump(manifest, fh, indent=1)
+            fh.write("\n")
     elif sys.argv[1] == "--worker":
-        sweep(sys.argv[2])
+        sweep(sys.argv[2], runs())
+    elif sys.argv[1] == "--golden":
+        in_worker(os.path.join(ROOT, "src"), "--golden")
     else:
-        threads = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(sys.argv[1]), **threads)
-        subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", sys.argv[2]],
-                       env=env, check=True, stdout=subprocess.DEVNULL)
+        in_worker(sys.argv[1], sys.argv[2])
