@@ -9,6 +9,8 @@ point, where they form a vector space.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -27,6 +29,14 @@ def _fro(A):
     without its dispatch, so the result is bitwise the same."""
     x = A.ravel(order="K")
     return math.sqrt(x.dot(x))
+
+
+@functools.cache
+def _scipy(module):
+    """``scipy.linalg.<module>``, imported on the first call: scipy is most
+    of a CLI run's start-up, and a run that calls neither LAPACK nor the
+    Pade kernels never loads it."""
+    return importlib.import_module(f"scipy.linalg.{module}")
 
 
 class Manifold(ABC):

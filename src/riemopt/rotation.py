@@ -15,9 +15,8 @@ this metric.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
-from .core import Manifold, MatrixObjective, _fro
+from .core import Manifold, MatrixObjective, _fro, _scipy
 from .errors import NotRotation, StepDeclined
 
 DRIFT_TOL = 1e-12
@@ -72,12 +71,13 @@ def expm(X):
     takes this generic path for it, and on zero the path gives the identity
     bit for bit, as scipy's diagonal path does.  The workspace is fresh per
     call, so the result shares no memory with the input or another result.
+    The kernels are imported on the first call.
     """
-    n = len(X)
+    n, kernels = len(X), _scipy("_matfuncs_expm")
     A = np.empty((5, n, n))
     A[0] = X
-    m, s = pick_pade_structure(A)
-    info = pade_UV_calc(A, m) if m >= 0 else m
+    m, s = kernels.pick_pade_structure(A)
+    info = kernels.pade_UV_calc(A, m) if m >= 0 else m
     if info != 0:  # scipy's codes: m < 0 or info <= -11 is a failed allocation
         raise (MemoryError if m < 0 or info <= -11 else RuntimeError)(
             f"matrix exponential failed (error code {info})")

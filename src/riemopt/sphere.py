@@ -9,9 +9,8 @@ solved anywhere in this module.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .core import Manifold, MatrixObjective, _fro
+from .core import Manifold, MatrixObjective, _fro, _scipy
 from .errors import AntipodalPoints, NotTangent, NotUnitDirection, StepDeclined, ZeroTangent
 
 UNIT_TOL = 1e-12
@@ -156,20 +155,13 @@ class Sphere(Manifold):
 # Rayleigh quotient
 
 
-def _shifted(Q, rho):
-    # a fresh Fortran-ordered Q - rho I for LAPACK to overwrite; a C-ordered
-    # Q is copied in memory order as Q.T, which holds the same entries
-    A = (Q.T if Q.flags.c_contiguous else Q).copy(order="F")
-    A.ravel(order="K")[:: A.shape[0] + 1] -= rho
-    return A
-
-
 def shift_solve(Q, rho, x):
     """Solve ``(Q - rho I) y = x`` for ``Q`` as :class:`RayleighObjective`
     takes it (ValueError otherwise: finite, exactly symmetric, n >= 2 and
-    ``|Q|_F`` finite), by :func:`_shift_solve` on a throwaway objective of
-    ``Q``: one tridiagonal reduction ``Q = P T P^T`` per call, then
-    ``y = P (T - rho I)^{-1} P^T x``.  A kept :class:`RayleighObjective`
+    ``|Q|_F`` finite), a finite ``rho`` and a finite n-vector ``x``
+    (ValueError otherwise), by :func:`_shift_solve` on a throwaway
+    objective of ``Q``: one tridiagonal reduction ``Q = P T P^T`` per call,
+    then ``y = P (T - rho I)^{-1} P^T x``.  A kept :class:`RayleighObjective`
     reduces once for all its shifts, so each costs O(n^2).
 
     Near an eigenvalue the shift is nearly singular and ``y`` is large,
@@ -178,28 +170,40 @@ def shift_solve(Q, rho, x):
     exactly singular ``Q - rho I`` is in general not exactly singular
     after the reduction's rounding: ``y`` is then a large finite vector
     whose direction is a null vector to round-off.  When ``T - rho I`` has
-    an exactly zero pivot or the solve overflows, the limiting direction
-    is the null singular vector of a full SVD, which is the same step at
-    infinite amplification.
+    an exactly zero pivot or the solve overflows, the shift is moved by a
+    unit of round-off, as inverse iteration does, and ``y`` is again a
+    large finite vector along the null vector.
     """
-    return _shift_solve(RayleighObjective(Q), rho, x)
+    objective = RayleighObjective(Q)
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(rho):
+        raise ValueError(f"shift must be finite, rho = {rho!r}")
+    if x.shape != (objective.Q.shape[0],) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x must be a finite vector of length {objective.Q.shape[0]}")
+    return _shift_solve(objective, float(rho), x)
 
 
 def _shift_solve(objective, rho, x):
     """``y = P (T - rho I)^{-1} P^T x`` on ``objective``'s one reduction,
     built here on its first shift solve: two ormqr calls and one gtsv,
-    O(n^2) for any shift, and an SVD of ``objective.Q - rho I`` on an
-    exactly zero pivot or a non-finite ``y``."""
+    O(n^2) for any shift.  On an exactly zero pivot or a non-finite ``y``
+    the shift moves by ``eps max(|Q|_F, tiny)``, doubled until the solve
+    succeeds (it does for a finite ``rho`` and ``x``), as inverse iteration
+    does: below the reduction's backward error, so ``y`` lies along the
+    null vector to working accuracy."""
     V, tau, d, e = objective._reduction()
-    y = np.array(x, dtype=float)
-    # lwork = 1 runs the unblocked code, the faster one for one vector
-    y[1:] = lapack.dormqr("L", "T", V, tau, y[1:], 1)[0]
-    y, info = lapack.dgtsv(e, d - rho, e, y, overwrite_b=True)[3:]
-    y[1:] = lapack.dormqr("L", "N", V, tau, y[1:], 1)[0]
-    if info == 0 and np.all(np.isfinite(y)):  # info > 0: an exactly zero pivot
-        return y
-    y = np.linalg.svd(_shifted(objective.Q, rho))[2][-1]
-    return -y if float(y @ x) < 0.0 else y
+    lapack = _scipy("lapack")
+    shift, nudge = rho, 0.0
+    while True:
+        y = np.array(x, dtype=float)
+        # lwork = 1 runs the unblocked code, the faster one for one vector
+        y[1:] = lapack.dormqr("L", "T", V, tau, y[1:], 1)[0]
+        y, info = lapack.dgtsv(e, d - shift, e, y, overwrite_b=True)[3:]
+        y[1:] = lapack.dormqr("L", "N", V, tau, y[1:], 1)[0]
+        if info == 0 and np.all(np.isfinite(y)):  # info > 0: an exactly zero pivot
+            return y
+        nudge = 2.0 * nudge or EPS * max(objective.Q_fro, np.finfo(float).tiny)
+        shift = rho + nudge
 
 
 def rayleigh_newton_step(Q, x, objective=None):
@@ -209,12 +213,14 @@ def rayleigh_newton_step(Q, x, objective=None):
     ``Q`` is checked and reduced for this one call, as by
     :func:`shift_solve`, unless the :class:`RayleighObjective` of this
     ``Q`` passes itself as ``objective``: it has checked ``Q`` and keeps
-    one reduction for all its steps.  Raises :class:`StepDeclined` when
-    the pivot is degenerate: ``|x^T y| < 1e-14 |y|``.
+    one reduction for all its steps; without it, an ``x`` off the unit
+    sphere raises :class:`NotUnitDirection`.  Raises :class:`StepDeclined`
+    when the pivot is degenerate: ``|x^T y| < 1e-14 |y|``.
     """
     x = np.asarray(x, dtype=float)
     if objective is None:
         objective = RayleighObjective(Q)
+        check_unit(x)
     y, ny = _rescaled(_shift_solve(objective, objective.report_value(x), x))
     pivot = float(x @ y)
     if not abs(pivot) >= 1e-14 * ny:
@@ -292,10 +298,12 @@ class RayleighObjective(MatrixObjective):
         share the objective never see half of one."""
         reduction = self._reduced
         if reduction is None:
-            n = self.Q.shape[0]
+            n, lapack = self.Q.shape[0], _scipy("lapack")
             lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])  # the blocked code
-            A, d, e, tau, _ = lapack.dsytrd(_shifted(self.Q, 0.0), lower=1, lwork=lwork,
-                                            overwrite_a=True)
+            # a fresh Fortran-ordered copy for sytrd to overwrite; a C-ordered
+            # Q is copied in memory order as Q.T, which holds the same entries
+            A = (self.Q.T if self.Q.flags.c_contiguous else self.Q).copy(order="F")
+            A, d, e, tau, _ = lapack.dsytrd(A, lower=1, lwork=lwork, overwrite_a=True)
             # the reflectors sit in A[1:, :-1] with leading dimension n, and
             # ormqr would copy that strided block on every call: move column
             # j to offset j (n - 1) of the same buffer, in increasing j, so
@@ -305,6 +313,10 @@ class RayleighObjective(MatrixObjective):
             flat = A.ravel(order="F")
             for j in range(m):
                 flat[j * m:(j + 1) * m] = flat[j * n + 1:j * n + 1 + m]
+            # ormqr sets each reflector's leading entry to its implicit 1 while
+            # it applies it, then restores it, with the GIL released: store
+            # the 1, so that threads sharing the objective all read it
+            flat[:m * m:m + 1] = 1.0
             reduction = self._reduced = (flat[:m * m].reshape((m, m), order="F"), tau, d, e)
         return reduction
 

@@ -281,12 +281,14 @@ def test_shift_drivers_on_a_tiny_matrix(driver, scale):
 # (method, seed) -> (iterations, final error, arc length of the step taken
 # from the last but one row, read from the points).  rqi records that arc
 # as its step, which arccos would read as 0; newton-rq records the geodesic
-# parameter.
+# parameter.  On fig1's diagonal Q the last shift lands exactly on an
+# eigenvalue, and the solve moves it by a unit of round-off: the last point
+# lies an angle near 1e-24 off the axis, not on it.
 _SHIFT_PINS = {
-    ("rqi", 0): (3, 0.0, 2.2878234660167895e-09),
-    ("rqi", 3): (3, 0.0, 1.5891375589845295e-09),
-    ("newton-rq", 0): (3, 4.1359030627651384e-25, 5.9036160190249095e-09),
-    ("newton-rq", 3): (3, 0.0, 4.6268335921344237e-09),
+    ("rqi", 0): (3, 3.0011232328600623e-24, 2.2878234660167895e-09),
+    ("rqi", 3): (3, 2.8202193591437244e-24, 1.5891375589845295e-09),
+    ("newton-rq", 0): (3, 7.145662811916142e-24, 5.9036160190249095e-09),
+    ("newton-rq", 3): (3, 8.277660557132133e-24, 4.6268335921344237e-09),
 }
 
 

@@ -1,4 +1,10 @@
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -277,3 +283,31 @@ def test_fig1_newton_reaches_round_off(seed):
     report, _ = run_fig1(ExperimentSpec("fig1", n=21, method="newton", seed=seed))
     assert report.converged
     assert report.final_error <= 1e-12
+
+
+_SCIPY_LOADED = r"""
+import contextlib, io, json, sys
+from riemopt.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:  # --help and a usage error
+            pass
+    print("scipy" in sys.modules)
+"""
+
+
+def test_cli_runs_without_scipy_until_a_kernel_needs_it(tmp_path):
+    # scipy is most of a CLI run's start-up; fig1 sd and cg, --help and a
+    # usage error call neither LAPACK nor the Pade kernels, and a shift
+    # solve (the last run) loads it
+    out = ["--out", str(tmp_path)]
+    argvs = [["fig1", "--method", "sd", "--n", "21"] + out,
+             ["fig1", "--method", "cg", "--n", "21"] + out,
+             ["--help"], ["fig1", "--n", "1"], ["fig1", "--method", "rqi", "--n", "5"] + out]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _SCIPY_LOADED, json.dumps(argvs)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["False", "False", "False", "False", "True"]

@@ -2,6 +2,9 @@
 step on the sphere, the Newton tangent formed from it, and the entry checks
 of the eigenpair drivers and of the public shift entry points."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +23,8 @@ from riemopt import (
     rqi,
 )
 from riemopt.errors import NotUnitDirection, StepDeclined
-from riemopt.sphere import normalized_start, shift_solve
+from riemopt.experiments import ExperimentSpec, run_fig1
+from riemopt.sphere import _shift_solve, normalized_start, shift_solve
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -48,18 +52,15 @@ def test_shift_solve_residual_and_flag(n, seed, kind, frac):
 
     assert np.all(np.isfinite(y))
     a_norm = np.linalg.norm(A, 2)
-    solved = np.linalg.norm(A @ y - x) <= 1e-10 * a_norm * np.linalg.norm(y)
-    # on a zero pivot the solve falls back to the unit null vector
-    # (an eigenvalue shift can round to an exactly singular A at small n)
-    null = (abs(np.linalg.norm(y) - 1.0) <= 1e-12
-            and np.linalg.norm(A @ y) <= 1e-10 * a_norm)
+    # backward stable for every shift: on an exactly zero pivot of T - rho I
+    # (an eigenvalue shift can round to one at small n) the solve moves the
+    # shift by a unit of round-off, well inside this bound
+    assert np.linalg.norm(A @ y - x) <= 1e-10 * a_norm * np.linalg.norm(y)
     if kind == "singular":
         # the reduction rounds an exactly singular A to a nearly singular
-        # T - rho I: y is large and finite, or the unit SVD vector, and its
-        # direction is a null vector to round-off either way
+        # T - rho I, or to an exactly singular one that the solve moves off:
+        # y is large and finite either way, along a null vector to round-off
         assert np.linalg.norm(A @ (y / np.linalg.norm(y))) <= 1e-10 * a_norm
-    else:
-        assert solved or null
 
 
 def _tridiagonal_solve(A, rho, x):
@@ -74,7 +75,7 @@ def _tridiagonal_solve(A, rho, x):
     y = x.copy()
     y[1:] = lapack.dormqr("L", "T", V, tau, y[1:], 1)[0]
     y, info = lapack.dgtsv(e, d - rho, e, y)[3:]
-    if info > 0:  # an exactly zero pivot: the solve takes the SVD instead
+    if info > 0:  # an exactly zero pivot: the solve moves the shift
         return None
     y[1:] = lapack.dormqr("L", "N", V, tau, y[1:], 1)[0]
     return y
@@ -100,7 +101,7 @@ def test_shift_solve_is_one_reduced_solve_bit_for_bit(n, seed, layout, frac):
     x = rand_unit(rng, n)
 
     expected = _tridiagonal_solve(np.array(Q), rho, x)
-    assume(expected is not None)  # a zero pivot takes the SVD, as the residual test checks
+    assume(expected is not None)  # a zero pivot moves the shift, as the residual test checks
 
     y = shift_solve(Q, rho, x)
 
@@ -190,6 +191,109 @@ def test_public_shift_entry_points_reject_a_bad_matrix(entry, bad):
         call()
 
 
+_Q3 = np.diag([3.0, 2.0, 1.0])
+_X3 = np.ones(3) / np.sqrt(3.0)
+#: a bad shift or point at the public entries -> (call, exception, message)
+_BAD_ARGUMENTS = {
+    "nan shift": (lambda: shift_solve(_Q3, np.nan, _X3), ValueError, "shift must be finite"),
+    "inf shift": (lambda: shift_solve(_Q3, np.inf, _X3), ValueError, "shift must be finite"),
+    "nan x": (lambda: shift_solve(_Q3, 0.5, [np.nan, 0.0, 0.0]), ValueError, "finite vector"),
+    "inf x": (lambda: shift_solve(_Q3, 0.5, [np.inf, 0.0, 0.0]), ValueError, "finite vector"),
+    "short x": (lambda: shift_solve(_Q3, 0.5, _X3[:2]), ValueError, "finite vector"),
+    "column x": (lambda: shift_solve(_Q3, 0.5, _X3[:, None]), ValueError, "finite vector"),
+    "newton nan x": (lambda: rayleigh_newton_step(_Q3, [np.nan, 0.0, 0.0]), NotUnitDirection, None),
+    "newton x off the sphere": (lambda: rayleigh_newton_step(_Q3, [2.0, 0.0, 0.0]),
+                                NotUnitDirection, None),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_ARGUMENTS))
+def test_public_shift_entry_points_reject_a_bad_shift_or_point(bad):
+    # LAPACK turns each of these into a wrong vector, a LinAlgError or an
+    # argument error on stderr, and a nan shift would never leave the
+    # spectrum: the entries reject them before any solve
+    call, error, match = _BAD_ARGUMENTS[bad]
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("n", [2, 30, 250])
+def test_an_exactly_singular_shift_solves_without_an_svd(monkeypatch, n):
+    # Q = diag(A, c) with a dense A: the reduction keeps the last row and
+    # column as they are, so T - c I has an exactly zero last pivot; the
+    # nudged shift gives a finite y along e_n, with c outside A's spectrum
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the shift solve ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rng = np.random.default_rng(n)
+    A = rand_sym(rng, n - 1)
+    c = float(np.abs(A).sum()) + 1.0
+    Q = np.zeros((n, n))
+    Q[:-1, :-1] = A
+    Q[-1, -1] = c
+    x = rand_unit(rng, n)
+
+    y = shift_solve(Q, c, x)
+
+    assert np.all(np.isfinite(y))
+    assert np.linalg.norm(y[:-1]) <= 1e-12 * abs(y[-1])
+
+
+def test_threads_solving_on_one_reduction_match_a_serial_solve():
+    # ormqr writes each reflector's leading entry while it applies it, with
+    # the GIL released, so threads sharing one objective's reflectors race
+    # on that entry unless it already holds the 1 that ormqr writes
+    rng = np.random.default_rng(7)
+    n = 400  # long enough for the threads to overlap inside ormqr
+    objective = RayleighObjective(rand_sym(rng, n))
+    x = rand_unit(rng, n)
+    want = _shift_solve(objective, 0.25, x).tobytes()
+    V = objective._reduction()[0].tobytes()
+    differ = []
+
+    def run(barrier):
+        barrier.wait(timeout=60)
+        differ.extend(k for k in range(150) if _shift_solve(objective, 0.25, x).tobytes() != want)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        barrier = threading.Barrier(4)
+        threads = [threading.Thread(target=run, args=(barrier,)) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert differ == []
+    assert objective._reduction()[0].tobytes() == V
+
+
+def test_fig1_newton_runs_without_an_svd(monkeypatch):
+    # fig1's diagonal Q often lands rho exactly on an eigenvalue (four shifts
+    # over these six runs); each stays on the kept reduction, with no
+    # n-square SVD, and the runs keep their iteration counts
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    iterations = []
+    for seed in range(6):
+        report, _ = run_fig1(ExperimentSpec("fig1", n=250, method="newton", init="random",
+                                            seed=seed))
+        assert report.converged
+        iterations.append(report.iterations)
+    assert calls == []
+    assert iterations == [6, 7, 5, 6, 7, 10]
+
+
 def test_shift_drivers_run_without_an_svd(monkeypatch):
     rng = np.random.default_rng(60)
     n = 60
@@ -232,6 +336,17 @@ def test_tiny_pivot_stops_both_newton_drivers():
     trace = newton(RayleighObjective(Q), x, SolverConfig(max_iter=5))
     assert trace.converged
     np.testing.assert_allclose(np.abs(trace.points[-1]), [1.0, 0.0], atol=1e-12)
+
+
+def test_an_eigenvalue_shift_orthogonal_to_x_takes_the_newton_step():
+    # rho = 1 exactly, an eigenvalue whose eigenvector e_2 is orthogonal to x:
+    # T - rho I has an exactly zero pivot, and the moved shift gives the
+    # Newton step in the plane of e_1 and e_3, where the pivot is -2/3
+    Q = np.diag([4.0, 1.0, 0.0])
+    x = np.array([0.5, 0.0, np.sqrt(0.75)])
+    assert float(x @ (Q @ x)) == 1.0
+    h = rayleigh_newton_step(Q, x)
+    np.testing.assert_allclose(h, [-0.75, 0.0, 0.5 * np.sqrt(0.75)], rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["exact", "golden"])

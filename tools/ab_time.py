@@ -1,14 +1,18 @@
 """Time a fixed list of CLI classes against two source trees, alternating::
 
     python tools/ab_time.py SRC_A SRC_B [ROUNDS]
+    python tools/ab_time.py --wall SRC_A SRC_B [ROUNDS]
 
 Each tree has a worker process (one BLAS thread) that imports riemopt from
 it and times each CLI run in-process by process CPU time, which a shared
-machine disturbs less than wall time.  After a warm-up round, ROUNDS rounds
-(default 11) alternate the trees, the first rotating by class and round.
-Prints each class's min and median CPU ms per tree and B/A of both.  On a
-shared machine load moves the medians more than the minima: a class whose
-median ratio moves while its minimum ratio stays near 1 reads as load."""
+machine disturbs less than wall time.  With ``--wall`` every ``WALL`` class
+is instead one fresh process (one BLAS thread), timed by wall clock from
+start to exit, so the import and start-up a user pays are counted.  After a
+warm-up round, ROUNDS rounds (default 11) alternate the trees, the first
+rotating by class and round.  Prints each class's min and median ms per tree
+and B/A of both.  On a shared machine load moves the medians more than the
+minima: a class whose median ratio moves while its minimum ratio stays near
+1 reads as load."""
 
 import contextlib
 import io
@@ -29,7 +33,13 @@ CLASSES = ["fig1 --method sd --n 21", "fig1 --method cg --n 21", "fig1 --method 
            "fig1 --method newton-rq --n 250 --init random",
            "fig1 --method newton --n 250 --init random",
            "fig1 --method rqi --n 1000 --init random",
-           "fig1 --method newton-rq --n 1000 --init random"]
+           "fig1 --method newton-rq --n 1000 --init random",
+           "fig1 --method newton --n 1000 --init random --seed 1"]
+#: fresh-process classes: the import alone, then whole CLI runs
+WALL = ["import riemopt", "fig1 --method sd --n 21", "fig1 --method cg --n 21",
+        "fig2 --method cg --n 10", "fig1 --method rqi --n 250 --init random"]
+CLI = "import sys; from riemopt.cli import main; sys.exit(main(sys.argv[1:]))"
+THREADS = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
 
 
 def worker():
@@ -45,37 +55,71 @@ def worker():
             print(dt, flush=True)
 
 
-def start(src):
-    threads = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **threads)
-    return subprocess.Popen([sys.executable, os.path.abspath(__file__), "--worker"], env=env,
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+def env_for(src):
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src), **THREADS)
 
 
-def timed(proc, k):
-    proc.stdin.write(f"{k}\n")
-    proc.stdin.flush()
-    return 1e3 * float(proc.stdout.readline())
+def cpu_timer(src):
+    """``k -> CPU ms`` of ``CLASSES[k]`` in a worker importing riemopt from ``src``."""
+    proc = subprocess.Popen([sys.executable, os.path.abspath(__file__), "--worker"],
+                            env=env_for(src), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            text=True)
+
+    def timed(k):
+        proc.stdin.write(f"{k}\n")
+        proc.stdin.flush()
+        return 1e3 * float(proc.stdout.readline())
+
+    return timed, proc.communicate
+
+
+def wall_timer(src, out):
+    """``k -> wall ms`` of a fresh process running ``WALL[k]`` from ``src``."""
+    env = env_for(src)
+
+    def timed(k):
+        name = WALL[k]
+        cmd = ["-c", name] if name.startswith("import ") else ["-c", CLI, *name.split(),
+                                                                "--out", out]
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, *cmd], env=env, check=True, stdout=subprocess.DEVNULL)
+        return 1e3 * (time.perf_counter() - t0)
+
+    return timed, lambda: None
+
+
+def alternate(timers, count, rounds):
+    """``times[tree][class]``: a warm-up round, then ``rounds`` alternated."""
+    times = [[[] for _ in range(count)] for _ in timers]
+    for r in range(rounds + 1):
+        for k in range(count):
+            for t in ((0, 1) if (r + k) % 2 == 0 else (1, 0)):
+                ms = timers[t](k)
+                if r > 0:  # round 0 warms up
+                    times[t][k].append(ms)
+    return times
+
+
+def report(names, times):
+    print(f"{'class':48s} {'min A':>8s} {'min B':>8s} {'min B/A':>8s}"
+          f" {'med A':>8s} {'med B':>8s} {'med B/A':>8s}")
+    for k, name in enumerate(names):
+        a, b = (ts[k] for ts in times)
+        ma, mb = statistics.median(a), statistics.median(b)
+        print(f"{name:48s} {min(a):8.2f} {min(b):8.2f} {min(b) / min(a):8.3f}"
+              f" {ma:8.2f} {mb:8.2f} {mb / ma:8.3f}")
 
 
 if __name__ == "__main__":
     if sys.argv[1] == "--worker":
         sys.exit(worker())
-    procs = [start(src) for src in sys.argv[1:3]]
-    rounds = int(sys.argv[3]) if len(sys.argv) > 3 else 11
-    times = [[[] for _ in CLASSES] for _ in procs]
-    for r in range(rounds + 1):
-        for k in range(len(CLASSES)):
-            for t in ((0, 1) if (r + k) % 2 == 0 else (1, 0)):
-                ms = timed(procs[t], k)
-                if r > 0:  # round 0 warms up
-                    times[t][k].append(ms)
-    for proc in procs:
-        proc.communicate()
-    print(f"{'class':48s} {'min A':>8s} {'min B':>8s} {'min B/A':>8s}"
-          f" {'med A':>8s} {'med B':>8s} {'med B/A':>8s}")
-    for k, name in enumerate(CLASSES):
-        a, b = (ts[k] for ts in times)
-        ma, mb = statistics.median(a), statistics.median(b)
-        print(f"{name:48s} {min(a):8.2f} {min(b):8.2f} {min(b) / min(a):8.3f}"
-              f" {ma:8.2f} {mb:8.2f} {mb / ma:8.3f}")
+    wall = sys.argv[1] == "--wall"
+    args = sys.argv[2:] if wall else sys.argv[1:]
+    rounds = int(args[2]) if len(args) > 2 else 11
+    names = WALL if wall else CLASSES
+    with tempfile.TemporaryDirectory() as out:
+        timers = [wall_timer(src, out) if wall else cpu_timer(src) for src in args[:2]]
+        times = alternate([timed for timed, _ in timers], len(names), rounds)
+        for _, close in timers:
+            close()
+    report(names, times)

@@ -20,10 +20,12 @@ seeds 0, 3 and 7.
 Run NAME writes its trace, report and exit code (``exit.txt``) into
 ``OUT/NAME/``; all runs share one subprocess with one BLAS thread.
 
-The golden manifest holds the SHA-256 of every file of the ``GOLDEN`` runs,
-made from this repository's ``src``, with the numpy, scipy and BLAS versions
-it was made under; ``tests/test_golden_sweep.py`` reruns those runs and
-compares.  A change that moves report or trace bytes regenerates it."""
+The golden manifest holds the SHA-256 of every file of the ``GOLDEN`` runs
+and of the ``DENSE`` traces, made from this repository's ``src``, with the
+numpy, scipy and BLAS versions it was made under; ``tests/test_golden_sweep.py``
+remakes it the same way, in a worker with one BLAS thread (the dense
+reduction's bits at n = 250 depend on the thread count), and compares.  A
+change that moves report or trace bytes regenerates it."""
 
 import filecmp
 import hashlib
@@ -80,6 +82,11 @@ GOLDEN = (
     "jacobi-newton-n10-s7-default-default", "jacobi-newton-n10-s0-random-default",
     "jacobi-newton-n30-s0-near-default", "jacobi-newton-n60-s3-near-default",
     "fd-check-s0")
+#: (n, seed) of the dense problems: every CLI run of the Rayleigh quotient is
+#: on fig1's diagonal Q, where reordered products round alike, so the eigen
+#: drivers also run on ``random_symmetric(seed)`` from
+#: ``random_unit_vector(seed + 1)``, through library calls
+DENSE = [(n, seed) for n in (60, 250) for seed in SEEDS]
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MANIFEST = os.path.join(ROOT, "tests", "golden_sweep.json")
 
@@ -146,6 +153,32 @@ def golden(out):
     return digests
 
 
+def dense():
+    """``{name: SHA-256}`` of the trace of ``rqi``, ``newton_rayleigh``,
+    ``cg_extreme_eigen`` and the generic ``newton`` on each ``DENSE``
+    problem: its points, values, gradient norms, errors and steps."""
+    import numpy as np
+
+    from riemopt import RayleighObjective, cg_extreme_eigen, newton, newton_rayleigh, rqi
+    from riemopt.sampling import random_symmetric, random_unit_vector, rng_from_seed
+
+    drivers = {"rqi": lambda Q, x0: rqi(Q, x0).trace,
+               "newton_rayleigh": lambda Q, x0: newton_rayleigh(Q, x0).trace,
+               "cg_extreme_eigen": lambda Q, x0: cg_extreme_eigen(Q, x0).trace,
+               "newton": lambda Q, x0: newton(RayleighObjective(Q), x0)}
+    digests = {}
+    for n, seed in DENSE:
+        Q = random_symmetric(rng_from_seed(seed), n)
+        x0 = random_unit_vector(rng_from_seed(seed + 1), n)
+        for name, solve in drivers.items():
+            trace = solve(Q, x0)
+            digest = hashlib.sha256()
+            for rows in (trace.points, trace.values, trace.grad_norms, trace.errors, trace.steps):
+                digest.update(np.asarray(rows, dtype=float).tobytes())
+            digests[f"{name}-n{n}-s{seed}"] = digest.hexdigest()
+    return digests
+
+
 def differ(a, b):
     fa, fb = ({os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs}
               for root in (a, b))
@@ -169,13 +202,13 @@ if __name__ == "__main__":
         sys.exit(1 if paths else 0)
     elif sys.argv[1:3] == ["--worker", "--golden"]:
         with tempfile.TemporaryDirectory() as out:
-            manifest = {"versions": versions(), "runs": golden(out)}
-        with open(MANIFEST, "w") as fh:
+            manifest = {"versions": versions(), "runs": golden(out), "dense": dense()}
+        with open(sys.argv[3], "w") as fh:
             json.dump(manifest, fh, indent=1)
             fh.write("\n")
     elif sys.argv[1] == "--worker":
         sweep(sys.argv[2], runs())
     elif sys.argv[1] == "--golden":
-        in_worker(os.path.join(ROOT, "src"), "--golden")
+        in_worker(os.path.join(ROOT, "src"), "--golden", MANIFEST)
     else:
         in_worker(sys.argv[1], sys.argv[2])
