@@ -6,11 +6,13 @@ and the classical quotient iteration (solve and renormalize).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from . import solvers
 from .core import IterationTrace
-from .solvers import SolverConfig, _gradient, _stop_tol, conjugate_gradient, newton
+from .solvers import SolverConfig, conjugate_gradient, newton
 from .sphere import RayleighObjective, _rescaled, normalized_start, sphere_log
 # looked up here by name, so that it can be wrapped; it solves on the
 # objective's checked Q and its one reduction
@@ -63,32 +65,21 @@ def newton_rayleigh(Q, x0, config=None, error_fn=None) -> EigenResult:
     return _on_quotient(newton, Q, x0, config, error_fn)
 
 
-def _rqi(objective, x, config, error_fn):
-    trace = IterationTrace()
-    tol = _stop_tol(objective, config)
-    for i in range(config.max_iter + 1):
-        _, gn = _gradient(objective, x, trace)
-        rho = objective.report_value(x)
-        trace.append(x, rho, gn, error_fn(x))
-        if gn < tol or i == config.max_iter:
-            break
-        y, ny = _rescaled(_shift_solve(objective, rho, x))
-        x_next = y / ny
-        if float(x_next @ x) < 0.0:
-            x_next = -x_next
-        trace.record_step(sphere_log(x, x_next)[1])
-        x = x_next
-    trace.converged = bool(gn < tol)
-    return trace
+def _rqi_step(objective, x):
+    y, ny = _rescaled(_shift_solve(objective, objective.report_value(x), x))
+    x_next = y / ny
+    if float(x_next @ x) < 0.0:
+        x_next = -x_next
+    return x_next, sphere_log(x, x_next)[1]
 
 
 def rqi(Q, x0, config=None, error_fn=None) -> EigenResult:
-    """Rayleigh quotient iteration: ``x <- y / |y|`` for ``y = (Q - rho I)^{-1} x``
-    and ``rho = x^T (Qx)``, signed so successive iterates keep a positive inner
-    product; the trace records each step's angle by the arctan2 of
-    :func:`~riemopt.sphere.sphere_log` (arccos reads one below 1.5e-8 as 0).
-    Bad input raises as in :func:`newton_rayleigh`."""
-    return _on_quotient(_rqi, Q, x0, config, error_fn)
+    """Rayleigh quotient iteration, the step map ``x <- y / |y|`` on the loop of
+    :func:`~riemopt.solvers.newton`, for ``y = (Q - rho I)^{-1} x`` and ``rho = x^T (Qx)``,
+    signed so successive iterates keep a positive inner product; the trace records
+    each step's angle by the arctan2 of :func:`~riemopt.sphere.sphere_log` (arccos
+    reads one below 1.5e-8 as 0).  Bad input raises as in :func:`newton_rayleigh`."""
+    return _on_quotient(partial(solvers._newton, step=_rqi_step), Q, x0, config, error_fn)
 
 
 def cg_extreme_eigen(Q, x0, config=None, which="max", error_fn=None) -> EigenResult:

@@ -231,6 +231,40 @@ def steepest_descent(objective: GeodesicObjective, p0, config=None, error_fn=Non
     return _descend(objective, p0, config or SolverConfig(), error_fn, reset_period=1)
 
 
+def _newton_step(objective, p):
+    """``exp_p(H)`` for the Newton direction ``H``, recorded as 1.0; a zero ``H`` declines."""
+    H = objective.newton_direction(p)
+    if objective.manifold.norm(p, H) == 0.0:
+        raise StepDeclined("the Newton direction is zero")
+    return objective.manifold.exp(p, H, 1.0), 1.0
+
+
+def _newton(objective, p, config, error_fn, step):
+    """Newton's loop on the step map ``step(objective, p) -> (point, recorded step)``.
+    A declined step (:class:`StepDeclined`, ``LinAlgError``) gives way to one line-minimized
+    gradient step, and 5 growths in a row of the gradient norm raise :class:`Diverged`."""
+    error_fn = error_fn or objective.error_metric
+    tol = _stop_tol(objective, config)
+    trace, g, gn = _start_trace(objective, p, error_fn)
+    grow_count = 0
+    for _ in range(config.max_iter):
+        if gn < tol:
+            break
+        try:
+            p, lam = step(objective, p)
+        except (StepDeclined, np.linalg.LinAlgError):
+            ls = _line_search(objective, p, -g, config, trace, g)
+            p, lam = ls.point, ls.step
+        trace.record_step(lam)
+        gn_old, (g, gn) = gn, _gradient(objective, p, trace)
+        grow_count = grow_count + 1 if gn > gn_old else 0
+        trace.append(p, objective.report_value(p), gn, error_fn(p))
+        if grow_count >= 5:
+            raise Diverged("gradient norm grew for 5 consecutive steps", trace=trace)
+    trace.converged = bool(gn < tol)
+    return trace
+
+
 def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> IterationTrace:
     """Unit-step Newton iteration ``p <- exp_p(H)`` with
     ``hessian(H) = -gradient``.
@@ -239,34 +273,7 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
     second differential, a degenerate pivot or a zero direction, it takes one
     line-minimized gradient step instead.
     """
-    config = config or SolverConfig()
-    error_fn = error_fn or objective.error_metric
-    tol = _stop_tol(objective, config)
-    M = objective.manifold
-    p = p0
-    trace, g, gn = _start_trace(objective, p, error_fn)
-    grow_count = 0
-    for _ in range(config.max_iter):
-        if gn < tol:
-            break
-        try:
-            H = objective.newton_direction(p)
-        except (StepDeclined, np.linalg.LinAlgError):
-            H = None
-        if H is None or M.norm(p, H) == 0.0:
-            ls = _line_search(objective, p, -g, config, trace, g)
-            step, p = ls.step, ls.point
-        else:
-            step, p = 1.0, M.exp(p, H, 1.0)
-        trace.record_step(step)
-        g, gn_new = _gradient(objective, p, trace)
-        grow_count = grow_count + 1 if gn_new > gn else 0
-        gn = gn_new
-        trace.append(p, objective.report_value(p), gn, error_fn(p))
-        if grow_count >= 5:
-            raise Diverged("gradient norm grew for 5 consecutive steps", trace=trace)
-    trace.converged = gn < tol
-    return trace
+    return _newton(objective, p0, config or SolverConfig(), error_fn, _newton_step)
 
 
 def conjugate_gradient(objective: GeodesicObjective, p0, config=None, error_fn=None) -> IterationTrace:

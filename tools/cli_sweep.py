@@ -153,10 +153,35 @@ def golden(out):
     return digests
 
 
+def edge_cases():
+    """``{name: (Q, x0, config)}`` of the shift drivers' edge cases: random
+    ``Q`` at n = 2 and 3, budgets of 0 and 1 steps, the 2-cycle of
+    ``diag(1, 0, -1)`` from ``(e1 + e3)/sqrt 2``, a start on an exact
+    eigenvector and a zero ``Q``."""
+    import numpy as np
+
+    from riemopt import SolverConfig
+    from riemopt.sampling import random_symmetric, random_unit_vector, rng_from_seed
+
+    def problem(n, seed, max_iter=None):
+        config = None if max_iter is None else SolverConfig(max_iter=max_iter)
+        return (random_symmetric(rng_from_seed(seed), n),
+                random_unit_vector(rng_from_seed(seed + 1), n), config)
+
+    e = np.eye(5)
+    return {"n2-s0": problem(2, 0), "n3-s3": problem(3, 3),
+            "n60-s0-max_iter0": problem(60, 0, 0), "n60-s0-max_iter1": problem(60, 0, 1),
+            "two-cycle": (np.diag([1.0, 0.0, -1.0]), np.array([1.0, 0.0, 1.0]), None),
+            "eigenvector": (np.diag(np.arange(5, 0, -1.0)), e[1], None),
+            "zero-q": (np.zeros((5, 5)), e.sum(axis=0), None)}
+
+
 def dense():
     """``{name: SHA-256}`` of the trace of ``rqi``, ``newton_rayleigh``,
     ``cg_extreme_eigen`` and the generic ``newton`` on each ``DENSE``
-    problem: its points, values, gradient norms, errors and steps."""
+    problem, and of ``rqi`` and ``newton_rayleigh`` on each of the
+    :func:`edge_cases`: its points, values, gradient norms, errors and
+    steps."""
     import numpy as np
 
     from riemopt import RayleighObjective, cg_extreme_eigen, newton, newton_rayleigh, rqi
@@ -166,16 +191,22 @@ def dense():
                "newton_rayleigh": lambda Q, x0: newton_rayleigh(Q, x0).trace,
                "cg_extreme_eigen": lambda Q, x0: cg_extreme_eigen(Q, x0).trace,
                "newton": lambda Q, x0: newton(RayleighObjective(Q), x0)}
+
+    def digest(trace):
+        sha = hashlib.sha256()
+        for rows in (trace.points, trace.values, trace.grad_norms, trace.errors, trace.steps):
+            sha.update(np.asarray(rows, dtype=float).tobytes())
+        return sha.hexdigest()
+
     digests = {}
     for n, seed in DENSE:
         Q = random_symmetric(rng_from_seed(seed), n)
         x0 = random_unit_vector(rng_from_seed(seed + 1), n)
         for name, solve in drivers.items():
-            trace = solve(Q, x0)
-            digest = hashlib.sha256()
-            for rows in (trace.points, trace.values, trace.grad_norms, trace.errors, trace.steps):
-                digest.update(np.asarray(rows, dtype=float).tobytes())
-            digests[f"{name}-n{n}-s{seed}"] = digest.hexdigest()
+            digests[f"{name}-n{n}-s{seed}"] = digest(solve(Q, x0))
+    for case, (Q, x0, config) in edge_cases().items():
+        for name, driver in (("rqi", rqi), ("newton_rayleigh", newton_rayleigh)):
+            digests[f"{name}-{case}"] = digest(driver(Q, x0, config).trace)
     return digests
 
 
