@@ -21,6 +21,7 @@ which round-trips doubles exactly.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -85,6 +86,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.experiment != "fd-check" and self.method not in _METHODS[self.experiment]:
             raise ValueError(f"method {self.method!r} not available for {self.experiment}")
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if self.seed < 0:
@@ -101,7 +104,7 @@ class ExperimentSpec:
             raise ValueError(f"{self.experiment} takes no {self.line_search!r} line search")
         if self.reset_period is not None and self.method != "cg":
             raise ValueError("only cg takes a reset period")
-        SolverConfig(grad_tol=self.tol, max_iter=self.max_iter or 0,
+        SolverConfig(grad_tol=self.tol, max_iter=0 if self.max_iter is None else self.max_iter,
                      line_search=self.line_search or "bracket", reset_period=self.reset_period)
 
 

@@ -140,9 +140,12 @@ class SpecialOrthogonal(Manifold):
         return float((np.asarray(u) * np.asarray(v)).sum())
 
     def check_point(self, p):
-        drift = _drift(np.asarray(p, dtype=float))
+        p = np.asarray(p, dtype=float)
+        drift = _drift(p)
         if not drift <= DRIFT_TOL:  # NaN fails too
             raise NotRotation(f"|T^T T - I|_F = {drift:.3e} exceeds {DRIFT_TOL:.1e}")
+        if not np.linalg.det(p) > 0.0:  # the other component of O(n)
+            raise NotRotation("det T is -1: T is orthogonal but not a rotation")
 
 
 def _solve_definite(apply_op, b, *, diag):

@@ -8,6 +8,7 @@ objectives in :mod:`riemopt.sphere` and :mod:`riemopt.rotation` do).
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -52,6 +53,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError("gradient tolerance must be positive and finite")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"iteration budget must be an integer, got {self.max_iter!r}")
+        if self.reset_period is not None and not isinstance(self.reset_period, numbers.Integral):
+            raise ValueError(f"reset period must be an integer, got {self.reset_period!r}")
         if self.max_iter < 0:
             raise ValueError("iteration budget must be >= 0")
         if self.reset_period is not None and self.reset_period < 1:
@@ -256,8 +261,9 @@ def _newton(objective, p, config, error_fn, step):
             ls = _line_search(objective, p, -g, config, trace, g)
             p, lam = ls.point, ls.step
         trace.record_step(lam)
-        gn_old, (g, gn) = gn, _gradient(objective, p, trace)
-        grow_count = grow_count + 1 if gn > gn_old else 0
+        g, gn_new = _gradient(objective, p, trace)
+        grow_count = grow_count + 1 if gn_new > gn else 0
+        gn = gn_new
         trace.append(p, objective.report_value(p), gn, error_fn(p))
         if grow_count >= 5:
             raise Diverged("gradient norm grew for 5 consecutive steps", trace=trace)

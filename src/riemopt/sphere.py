@@ -190,11 +190,15 @@ def _shift_solve(objective, rho, x):
     the shift moves by ``eps max(|Q|_F, tiny)``, doubled until the solve
     succeeds (it does for a finite ``rho`` and ``x``), as inverse iteration
     does: below the reduction's backward error, so ``y`` lies along the
-    null vector to working accuracy."""
+    null vector to working accuracy.  A shift that is not finite (a NaN
+    ``rho``, or a nudge grown past overflow by a non-finite ``x``) raises
+    ValueError."""
     V, tau, d, e = objective._reduction()
     lapack = _scipy("lapack")
     shift, nudge = rho, 0.0
     while True:
+        if not np.isfinite(shift):
+            raise ValueError(f"shift must be finite, got {shift!r}")
         y = np.array(x, dtype=float)
         # lwork = 1 runs the unblocked code, the faster one for one vector
         y[1:] = lapack.dormqr("L", "T", V, tau, y[1:], 1)[0]
@@ -202,7 +206,8 @@ def _shift_solve(objective, rho, x):
         y[1:] = lapack.dormqr("L", "N", V, tau, y[1:], 1)[0]
         if info == 0 and np.all(np.isfinite(y)):  # info > 0: an exactly zero pivot
             return y
-        nudge = 2.0 * nudge or EPS * max(objective.Q_fro, np.finfo(float).tiny)
+        # a Python float, which overflows to inf without a warning
+        nudge = 2.0 * nudge or float(EPS * max(objective.Q_fro, np.finfo(float).tiny))
         shift = rho + nudge
 
 

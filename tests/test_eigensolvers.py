@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import riemopt.eigensolvers
+
 from _oracles import axis_angle, rand_sym, rand_tangent, rand_unit
 from riemopt import (
     RayleighObjective,
@@ -11,6 +13,7 @@ from riemopt import (
     rqi,
     sphere_log,
 )
+from riemopt.errors import Diverged
 from riemopt.experiments import ExperimentSpec, run_fig1
 from riemopt.sphere import _line_rotation
 
@@ -96,6 +99,29 @@ def test_rqi_sign_convention():
     pts = res.trace.points
     for a, b in zip(pts[:-1], pts[1:]):
         assert float(a @ b) > 0.0
+
+
+def test_rqi_raises_diverged_after_five_growths(monkeypatch):
+    # a shift solve that doubles the angle of diag(n..1)'s iterate from e1
+    # toward (e1 + en)/sqrt 2, where the gradient norm (n-1) sin(2 theta)
+    # grows at every step: rqi runs on newton's loop and shares its guard
+    n = 6
+
+    def walk(objective, rho, x):
+        theta = min(2.0 * np.arctan2(x[-1], x[0]), np.pi / 4)
+        y = np.zeros(n)
+        y[0], y[-1] = np.cos(theta), np.sin(theta)
+        return 3.0 * y
+
+    monkeypatch.setattr(riemopt.eigensolvers, "_shift_solve", walk)
+    x0 = np.zeros(n)
+    x0[0], x0[-1] = np.cos(1e-3), np.sin(1e-3)
+    with pytest.raises(Diverged) as info:
+        rqi(diag_desc(n), x0, SolverConfig(max_iter=50))
+    trace = info.value.trace
+    assert trace.iterations == 5
+    assert np.all(np.diff(trace.grad_norms) > 0.0)
+    assert not trace.converged
 
 
 def test_quadratic_agreement_of_next_iterates():

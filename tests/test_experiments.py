@@ -14,6 +14,7 @@ from _oracles import read_trace_csv
 from riemopt.cli import main
 from riemopt.core import IterationTrace, estimate_order, longest_decreasing_run
 from riemopt.errors import LineSearchFailed
+from riemopt.solvers import SolverConfig
 from riemopt.experiments import (
     ExperimentSpec,
     fig2_matrices,
@@ -24,6 +25,24 @@ from riemopt.experiments import (
     trace_filename,
     report_filename,
 )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SolverConfig(max_iter=1.5),
+    lambda: SolverConfig(max_iter=float("nan")),
+    lambda: SolverConfig(max_iter=10.0),
+    lambda: SolverConfig(reset_period=2.5),
+    lambda: ExperimentSpec("fig1", n=2.5),
+    lambda: ExperimentSpec("fig1", n=float("nan")),
+    lambda: ExperimentSpec("fig1", max_iter=1.5),
+    lambda: ExperimentSpec("fig1", max_iter=0.0),
+], ids=["config-max_iter-1.5", "config-max_iter-nan", "config-max_iter-10.0",
+        "config-reset_period-2.5", "spec-n-2.5", "spec-n-nan", "spec-max_iter-1.5",
+        "spec-max_iter-0.0"])
+def test_budgets_and_sizes_must_be_integers(make):
+    # a float budget used to fail only once the run started, or never
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
 
 
 def test_spec_validation():

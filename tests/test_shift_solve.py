@@ -2,8 +2,11 @@
 step on the sphere, the Newton tangent formed from it, and the entry checks
 of the eigenpair drivers and of the public shift entry points."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +241,38 @@ def test_an_exactly_singular_shift_solves_without_an_svd(monkeypatch, n):
 
     assert np.all(np.isfinite(y))
     assert np.linalg.norm(y[:-1]) <= 1e-12 * abs(y[-1])
+
+
+_NON_FINITE_SHIFT = r"""
+import warnings
+
+import numpy as np
+from riemopt.sphere import RayleighObjective, _shift_solve
+
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    try:
+        _shift_solve(RayleighObjective(np.diag([3.0, 2.0, 1.0])), {rho}, np.array({x}))
+    except ValueError as exc:
+        print(exc)
+print(len(caught), "warnings")
+"""
+
+
+@pytest.mark.parametrize("rho, x", [("np.nan", "[0.6, 0.8, 0.0]"),
+                                    ("2.0", "[np.inf, 0.0, 0.0]")])
+def test_a_non_finite_shift_raises(rho, x):
+    # the private solve a driver calls: a NaN shift never leaves the
+    # spectrum, and an inf in x keeps y non-finite until the doubled nudge
+    # overflows, which must not warn; the solve used to loop without end,
+    # so it runs in a subprocess with a timeout
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", _NON_FINITE_SHIFT.format(rho=rho, x=x)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0].startswith("shift must be finite")
+    assert done.stdout.splitlines()[1] == "0 warnings"
 
 
 def test_threads_solving_on_one_reduction_match_a_serial_solve():

@@ -27,7 +27,7 @@ from riemopt.errors import (
     ZeroTangent,
 )
 from riemopt import solvers
-from riemopt.experiments import jacobi_matrices
+from riemopt.experiments import fig2_matrices, jacobi_matrices
 from riemopt.sampling import random_rotation, rng_from_seed
 
 
@@ -739,6 +739,16 @@ def test_start_off_the_rotation_group_is_rejected(solver):
     D = np.diag(np.arange(5, 0, -1.0))
     with pytest.raises(NotRotation):
         solver(BrockettObjective(D, D), 1.05 * np.eye(5), SolverConfig(line_search="estimate"))
+
+
+@pytest.mark.parametrize("solver", [steepest_descent, newton, conjugate_gradient])
+def test_start_on_the_other_component_of_o_n_is_rejected(solver):
+    # diag(1, 1, 1, 1, -1) is orthogonal with det -1; newton from it reported
+    # converged after 19 steps on fig2's Q, every iterate with det -1
+    Q, N, _ = fig2_matrices(5, 0)
+    with pytest.raises(NotRotation, match="det"):
+        solver(BrockettObjective(Q, N), np.diag([1.0, 1.0, 1.0, 1.0, -1.0]),
+               SolverConfig(line_search="estimate"))
 
 
 @pytest.mark.parametrize("grad_tol", [0.0, -1.0, np.nan, np.inf])
