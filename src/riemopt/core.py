@@ -10,8 +10,11 @@ point, where they form a vector space.
 from __future__ import annotations
 
 import functools
-import importlib
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -33,10 +36,26 @@ def _fro(A):
 
 @functools.cache
 def _scipy(module):
-    """``scipy.linalg.<module>``, imported on the first call: scipy is most
-    of a CLI run's start-up, and a run that calls neither LAPACK nor the
-    Pade kernels never loads it."""
-    return importlib.import_module(f"scipy.linalg.{module}")
+    """The compiled kernels of ``scipy.linalg.<module>`` (``"lapack"`` or
+    ``"_matfuncs_expm"``), loaded on first use: the extension file alone,
+    not ``scipy.linalg``, which takes ten times as long and 17 MB more.  Kept
+    in ``sys.modules``, it is the one a later ``import scipy.linalg`` uses.
+    This leans on scipy's private file layout (checked under scipy 1.17.1,
+    numpy 2.4.6, Python 3.11.7); any failure imports the module instead."""
+    name = "scipy.linalg." + {"lapack": "_flapack"}.get(module, module)
+    try:
+        import scipy  # its distributor init finds the BLAS the kernels link
+        if name not in sys.modules:
+            stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+            path = next(stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                        if os.path.isfile(stem + suffix))
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            kernels = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(kernels)
+            sys.modules.setdefault(name, kernels)
+        return sys.modules[name]
+    except Exception:  # the supported import gives the same functions
+        return importlib.import_module(f"scipy.linalg.{module}")
 
 
 class Manifold(ABC):
@@ -46,6 +65,8 @@ class Manifold(ABC):
     case the solvers require; transport along arbitrary curves is not part
     of the contract.  Points and tangents are treated as immutable.
     """
+
+    shape: tuple | None = None  #: the array shape of every point, if fixed
 
     @property
     @abstractmethod
@@ -241,13 +262,13 @@ def estimate_order(errors, window=None, lag=1) -> ConvergenceReport:
     """
     e = np.asarray(errors, dtype=float)
     if window is None:
-        if len(e) > 0 and np.all(e <= STAGNATION_FLOOR):
-            raise OrderFitError("all entries at or below the stagnation floor")
         stop = len(e)
         while stop > 0 and e[stop - 1] <= STAGNATION_FLOOR:
             stop -= 1
-        window = (0, stop)
+        window = (0, stop or len(e))  # kept whole when all at the floor, as checked below
     start, stop = int(window[0]), int(window[1])
+    if lag < 1 or not 0 <= start < stop <= len(e):
+        raise OrderFitError(f"lag {lag!r} or window {window!r} out of range for {len(e)} entries")
     seq = e[start:stop]
 
     if not np.all(np.isfinite(seq)):

@@ -86,8 +86,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.experiment != "fd-check" and self.method not in _METHODS[self.experiment]:
             raise ValueError(f"method {self.method!r} not available for {self.experiment}")
-        if not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        for name, value in (("n", self.n), ("seed", self.seed)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if self.seed < 0:

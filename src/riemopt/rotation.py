@@ -71,7 +71,6 @@ def expm(X):
     takes this generic path for it, and on zero the path gives the identity
     bit for bit, as scipy's diagonal path does.  The workspace is fresh per
     call, so the result shares no memory with the input or another result.
-    The kernels are imported on the first call.
     """
     n, kernels = len(X), _scipy("_matfuncs_expm")
     A = np.empty((5, n, n))
@@ -115,6 +114,7 @@ class SpecialOrthogonal(Manifold):
         if n < 2:
             raise ValueError("rotation group needs n >= 2")
         self.n = int(n)
+        self.shape = (self.n, self.n)
         self._half = (None, None, None)
 
     @property

@@ -185,8 +185,10 @@ def _line_search(objective, p, H, config, trace, g):
 
 
 def _start_trace(objective, p, error_fn):
-    """Trace holding the start; a NaN start raises :class:`NonFinite`
-    before the manifold checks the point."""
+    """Trace holding the start; a start of the wrong shape raises ValueError,
+    and a NaN start :class:`NonFinite` before the manifold checks the point."""
+    if objective.manifold.shape not in (None, np.shape(p)):
+        raise ValueError(f"start has shape {np.shape(p)}, not {objective.manifold.shape}")
     trace = IterationTrace()
     g, gn = _gradient(objective, p, trace)
     objective.manifold.check_point(p)

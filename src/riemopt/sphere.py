@@ -126,6 +126,7 @@ class Sphere(Manifold):
         if n < 2:
             raise ValueError("sphere needs ambient dimension >= 2")
         self.n = int(n)
+        self.shape = (self.n,)
 
     @property
     def dim(self):

@@ -36,11 +36,13 @@ from riemopt.experiments import (
     lambda: ExperimentSpec("fig1", n=float("nan")),
     lambda: ExperimentSpec("fig1", max_iter=1.5),
     lambda: ExperimentSpec("fig1", max_iter=0.0),
+    lambda: ExperimentSpec("fig1", n=5, seed=2.5),
+    lambda: ExperimentSpec("fig1", n=5, seed=float("nan")),
 ], ids=["config-max_iter-1.5", "config-max_iter-nan", "config-max_iter-10.0",
         "config-reset_period-2.5", "spec-n-2.5", "spec-n-nan", "spec-max_iter-1.5",
-        "spec-max_iter-0.0"])
+        "spec-max_iter-0.0", "spec-seed-2.5", "spec-seed-nan"])
 def test_budgets_and_sizes_must_be_integers(make):
-    # a float budget used to fail only once the run started, or never
+    # a float budget or seed used to fail only once the run started, or never
     with pytest.raises(ValueError, match="must be an integer"):
         make()
 
@@ -313,20 +315,69 @@ for argv in json.loads(sys.argv[1]):
             main(argv)
         except SystemExit:  # --help and a usage error
             pass
-    print("scipy" in sys.modules)
+    print(",".join(name.rpartition(".")[2] for name in
+                   ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.linalg._matfuncs_expm")
+                   if name in sys.modules) or "-")
 """
 
 
 def test_cli_runs_without_scipy_until_a_kernel_needs_it(tmp_path):
     # scipy is most of a CLI run's start-up; fig1 sd and cg, --help and a
-    # usage error call neither LAPACK nor the Pade kernels, and a shift
-    # solve (the last run) loads it
+    # usage error call neither LAPACK nor the Pade kernels, and a run that
+    # does (a shift solve, a geodesic on SO(n)) loads that compiled kernel
+    # alone, never scipy.linalg; each group of runs is one fresh process
     out = ["--out", str(tmp_path)]
-    argvs = [["fig1", "--method", "sd", "--n", "21"] + out,
-             ["fig1", "--method", "cg", "--n", "21"] + out,
-             ["--help"], ["fig1", "--n", "1"], ["fig1", "--method", "rqi", "--n", "5"] + out]
+    groups = [([["fig1", "--method", "sd", "--n", "21"] + out,
+                ["fig1", "--method", "cg", "--n", "21"] + out,
+                ["--help"], ["fig1", "--n", "1"], ["fig1", "--method", "rqi", "--n", "5"] + out],
+               ["-", "-", "-", "-", "scipy,_flapack"]),
+              ([["fig2", "--method", "cg", "--n", "10"] + out], ["scipy,_matfuncs_expm"]),
+              ([["jacobi", "--n", "5", "--init", "near:0.1"] + out], ["scipy,_matfuncs_expm"])]
     src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-c", _SCIPY_LOADED, json.dumps(argvs)],
-                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.split() == ["False", "False", "False", "False", "True"]
+    for argvs, loaded in groups:
+        done = subprocess.run([sys.executable, "-c", _SCIPY_LOADED, json.dumps(argvs)],
+                              env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == loaded
+
+
+_KERNEL_TRACES = r"""
+import hashlib, importlib.abc, importlib.machinery, sys  # importlib.abc registers the loader
+import numpy as np
+
+class Failing(importlib.machinery.ExtensionFileLoader):
+    def exec_module(self, module):
+        raise ImportError("no direct load")
+
+if sys.argv[1] == "no-suffixes":
+    importlib.machinery.EXTENSION_SUFFIXES = []
+elif sys.argv[1] == "failing-loader":
+    importlib.machinery.ExtensionFileLoader = Failing
+from riemopt import rqi
+from riemopt.experiments import ExperimentSpec, run_experiment
+from riemopt.sampling import random_symmetric, random_unit_vector, rng_from_seed
+
+def digest(trace):
+    sha = hashlib.sha256()
+    for rows in (trace.points, trace.values, trace.grad_norms, trace.errors, trace.steps):
+        sha.update(np.asarray(rows, dtype=float).tobytes())
+    return sha.hexdigest()
+
+print(digest(rqi(random_symmetric(rng_from_seed(0), 60), random_unit_vector(rng_from_seed(1), 60)).trace))
+print(digest(run_experiment(ExperimentSpec("fig2", n=10, method="cg"))[1]))
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_kernels_from_the_scipy_linalg_import_give_the_same_bits():
+    # when the compiled kernels cannot be loaded on their own, they come from
+    # the import of scipy.linalg, with the same bits: a dense-Q rqi trace and
+    # a fig2 cg trace, each its own fresh process
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    runs = {how: subprocess.run([sys.executable, "-c", _KERNEL_TRACES, how], env=env,
+                                capture_output=True, text=True, check=True).stdout.split()
+            for how in ("direct", "no-suffixes", "failing-loader")}
+    assert runs["direct"][2] == "False"
+    assert runs["no-suffixes"] == runs["failing-loader"] == runs["direct"][:2] + ["True"]

@@ -59,6 +59,18 @@ def test_too_few_points():
         estimate_order([1e-1, 1e-2])
 
 
+@pytest.mark.parametrize("window, lag, match", [
+    ((0, 10), 1, r"window \(0, 10\) out of range"), ((-1, 3), 1, r"window \(-1, 3\) out"),
+    ((2, 2), 1, r"window \(2, 2\) out"), ((3, 1), 1, r"window \(3, 1\) out"),
+    (None, 0, "lag 0 or window"), ((0, 4), -1, "lag -1 or window"),
+], ids=["past-the-end", "negative-start", "empty", "reversed", "lag-0", "lag-negative"])
+def test_window_and_lag_are_checked(window, lag, match):
+    # a window past the end used to fit silently, and lag 0 raised numpy's
+    # broadcast error
+    with pytest.raises(OrderFitError, match=match):
+        estimate_order([1.0, 0.1, 0.01, 0.001], window=window, lag=lag)
+
+
 def test_non_decreasing_rejected():
     with pytest.raises(OrderFitError, match="positive and strictly decreasing"):
         estimate_order([1e-1, 1e-2, 1e-2, 1e-3])

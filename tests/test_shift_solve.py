@@ -25,6 +25,7 @@ from riemopt import (
     rayleigh_newton_step,
     rqi,
 )
+from riemopt.core import _scipy
 from riemopt.errors import NotUnitDirection, StepDeclined
 from riemopt.experiments import ExperimentSpec, run_fig1
 from riemopt.sphere import _shift_solve, normalized_start, shift_solve
@@ -118,14 +119,15 @@ def test_shift_solve_runs_the_blocked_factorization(monkeypatch, n):
     # unblocked code, slower at the benchmark's sizes, which no test of the
     # answer sees
     seen = []
-    dsytrd = lapack.dsytrd
+    kernels = _scipy("lapack")
+    dsytrd = kernels.dsytrd
 
     def recording(a, **kwargs):
         assert kwargs.get("lower") == 1
         seen.append(kwargs.get("lwork"))
         return dsytrd(a, **kwargs)
 
-    monkeypatch.setattr(lapack, "dsytrd", recording)
+    monkeypatch.setattr(kernels, "dsytrd", recording)
     rng = np.random.default_rng(n)
     shift_solve(rand_sym(rng, n), 0.25, rand_unit(rng, n))
     assert len(seen) == 1
@@ -136,14 +138,15 @@ def test_shift_solve_runs_the_blocked_factorization(monkeypatch, n):
 def test_one_reduction_per_solve(monkeypatch, solver):
     # every shift of one eigen solve reuses the objective's one reduction
     calls = {"dsytrd": 0, "dsytrf": 0}
+    kernels = _scipy("lapack")
     for name in calls:
-        kernel = getattr(lapack, name)
+        kernel = getattr(kernels, name)
 
         def counting(*args, name=name, kernel=kernel, **kwargs):
             calls[name] += 1
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(lapack, name, counting)
+        monkeypatch.setattr(kernels, name, counting)
     rng = np.random.default_rng(60)
     n = 60
     Q = rand_sym(rng, n)

@@ -13,6 +13,8 @@ from riemopt import (
     conjugate_gradient,
     line_minimize_geodesic,
     newton,
+    newton_rayleigh,
+    rqi,
     sphere_log,
     sphere_transport,
     steepest_descent,
@@ -749,6 +751,20 @@ def test_start_on_the_other_component_of_o_n_is_rejected(solver):
     with pytest.raises(NotRotation, match="det"):
         solver(BrockettObjective(Q, N), np.diag([1.0, 1.0, 1.0, 1.0, -1.0]),
                SolverConfig(line_search="estimate"))
+
+
+@pytest.mark.parametrize("run, start", [
+    (lambda Q, x: rqi(Q, x), np.ones(4)),
+    (lambda Q, x: newton_rayleigh(Q, x), np.ones(4)),
+    (lambda Q, x: steepest_descent(RayleighObjective(Q), x), np.ones(4) / 2.0),
+    (lambda Q, x: newton(BrockettObjective(Q, Q), x), np.eye(4)),
+    (lambda Q, x: conjugate_gradient(BrockettObjective(Q, Q), x), np.eye(3)[:, :2]),
+], ids=["rqi", "newton_rayleigh", "steepest_descent", "newton-so", "cg-so"])
+def test_start_of_the_wrong_shape_is_rejected(run, start):
+    # a 4-vector start on a 3-by-3 Q raised numpy's matmul error
+    Q = np.diag([3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match=r"start has shape .*\(3,(| 3)\)"):
+        run(Q, start)
 
 
 @pytest.mark.parametrize("grad_tol", [0.0, -1.0, np.nan, np.inf])

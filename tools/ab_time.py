@@ -37,7 +37,8 @@ CLASSES = ["fig1 --method sd --n 21", "fig1 --method cg --n 21", "fig1 --method 
            "fig1 --method newton --n 1000 --init random --seed 1"]
 #: fresh-process classes: the import alone, then whole CLI runs
 WALL = ["import riemopt", "fig1 --method sd --n 21", "fig1 --method cg --n 21",
-        "fig2 --method cg --n 10", "fig1 --method rqi --n 250 --init random"]
+        "fig2 --method cg --n 10", "fig1 --method rqi --n 250 --init random",
+        "jacobi --n 20 --init near:0.1"]
 CLI = "import sys; from riemopt.cli import main; sys.exit(main(sys.argv[1:]))"
 THREADS = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
 
