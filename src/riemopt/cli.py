@@ -25,22 +25,26 @@ def _parse_init(text):
     raise argparse.ArgumentTypeError(f"bad init spec {text!r}; use 'random' or 'near:<eps>'")
 
 
-def _add_common(sub, default_n, methods):
-    sub.add_argument("--n", type=int, default=default_n, help="problem size")
-    if methods:
-        sub.add_argument("--method", choices=methods, default=methods[0])
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--init", type=_parse_init, default=None,
+def _add_common(sub, n, methods):
+    sub.add_argument("--n", type=int, help="problem size")
+    sub.add_argument("--method", choices=methods)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--init", type=_parse_init,
                      help="'random' or 'near:<eps>' (default is per-method)")
-    sub.add_argument("--max-iter", type=int, default=None)
-    sub.add_argument("--tol", type=float, default=1e-12)
-    sub.add_argument("--reset-period", type=int, default=None, help="cg only")
+    sub.add_argument("--max-iter", type=int)
+    sub.add_argument("--tol", type=float)
+    sub.add_argument("--reset-period", type=int, help="cg only")
     sub.add_argument("--line-search", choices=("exact", "bracket", "golden", "estimate"),
-                     default=None, help="'golden' is an alias of 'bracket'")
-    sub.add_argument("--out", default=None, help="directory for CSV trace and report")
+                     help="'golden' is an alias of 'bracket'")
+    sub.add_argument("--out", dest="out_dir", metavar="OUT",
+                     help="directory for CSV trace and report")
+    sub.set_defaults(n=n, method=methods[0])
 
 
 def build_parser():
+    """Each subcommand's options are named after :class:`ExperimentSpec`'s
+    fields and left out of the namespace when not given, so the spec holds
+    every default but an experiment's ``n`` and method."""
     parser = argparse.ArgumentParser(
         prog="riemopt",
         description="Geodesic optimization experiments: sphere eigenvalue runs, "
@@ -48,39 +52,25 @@ def build_parser():
                     "derivative verification.")
     subs = parser.add_subparsers(dest="experiment", required=True)
 
-    fig1 = subs.add_parser("fig1", help="Rayleigh quotient on the sphere, Q = diag(n..1)")
-    _add_common(fig1, 21, _METHODS["fig1"])
+    def sub(name, text):
+        return subs.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
 
-    fig2 = subs.add_parser("fig2", help="tr(T'QTN) ascent on the rotation group")
-    _add_common(fig2, 10, _METHODS["fig2"])
+    _add_common(sub("fig1", "Rayleigh quotient on the sphere, Q = diag(n..1)"), 21, _METHODS["fig1"])
+    _add_common(sub("fig2", "tr(T'QTN) ascent on the rotation group"), 10, _METHODS["fig2"])
+    _add_common(sub("jacobi", "Newton diagonalization of a symmetric matrix"), 5, _METHODS["jacobi"])
 
-    jac = subs.add_parser("jacobi", help="Newton diagonalization of a symmetric matrix")
-    _add_common(jac, 5, _METHODS["jacobi"])
-
-    fd = subs.add_parser("fd-check", help="finite-difference derivative verification")
-    fd.add_argument("--seed", type=int, default=0)
-    fd.add_argument("--out", default=None)
+    fd = sub("fd-check", "finite-difference derivative verification")
+    fd.add_argument("--seed", type=int)
+    fd.add_argument("--out", dest="out_dir", metavar="OUT")
+    fd.set_defaults(n=8, method="all")
     return parser
 
 
 def _spec_from_args(args):
-    if args.experiment == "fd-check":
-        return ExperimentSpec(experiment="fd-check", n=8, method="all",
-                              seed=args.seed, out_dir=args.out)
-    init, eps = ("default", None) if args.init is None else args.init
-    return ExperimentSpec(
-        experiment=args.experiment,
-        n=args.n,
-        method=args.method,
-        seed=args.seed,
-        init=init,
-        init_eps=eps,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        reset_period=args.reset_period,
-        line_search=args.line_search,
-        out_dir=args.out,
-    )
+    fields = vars(args)
+    if "init" in fields:
+        fields["init"], fields["init_eps"] = fields["init"]
+    return ExperimentSpec(**fields)
 
 
 def main(argv=None):

@@ -9,7 +9,7 @@ Four experiment families:
   seeded spectrum, error measured as the distance of ``H = T^T Q T`` from
   its similarly-ordered eigenvalue diagonal;
 * ``jacobi`` — Newton diagonalization driving the off-diagonal mass of a
-  conjugated symmetric matrix to zero;
+  conjugated symmetric matrix to zero, on the ``Q`` of ``fig2``;
 * ``fd-check`` — finite-difference verification of every analytic gradient
   and Hessian form.
 
@@ -132,29 +132,21 @@ def fig1_matrix(n):
 
 
 def fig2_matrices(n, seed):
-    """The seeded ``Q`` of :func:`jacobi_matrices` plus N = diag(n..1).
-
-    Returns ``(Q, N, T_hat)`` where ``T_hat`` diagonalizes Q with the
-    eigenvalues ordered like N (the maximizing rotation).
+    """The seeded ``Q`` and rotation ``V`` of :func:`jacobi_matrices`, plus
+    ``N = diag(n..1)``: returns ``(Q, N, V)``.  ``V`` orders the eigenvalues
+    of ``Q`` as ``N`` orders its entries, so it maximizes ``tr(T^T Q T N)``.
     """
-    Q, _ = jacobi_matrices(n, seed)
-    N = np.diag(np.arange(n, 0, -1.0))
-    w, U = np.linalg.eigh(Q)
-    order = np.argsort(w)[::-1]
-    T_hat = U[:, order]
-    if np.linalg.det(T_hat) < 0.0:
-        T_hat[:, -1] = -T_hat[:, -1]
-    return Q, N, T_hat
+    Q, V = jacobi_matrices(n, seed)
+    return Q, fig1_matrix(n), V
 
 
 def jacobi_matrices(n, seed):
-    """Seeded symmetric Q with spectrum n..1; returns ``(Q, T_hat)``."""
-    rng = rng_from_seed(seed)
-    V = random_rotation(rng, n)
-    lam = np.arange(n, 0, -1.0)
-    Q = V @ np.diag(lam) @ V.T
-    Q = 0.5 * (Q + Q.T)
-    return Q, V
+    """Seeded symmetric ``Q = V diag(n..1) V^T`` and the rotation ``V``
+    (determinant +1, from :func:`random_rotation`) that diagonalizes it:
+    returns ``(Q, V)``."""
+    V = random_rotation(rng_from_seed(seed), n)
+    Q = (V * np.arange(n, 0, -1.0)) @ V.T
+    return 0.5 * (Q + Q.T), V
 
 
 def axis_angle(x, axis):

@@ -251,7 +251,8 @@ class BrockettObjective(MatrixObjective):
             raise ValueError(f"N must be a finite {n}-by-{n} matrix")
         if not np.array_equal(N, diag_part(N)):
             raise ValueError("N must be diagonal")
-        if len(np.unique(np.diag(N))) != n:
+        ordered = np.sort(np.diag(N))
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("N must have pairwise distinct diagonal entries")
         self.N = N
         self._nu = np.diag(N).copy()

@@ -41,7 +41,7 @@ def random_rotation(rng, n):
     """Haar-ish rotation via QR of a Gaussian matrix, determinant fixed to +1."""
     A = rng.normal(size=(n, n))
     V, R = np.linalg.qr(A)
-    V = V @ np.diag(np.sign(np.diag(R)))
+    V = V * np.sign(np.diag(R))
     if np.linalg.det(V) < 0.0:
         V[:, -1] = -V[:, -1]
     return V

@@ -160,8 +160,8 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None, *,
 
 def _stop_tol(objective, config):
     """Gradient norm below which every loop, the eigen drivers' included,
-    stops as converged."""
-    return max(config.grad_tol, objective.gradient_floor)
+    stops as converged; a Python float, so ``gn < tol`` is a ``bool``."""
+    return float(max(config.grad_tol, objective.gradient_floor))
 
 
 def _gradient(objective, p, trace):
@@ -269,7 +269,7 @@ def _newton(objective, p, config, error_fn, step):
         trace.append(p, objective.report_value(p), gn, error_fn(p))
         if grow_count >= 5:
             raise Diverged("gradient norm grew for 5 consecutive steps", trace=trace)
-    trace.converged = bool(gn < tol)
+    trace.converged = gn < tol
     return trace
 
 

@@ -14,10 +14,16 @@ from _oracles import read_trace_csv
 from riemopt.cli import main
 from riemopt.core import IterationTrace, estimate_order, longest_decreasing_run
 from riemopt.errors import LineSearchFailed
-from riemopt.solvers import SolverConfig
+from riemopt.rotation import BrockettObjective, so_geodesic
+from riemopt.sampling import random_unit_skew, random_unit_vector, rng_from_seed
+from riemopt.solvers import SolverConfig, conjugate_gradient, newton, steepest_descent
+from riemopt.sphere import RayleighObjective
+from riemopt.eigensolvers import cg_extreme_eigen, newton_rayleigh, rqi
 from riemopt.experiments import (
     ExperimentSpec,
+    fig1_matrix,
     fig2_matrices,
+    jacobi_matrices,
     run_experiment,
     run_fig1,
     run_fig2,
@@ -306,6 +312,57 @@ def test_fig1_newton_reaches_round_off(seed):
     assert report.final_error <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 21, 30, 60])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_fig2_maximizer_is_the_rotation_that_built_q(n, seed):
+    # fig2 and jacobi pose one problem: the rotation V that builds
+    # Q = V diag(n..1) V^T orders Q's eigenvalues as N orders its entries
+    Q, N, T_hat = fig2_matrices(n, seed)
+    Q_jacobi, V = jacobi_matrices(n, seed)
+    assert np.array_equal(Q, Q_jacobi) and np.array_equal(T_hat, V)
+    assert np.array_equal(N, fig1_matrix(n))
+    assert np.linalg.det(V) > 0.0
+    H = V.T @ Q @ V
+    assert np.linalg.norm(H - np.diag(np.arange(n, 0, -1.0))) <= 1e-13 * np.linalg.norm(Q)
+
+
+@pytest.mark.parametrize("method, init_eps, eps", [("sd", None, 0.1), ("newton", None, 1e-2),
+                                                   ("newton", 0.3, 0.3)])
+def test_fig2_near_start_is_a_geodesic_step_from_v(method, init_eps, eps):
+    n, seed = 8, 5
+    _, trace = run_fig2(ExperimentSpec("fig2", n=n, method=method, seed=seed, init="near",
+                                       init_eps=init_eps, max_iter=1))
+    V = jacobi_matrices(n, seed)[1]
+    assert np.array_equal(trace.points[0],
+                          so_geodesic(V, random_unit_skew(rng_from_seed(seed + 1), n), eps))
+
+
+def _converged_flags():
+    """``converged`` of every solver and eigen driver where the objective's
+    round-off floor lies above ``grad_tol``: fig1 at n = 200, fig2 at n = 30."""
+    config = SolverConfig(max_iter=3, line_search="exact")
+    Q = fig1_matrix(200)
+    x0 = random_unit_vector(rng_from_seed(0), 200)
+    sphere = RayleighObjective(Q)
+    yield from (solve(sphere, x0, config).converged
+                for solve in (steepest_descent, conjugate_gradient, newton))
+    yield from (drive(Q, x0, config).converged for drive in (rqi, newton_rayleigh, cg_extreme_eigen))
+    Q, N, V = fig2_matrices(30, 0)
+    brockett = BrockettObjective(Q, N)
+    T0 = so_geodesic(V, random_unit_skew(rng_from_seed(1), 30), 0.1)
+    config = SolverConfig(max_iter=3, line_search="estimate")
+    yield from (solve(brockett, T0, config).converged
+                for solve in (steepest_descent, conjugate_gradient, newton))
+
+
+def test_converged_is_a_python_bool():
+    # a numpy bool would not serialize: json.dumps raises on it
+    flags = list(_converged_flags())
+    assert len(flags) == 9
+    assert all(type(flag) is bool for flag in flags)
+    json.dumps(flags)
+
+
 _SCIPY_LOADED = r"""
 import contextlib, io, json, sys
 from riemopt.cli import main
@@ -339,6 +396,32 @@ def test_cli_runs_without_scipy_until_a_kernel_needs_it(tmp_path):
                               env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
                               text=True, check=True)
         assert done.stdout.split() == loaded
+
+
+_MA_LOADED = r"""
+import contextlib, io, json, sys
+from riemopt.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        main(argv)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_cli_runs_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma takes about 10 ms and 1 MB to import (np.unique loads it);
+    # no run of an experiment needs it
+    out = ["--out", str(tmp_path)]
+    argvs = [["fig1", "--method", "sd", "--n", "10"] + out,
+             ["fig1", "--method", "newton", "--n", "10"] + out,
+             ["fig2", "--method", "newton", "--n", "10"] + out,
+             ["fig2", "--method", "cg", "--n", "5"] + out,
+             ["jacobi", "--n", "5"] + out, ["fd-check"] + out]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", _MA_LOADED, json.dumps(argvs)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 _KERNEL_TRACES = r"""
