@@ -290,8 +290,9 @@ def estimate_order(errors, window=None, lag=1) -> ConvergenceReport:
                              residual=resid, window=(start, stop), lag=lag)
 
 
-def longest_decreasing_run(errors, floor=STAGNATION_FLOOR):
-    """Largest contiguous window of strictly decreasing entries above ``floor``.
+def longest_decreasing_run(errors):
+    """Largest contiguous window of strictly decreasing entries above
+    :data:`STAGNATION_FLOOR`.
 
     Returns a ``(start, stop)`` pair suitable for :func:`estimate_order`;
     the window may still be too short to fit.
@@ -300,11 +301,11 @@ def longest_decreasing_run(errors, floor=STAGNATION_FLOOR):
     best = (0, 0)
     start = 0
     for i in range(len(e)):
-        usable = e[i] > floor and (i == start or e[i] < e[i - 1])
+        usable = e[i] > STAGNATION_FLOOR and (i == start or e[i] < e[i - 1])
         if not usable:
             if i - start > best[1] - best[0]:
                 best = (start, i)
-            start = i if e[i] > floor else i + 1
+            start = i if e[i] > STAGNATION_FLOOR else i + 1
     if len(e) - start > best[1] - best[0]:
         best = (start, len(e))
     return best

@@ -88,12 +88,11 @@ def cg_extreme_eigen(Q, x0, config=None, which="max", error_fn=None) -> EigenRes
     """Conjugate-gradient ascent (``which='max'``) or descent
     (``which='min'``) of the Rayleigh quotient, with its closed-form
     geodesic line search whatever ``config.line_search`` says.  The
-    direction resets every n-th step (n the matrix size, unless
-    ``config.reset_period`` is set).
+    direction resets as :func:`~riemopt.solvers.conjugate_gradient` says:
+    every ``dim S^{n-1} = n - 1`` steps unless ``config.reset_period`` is set.
     """
     def exact_cg(objective, x, config, error_fn):
-        config = replace(config, line_search="exact",
-                         reset_period=config.reset_period or objective.manifold.n)
-        return conjugate_gradient(objective, x, config, error_fn=error_fn)
+        return conjugate_gradient(objective, x, replace(config, line_search="exact"),
+                                  error_fn=error_fn)
 
     return _on_quotient(exact_cg, Q, x0, config, error_fn, which)

@@ -64,9 +64,3 @@ class Diverged(SolverError):
 
 class NonFinite(SolverError):
     """A gradient norm is NaN or infinite: the iterate holds NaN or inf."""
-
-
-# --- harness ---
-
-class ToleranceBreached(RiemoptError):
-    pass

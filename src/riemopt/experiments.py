@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConvergenceReport, _fro, estimate_order, longest_decreasing_run
-from .errors import OrderFitError, SolverError, ToleranceBreached
+from .errors import OrderFitError, SolverError
 from .eigensolvers import cg_extreme_eigen, newton_rayleigh, rqi
 from .fdcheck import brockett_family_check, jacobi_family_check, rayleigh_family_check
 from .rotation import BrockettObjective, JacobiObjective, so_geodesic
@@ -46,12 +46,14 @@ from .sphere import RayleighObjective
 FD_GRAD_TARGET = 1e-6
 FD_HESS_TARGET = 1e-5
 
+#: Each experiment's methods, its default first, and its default size.
 _METHODS = {
     "fig1": ("sd", "cg", "newton", "rqi", "newton-rq"),
     "fig2": ("sd", "cg", "newton"),
     "jacobi": ("newton",),
     "fd-check": ("all",),
 }
+_SIZES = {"fig1": 21, "fig2": 10, "jacobi": 5, "fd-check": 8}
 #: Line searches an experiment's objective cannot serve: the Rayleigh
 #: quotient has no step estimate, the Brockett objective no closed-form
 #: step, the Jacobi objective neither.
@@ -70,8 +72,8 @@ def _start_mode(spec):
 @dataclass
 class ExperimentSpec:
     experiment: str
-    n: int = 21
-    method: str = "sd"
+    n: int | None = None  # None: the experiment's default size
+    method: str | None = None  # None: the experiment's default method
     seed: int = 0
     init: str = "default"  # random | near | default (per-method choice)
     init_eps: float | None = None
@@ -84,7 +86,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.experiment not in _METHODS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.experiment != "fd-check" and self.method not in _METHODS[self.experiment]:
+        if self.n is None:
+            self.n = _SIZES[self.experiment]
+        if self.method is None:
+            self.method = _METHODS[self.experiment][0]
+        if self.method not in _METHODS[self.experiment]:
             raise ValueError(f"method {self.method!r} not available for {self.experiment}")
         for name, value in (("n", self.n), ("seed", self.seed)):
             if not isinstance(value, numbers.Integral):
@@ -117,7 +123,7 @@ class RunReport:
     iterations: int = 0
     converged: bool = False
     order: ConvergenceReport | None = None
-    duration: float = 0.0
+    duration: float = 0.0  # wall time, set by run_experiment
     error_message: str | None = None
     extra: dict = field(default_factory=dict)
 
@@ -282,7 +288,7 @@ def _run(solve):
         return exc.trace, f"{type(exc).__name__}: {exc}"
 
 
-def _finish(spec, run, value_label, t0):
+def _finish(spec, run, value_label):
     trace, error_message = run
     report = RunReport(spec, error_message=error_message)
     if trace is not None and len(trace) > 0:
@@ -291,7 +297,6 @@ def _finish(spec, run, value_label, t0):
         report.final_error = trace.errors[-1]
         report.iterations = trace.iterations
         report.order = _order_fit(trace.errors)
-    report.duration = time.perf_counter() - t0
     _emit(spec, trace, report, value_label)
     return report, trace
 
@@ -299,7 +304,6 @@ def _finish(spec, run, value_label, t0):
 def run_fig1(spec):
     """Rayleigh quotient extremization on S^{n-1} with Q = diag(n..1)."""
     assert spec.experiment == "fig1"
-    t0 = time.perf_counter()
     n = spec.n
     Q = fig1_matrix(n)
     axis = np.zeros(n)
@@ -319,38 +323,35 @@ def run_fig1(spec):
     else:
         driver = {"cg": cg_extreme_eigen, "rqi": rqi, "newton-rq": newton_rayleigh}[spec.method]
         run = _run(lambda: driver(Q, x0, config, error_fn=error_fn).trace)
-    return _finish(spec, run, "rho", t0)
+    return _finish(spec, run, "rho")
 
 
 def run_fig2(spec):
     """Trace-objective ascent on SO(n) with seeded Q and N = diag(n..1)."""
     assert spec.experiment == "fig2"
-    t0 = time.perf_counter()
     Q, N, T_hat = fig2_matrices(spec.n, spec.seed)
     objective = BrockettObjective(Q, N)
     T0 = _rotation_start(spec, T_hat, 1e-2 if spec.method == "newton" else 1e-1)
     config = _config(spec, 4000 if spec.method in ("sd", "cg") else 50, "estimate")
     solver = {"sd": steepest_descent, "cg": conjugate_gradient, "newton": newton}[spec.method]
-    return _finish(spec, _run(lambda: solver(objective, T0, config)), "f", t0)
+    return _finish(spec, _run(lambda: solver(objective, T0, config)), "f")
 
 
 def run_jacobi(spec):
     """Newton diagonalization of a seeded symmetric matrix."""
     assert spec.experiment == "jacobi"
-    t0 = time.perf_counter()
     Q, T_hat = jacobi_matrices(spec.n, spec.seed)
     objective = JacobiObjective(Q)
     T0 = _rotation_start(spec, T_hat, 1e-1)
     config = _config(spec, 50, "bracket")
-    return _finish(spec, _run(lambda: newton(objective, T0, config)), "f", t0)
+    return _finish(spec, _run(lambda: newton(objective, T0, config)), "f")
 
 
 def run_fd_check(spec):
     """Gradient/Hessian finite-difference sweep over all three problem
-    families; raises :class:`ToleranceBreached` (after writing the report)
-    if any family misses its target."""
+    families at the sizes of its table; the report is ``converged`` when
+    every family meets both targets."""
     assert spec.experiment == "fd-check"
-    t0 = time.perf_counter()
     families = (
         ("rayleigh", rayleigh_family_check, 8),
         ("brockett", brockett_family_check, 6),
@@ -368,18 +369,9 @@ def run_fd_check(spec):
         worst_hess = max(worst_hess, h)
     extra["grad_target"] = FD_GRAD_TARGET
     extra["hess_target"] = FD_HESS_TARGET
-    ok = worst_grad < FD_GRAD_TARGET and worst_hess < FD_HESS_TARGET
-    report = RunReport(spec)
-    report.converged = ok
-    report.final_value = worst_grad
-    report.final_error = worst_hess
-    report.extra = extra
-    report.duration = time.perf_counter() - t0
+    report = RunReport(spec, final_value=worst_grad, final_error=worst_hess, extra=extra,
+                       converged=worst_grad < FD_GRAD_TARGET and worst_hess < FD_HESS_TARGET)
     _emit(spec, None, report, "f")
-    if not ok:
-        raise ToleranceBreached(
-            f"fd-check failed: grad {worst_grad:.3e} (target {FD_GRAD_TARGET:.0e}), "
-            f"hess {worst_hess:.3e} (target {FD_HESS_TARGET:.0e})")
     return report, None
 
 
@@ -392,4 +384,9 @@ RUNNERS = {
 
 
 def run_experiment(spec):
-    return RUNNERS[spec.experiment](spec)
+    """``(report, trace)`` of the spec's runner, with the run's wall time,
+    file writing included, as ``report.duration``."""
+    t0 = time.perf_counter()
+    report, trace = RUNNERS[spec.experiment](spec)
+    report.duration = time.perf_counter() - t0
+    return report, trace

@@ -70,21 +70,21 @@ def _family_check(seed, instances, draw_objective, draw_point, draw_direction):
     return grad_err, hess_err
 
 
-def rayleigh_family_check(n=8, seed=0, instances=20):
+def rayleigh_family_check(n, seed, instances=20):
     """Max relative gradient/Hessian-form errors over seeded quotient instances."""
     return _family_check(seed, instances,
                          lambda rng: RayleighObjective(random_symmetric(rng, n), "min"),
                          lambda rng: random_unit_vector(rng, n), random_unit_tangent)
 
 
-def brockett_family_check(n=6, seed=0, instances=20):
+def brockett_family_check(n, seed, instances=20):
     N = np.diag(np.arange(n, 0, -1.0))
     return _family_check(seed, instances,
                          lambda rng: BrockettObjective(random_symmetric(rng, n), N),
                          lambda rng: random_rotation(rng, n), lambda rng, T: random_unit_skew(rng, n))
 
 
-def jacobi_family_check(n=5, seed=0, instances=20):
+def jacobi_family_check(n, seed, instances=20):
     return _family_check(seed, instances,
                          lambda rng: JacobiObjective(random_symmetric(rng, n)),
                          lambda rng: random_rotation(rng, n), lambda rng, T: random_unit_skew(rng, n))

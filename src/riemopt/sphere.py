@@ -116,7 +116,13 @@ def sphere_log(x, y):
 
 
 def sphere_distance(x, y):
-    return float(np.arccos(np.clip(np.asarray(x) @ np.asarray(y), -1.0, 1.0)))
+    """Angle between unit ``x`` and ``y``, formed as :func:`sphere_log` forms
+    its distance, by ``arctan2`` of the perpendicular component, so it stays
+    exact for angles far below 1e-8, which ``arccos(x^T y)`` reads as 0.
+    An antipodal pair is at pi."""
+    x = np.asarray(x, dtype=float)
+    c = float(np.clip(x @ y, -1.0, 1.0))
+    return float(np.arctan2(np.linalg.norm(project_tangent(x, y - c * x)), c))
 
 
 class Sphere(Manifold):

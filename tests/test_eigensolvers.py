@@ -165,6 +165,19 @@ def test_cg_top_eigenpair_and_fewer_iterations_than_ascent():
     assert res.iterations < ascent.iterations
 
 
+@pytest.mark.parametrize("which", ["max", "min"])
+def test_cg_resets_every_manifold_dimension_steps(which):
+    # conjugate_gradient's own default period, dim S^{n-1} = n - 1
+    n = 12
+    rng = np.random.default_rng(8)
+    Q, x0 = rand_sym(rng, n), rand_unit(rng, n)
+    res = cg_extreme_eigen(Q, x0, which=which)
+    pinned = cg_extreme_eigen(Q, x0, SolverConfig(reset_period=n - 1), which=which)
+    assert res.iterations > n
+    for field in ("values", "grad_norms", "errors", "steps"):
+        assert getattr(res.trace, field) == getattr(pinned.trace, field)
+
+
 def test_cg_rho_monotone_and_units():
     n = 13
     rng = np.random.default_rng(5)

@@ -8,16 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import riemopt.errors
 import riemopt.experiments
 import riemopt.solvers
 from _oracles import read_trace_csv
-from riemopt.cli import main
-from riemopt.core import IterationTrace, estimate_order, longest_decreasing_run
+from riemopt.cli import _spec_from_args, build_parser, main
+from riemopt.core import STAGNATION_FLOOR, IterationTrace, estimate_order, longest_decreasing_run
 from riemopt.errors import LineSearchFailed
-from riemopt.rotation import BrockettObjective, so_geodesic
+from riemopt.rotation import BrockettObjective, SpecialOrthogonal, so_geodesic
 from riemopt.sampling import random_unit_skew, random_unit_vector, rng_from_seed
 from riemopt.solvers import SolverConfig, conjugate_gradient, newton, steepest_descent
-from riemopt.sphere import RayleighObjective
+from riemopt.sphere import RayleighObjective, Sphere
 from riemopt.eigensolvers import cg_extreme_eigen, newton_rayleigh, rqi
 from riemopt.experiments import (
     ExperimentSpec,
@@ -166,6 +167,7 @@ def test_cli_rejects_bad_init():
     (["fig2", "--init", "near:-0.5"], "perturbation scale must be positive"),
     (["fig2", "--init", "near:nan"], "perturbation scale must be positive and finite"),
     (["jacobi", "--init", "near:inf"], "perturbation scale must be positive and finite"),
+    (["fig1", "--init", "near:abc"], "bad init spec 'near:abc'; use 'random' or 'near:<eps>'"),
     (["fig1", "--seed", "-1"], "seed must be >= 0"),
     (["fig2", "--seed", "-1"], "seed must be >= 0"),
     (["jacobi", "--seed", "-1"], "seed must be >= 0"),
@@ -188,8 +190,8 @@ def test_cli_rejects_bad_init():
      "fig1 takes no 'estimate' line search"),
     (["fig1", "--method", "newton-rq", "--line-search", "estimate"],
      "fig1 takes no 'estimate' line search"),
-], ids=["n", "init-eps", "init-eps-nan", "init-eps-inf", "fig1-seed", "fig2-seed",
-        "jacobi-seed", "fd-check-seed", "rqi-line-search", "tol-zero", "tol-inf", "tol-nan", "max-iter",
+], ids=["n", "init-eps", "init-eps-nan", "init-eps-inf", "init-eps-not-a-number", "fig1-seed",
+        "fig2-seed", "jacobi-seed", "fd-check-seed", "rqi-line-search", "tol-zero", "tol-inf", "tol-nan", "max-iter",
         "reset-period", "reset-period-not-cg", "fig2-sd-exact", "fig2-cg-exact",
         "jacobi-exact", "jacobi-estimate", "fig1-sd-estimate", "fig1-newton-estimate",
         "fig1-newton-rq-estimate"])
@@ -224,8 +226,24 @@ def test_cli_tolerance_breach_exit_code(tmp_path, capsys, monkeypatch):
     code = main(["fd-check", "--seed", "0", "--out", str(tmp_path)])
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
-    # the report is still written before the breach is raised
-    assert (tmp_path / "fd-check-0.report.txt").exists()
+    assert "converged: False" in (tmp_path / "fd-check-0.report.txt").read_text()
+
+
+def test_fd_check_reports_a_breach_without_raising(monkeypatch):
+    monkeypatch.setattr(riemopt.experiments, "FD_GRAD_TARGET", 1e-30)
+    report, trace = run_experiment(ExperimentSpec("fd-check"))
+    assert report.converged is False
+    assert trace is None
+    assert not hasattr(riemopt.errors, "ToleranceBreached")
+
+
+@pytest.mark.parametrize("experiment", ["fig1", "fig2", "jacobi", "fd-check"])
+def test_spec_defaults_are_the_cli_defaults(experiment):
+    # n and method, like every other field, default in ExperimentSpec alone
+    spec = _spec_from_args(build_parser().parse_args([experiment]))
+    assert spec == ExperimentSpec(experiment)
+    assert (spec.n, spec.method) == {"fig1": (21, "sd"), "fig2": (10, "sd"),
+                                     "jacobi": (5, "newton"), "fd-check": (8, "all")}[experiment]
 
 
 def test_fig2_cg_supports_golden_section(tmp_path):
@@ -361,6 +379,30 @@ def test_converged_is_a_python_bool():
     assert len(flags) == 9
     assert all(type(flag) is bool for flag in flags)
     json.dumps(flags)
+
+
+def _restart_pairs():
+    """``(e_k, e_{k+d})`` at every restart ``k`` (a multiple of ``d``, the
+    manifold's dimension) of CG from random starts: fig1 at n = 5..12, fig2
+    at n = 3..6 with both searches, seeds 0-3."""
+    runs = [(run_fig1, "fig1", n, None, Sphere(n).dim) for n in range(5, 13)]
+    runs += [(run_fig2, "fig2", n, search, SpecialOrthogonal(n).dim)
+             for n in range(3, 7) for search in ("estimate", "golden")]
+    for run, experiment, n, search, d in runs:
+        for seed in range(4):
+            _, trace = run(ExperimentSpec(experiment, n=n, method="cg", seed=seed, init="random",
+                                          line_search=search))
+            e = trace.errors
+            yield from ((e[k], e[k + d]) for k in range(0, len(e) - d, d))
+
+
+def test_cg_converges_quadratically_per_restart_cycle():
+    # the d-step form of the paper's superlinear claim (Cohen 1972): with a
+    # restart every d = dim M steps, e_{k+d} <= e_k^2 near the optimum, for
+    # every restart k whose next cycle still ends above the round-off floor
+    pairs = [(a, b) for a, b in _restart_pairs() if a < 0.5 and b > STAGNATION_FLOOR]
+    assert len(pairs) >= 30
+    assert all(b <= a * a for a, b in pairs), max(b / (a * a) for a, b in pairs)
 
 
 _SCIPY_LOADED = r"""

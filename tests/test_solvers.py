@@ -499,6 +499,33 @@ def test_cg_reset_period_config():
     assert a.values != b.values  # the period genuinely changes the run
 
 
+class _GradientOnlyEstimate(_EstimateRayleigh):
+    """Offers its closed-form step along the negative gradient only, and
+    declines every conjugate direction; counts the directions it declined."""
+
+    declined = 0
+
+    def step_estimate(self, x, h):
+        if not np.array_equal(h, -self.gradient(x)):
+            self.declined += 1
+            raise StepDeclined("not the negative gradient")
+        return super().step_estimate(x, h)
+
+
+def test_cg_retries_a_declined_conjugate_direction_along_the_gradient():
+    rng = np.random.default_rng(5)
+    n = 6
+    Q, x0 = rand_sym(rng, n), rand_unit(rng, n)
+    config = SolverConfig(line_search="estimate", max_iter=25)
+    obj = _GradientOnlyEstimate(Q, which="max")
+    cg = conjugate_gradient(obj, x0, config)
+    sd = steepest_descent(_GradientOnlyEstimate(Q, which="max"), x0, config)
+    # every step after a declined direction is the steepest-descent step
+    assert obj.declined > 10
+    assert cg.values == sd.values
+    assert cg.steps == sd.steps
+
+
 # ---------------------------------------------------------------------------
 # the loop that stops decides convergence
 

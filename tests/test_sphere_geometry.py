@@ -142,6 +142,23 @@ def test_log_exp_round_trip():
         np.testing.assert_allclose(back, y, atol=1e-10)
 
 
+@pytest.mark.parametrize("angle", [1e-6, 1e-8, 1e-9, 1e-12, 0.5, 3.0])
+def test_distance_is_exact_for_small_angles(angle):
+    # arccos(x.y) reads 1e-8 and 1e-9 as 0.0, and 1e-6 as 1.00004e-6
+    rng = np.random.default_rng(3)
+    x = rand_unit(rng, 5)
+    y = sphere_exp(x, rand_tangent(rng, x), angle)
+    assert sphere_distance(x, y) == pytest.approx(angle, rel=1e-12)
+    assert sphere_distance(x, y) == sphere_log(x, y)[1]
+
+
+def test_distance_of_equal_and_antipodal_points():
+    x = rand_unit(np.random.default_rng(4), 5)
+    assert sphere_distance(e(5, 2), e(5, 2)) == 0.0
+    assert sphere_distance(x, x) <= 1e-15  # |x| is 1 to round-off
+    assert sphere_distance(x, -x) == np.pi
+
+
 def test_log_antipodal_rejected():
     x = rand_unit(np.random.default_rng(8), 5)
     with pytest.raises(AntipodalPoints):
