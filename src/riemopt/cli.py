@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import _METHODS, ExperimentSpec, run_experiment
+from .experiments import _EXPERIMENTS, ExperimentSpec, run_experiment
 
 
 def _parse_init(text):
@@ -53,9 +53,10 @@ def build_parser():
     def sub(name, text):
         return subs.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
 
-    _add_common(sub("fig1", "Rayleigh quotient on the sphere, Q = diag(n..1)"), _METHODS["fig1"])
-    _add_common(sub("fig2", "tr(T'QTN) ascent on the rotation group"), _METHODS["fig2"])
-    _add_common(sub("jacobi", "Newton diagonalization of a symmetric matrix"), _METHODS["jacobi"])
+    for name, text in (("fig1", "Rayleigh quotient on the sphere, Q = diag(n..1)"),
+                       ("fig2", "tr(T'QTN) ascent on the rotation group"),
+                       ("jacobi", "Newton diagonalization of a symmetric matrix")):
+        _add_common(sub(name, text), tuple(_EXPERIMENTS[name].methods))
 
     fd = sub("fd-check", "finite-difference derivative verification")
     fd.add_argument("--seed", type=int)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numbers
 import os
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,52 +47,62 @@ from .sphere import RayleighObjective
 FD_GRAD_TARGET = 1e-6
 FD_HESS_TARGET = 1e-5
 
-#: Each experiment's methods, its default first, and its default size.
-_METHODS = {
-    "fig1": ("sd", "cg", "newton", "rqi", "newton-rq"),
-    "fig2": ("sd", "cg", "newton"),
-    "jacobi": ("newton",),
-    "fd-check": ("all",),
+#: Per experiment: its default size, its default line search, the line
+#: searches its objective cannot serve (the Rayleigh quotient has no step
+#: estimate, the Brockett objective no closed-form step, the Jacobi objective
+#: neither), and per method, the default first, the iteration cap, the
+#: default start and the scale of a near start.  fd-check runs none of them.
+_Experiment = namedtuple("_Experiment", "size search unserved methods")
+_EXPERIMENTS = {
+    "fig1": _Experiment(21, "exact", ("estimate",), {
+        "sd": (2000, "random", 1e-1), "cg": (2000, "random", 1e-1),
+        "newton": (100, "near", 1e-1), "rqi": (100, "near", 1e-1),
+        "newton-rq": (100, "near", 1e-1)}),
+    "fig2": _Experiment(10, "estimate", ("exact",), {
+        "sd": (4000, "near", 1e-1), "cg": (4000, "near", 1e-1), "newton": (50, "near", 1e-2)}),
+    "jacobi": _Experiment(5, "bracket", ("exact", "estimate"), {"newton": (50, "near", 1e-1)}),
+    "fd-check": _Experiment(8, None, (), {"all": (None, None, None)}),
 }
-_SIZES = {"fig1": 21, "fig2": 10, "jacobi": 5, "fd-check": 8}
-#: Line searches an experiment's objective cannot serve: the Rayleigh
-#: quotient has no step estimate, the Brockett objective no closed-form
-#: step, the Jacobi objective neither.
-_UNSERVED_SEARCHES = {"fig1": ("estimate",), "fig2": ("exact",), "jacobi": ("exact", "estimate")}
 
 
-def _start_mode(spec):
-    """``'random'`` or ``'near'``: the spec's init mode, or when it has none
-    its method's default start, at random for ``fig1`` sd and cg and near
-    the optimum for every other run."""
-    if spec.init != "default":
-        return spec.init
-    return "random" if spec.experiment == "fig1" and spec.method in ("sd", "cg") else "near"
-
-
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
+    """One run's settings; ``None`` (and ``init="default"``) take the
+    defaults of ``_EXPERIMENTS``.  Frozen, as two fields are derived (change
+    a spec with ``dataclasses.replace``): ``config``, the run's one
+    :class:`SolverConfig`, and ``start``, ``("random", None)`` or ``("near",
+    eps)``; fd-check reads only ``seed`` and ``out_dir``."""
+
     experiment: str
-    n: int | None = None  # None: the experiment's default size
-    method: str | None = None  # None: the experiment's default method
+    n: int | None = None
+    method: str | None = None
     seed: int = 0
     init: str = "default"  # random | near | default (per-method choice)
     init_eps: float | None = None
     max_iter: int | None = None
-    tol: float = 1e-12
+    tol: float | None = None  # None: SolverConfig's grad_tol
     reset_period: int | None = None
     line_search: str | None = None
     out_dir: str | None = None
+    config: SolverConfig = field(init=False)
+    start: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.experiment not in _METHODS:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        size, search, unserved, methods = _EXPERIMENTS[self.experiment]
         if self.n is None:
-            self.n = _SIZES[self.experiment]
+            object.__setattr__(self, "n", size)
         if self.method is None:
-            self.method = _METHODS[self.experiment][0]
-        if self.method not in _METHODS[self.experiment]:
+            object.__setattr__(self, "method", next(iter(methods)))
+        if self.method not in methods:
             raise ValueError(f"method {self.method!r} not available for {self.experiment}")
+        if self.experiment == "fd-check":
+            for name, default in (("n", size), ("init", "default"), ("init_eps", None),
+                                  ("max_iter", None), ("tol", None), ("reset_period", None),
+                                  ("line_search", None)):
+                if getattr(self, name) != default:
+                    raise ValueError(f"fd-check reads only seed and out_dir, not {name}")
         for name, value in (("n", self.n), ("seed", self.seed)):
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -103,16 +114,21 @@ class ExperimentSpec:
             raise ValueError(f"unknown init mode {self.init!r}")
         if self.init_eps is not None and not 0.0 < self.init_eps < np.inf:
             raise ValueError("near-optimum perturbation scale must be positive and finite")
-        if _start_mode(self) == "random" and self.init_eps is not None:
+        cap, mode, eps = methods[self.method]
+        mode = mode if self.init == "default" else self.init
+        if mode == "random" and self.init_eps is not None:
             raise ValueError("a random start takes no perturbation scale")
         if self.line_search is not None and self.method == "rqi":
             raise ValueError("rqi takes no line search")
-        if self.line_search in _UNSERVED_SEARCHES.get(self.experiment, ()):
+        if self.line_search in unserved:
             raise ValueError(f"{self.experiment} takes no {self.line_search!r} line search")
         if self.reset_period is not None and self.method != "cg":
             raise ValueError("only cg takes a reset period")
-        SolverConfig(grad_tol=self.tol, max_iter=0 if self.max_iter is None else self.max_iter,
-                     line_search=self.line_search or "bracket", reset_period=self.reset_period)
+        settings = dict(grad_tol=self.tol, max_iter=cap if self.max_iter is None else self.max_iter,
+                        line_search=self.line_search or search, reset_period=self.reset_period)
+        object.__setattr__(self, "config",
+                           SolverConfig(**{k: v for k, v in settings.items() if v is not None}))
+        object.__setattr__(self, "start", (mode, None if mode == "random" else self.init_eps or eps))
 
 
 @dataclass
@@ -205,7 +221,7 @@ def write_report(path, report):
         f"init: {spec.init}",
         f"init_eps: {'none' if spec.init_eps is None else _fmt(spec.init_eps)}",
         f"max_iter: {'default' if spec.max_iter is None else spec.max_iter}",
-        f"tol: {_fmt(spec.tol)}",
+        f"tol: {_fmt(spec.config.grad_tol)}",
         f"line_search: {spec.line_search or 'default'}",
         f"reset_period: {'default' if spec.reset_period is None else spec.reset_period}",
         f"iterations: {report.iterations}",
@@ -252,33 +268,6 @@ def _emit(spec, trace, report, value_label):
 # that runs
 
 
-def _start(spec, rng, default_eps, random_start, near_start):
-    """Start point: ``random_start(rng)`` or ``near_start(rng, eps)``, as
-    :func:`_start_mode` says."""
-    if _start_mode(spec) == "random":
-        return random_start(rng)
-    return near_start(rng, spec.init_eps if spec.init_eps is not None else default_eps)
-
-
-def _rotation_start(spec, T_hat, default_eps):
-    """Random rotation, or a unit-speed geodesic step of length eps away
-    from ``T_hat``, drawn independently of the seed's matrix draw."""
-    return _start(spec, rng_from_seed(spec.seed + 1), default_eps,
-                  lambda rng: random_rotation(rng, spec.n),
-                  lambda rng, eps: so_geodesic(T_hat, random_unit_skew(rng, spec.n), eps))
-
-
-def _config(spec, max_iter, line_search):
-    """Solver knobs from the spec, with the experiment's defaults for the
-    iteration cap and the line search."""
-    return SolverConfig(
-        grad_tol=spec.tol,
-        max_iter=spec.max_iter if spec.max_iter is not None else max_iter,
-        line_search=spec.line_search or line_search,
-        reset_period=spec.reset_period,
-    )
-
-
 def _run(solve):
     """``(trace, None)`` from ``solve()``; a solver error gives its partial
     trace and a message for the report instead."""
@@ -308,43 +297,52 @@ def run_fig1(spec):
     Q = fig1_matrix(n)
     axis = np.zeros(n)
     axis[0] = 1.0
-    x0 = _start(spec, rng_from_seed(spec.seed), 1e-1,
-                lambda rng: random_unit_vector(rng, n),
-                lambda rng, eps: axis * np.cos(eps) + random_unit_tangent(rng, axis) * np.sin(eps))
+    mode, eps = spec.start
+    rng = rng_from_seed(spec.seed)
+    if mode == "random":
+        x0 = random_unit_vector(rng, n)
+    else:
+        x0 = axis * np.cos(eps) + random_unit_tangent(rng, axis) * np.sin(eps)
 
     def error_fn(x):
         return axis_angle(x, axis)
 
-    config = _config(spec, 2000 if spec.method in ("sd", "cg") else 100, "exact")
     if spec.method in ("sd", "newton"):
         solver = steepest_descent if spec.method == "sd" else newton
         objective = RayleighObjective(Q, which="max")
-        run = _run(lambda: solver(objective, x0, config, error_fn=error_fn))
+        run = _run(lambda: solver(objective, x0, spec.config, error_fn=error_fn))
     else:
         driver = {"cg": cg_extreme_eigen, "rqi": rqi, "newton-rq": newton_rayleigh}[spec.method]
-        run = _run(lambda: driver(Q, x0, config, error_fn=error_fn).trace)
+        run = _run(lambda: driver(Q, x0, spec.config, error_fn=error_fn).trace)
     return _finish(spec, run, "rho")
+
+
+def _run_rotation(spec, objective, T_hat):
+    """A solver on SO(n) from a random rotation, or from a unit-speed
+    geodesic step of length eps away from the optimum ``T_hat``, drawn
+    independently of the seed's matrix draw."""
+    mode, eps = spec.start
+    rng = rng_from_seed(spec.seed + 1)
+    if mode == "random":
+        T0 = random_rotation(rng, spec.n)
+    else:
+        T0 = so_geodesic(T_hat, random_unit_skew(rng, spec.n), eps)
+    solver = {"sd": steepest_descent, "cg": conjugate_gradient, "newton": newton}[spec.method]
+    return _finish(spec, _run(lambda: solver(objective, T0, spec.config)), "f")
 
 
 def run_fig2(spec):
     """Trace-objective ascent on SO(n) with seeded Q and N = diag(n..1)."""
     assert spec.experiment == "fig2"
     Q, N, T_hat = fig2_matrices(spec.n, spec.seed)
-    objective = BrockettObjective(Q, N)
-    T0 = _rotation_start(spec, T_hat, 1e-2 if spec.method == "newton" else 1e-1)
-    config = _config(spec, 4000 if spec.method in ("sd", "cg") else 50, "estimate")
-    solver = {"sd": steepest_descent, "cg": conjugate_gradient, "newton": newton}[spec.method]
-    return _finish(spec, _run(lambda: solver(objective, T0, config)), "f")
+    return _run_rotation(spec, BrockettObjective(Q, N), T_hat)
 
 
 def run_jacobi(spec):
     """Newton diagonalization of a seeded symmetric matrix."""
     assert spec.experiment == "jacobi"
     Q, T_hat = jacobi_matrices(spec.n, spec.seed)
-    objective = JacobiObjective(Q)
-    T0 = _rotation_start(spec, T_hat, 1e-1)
-    config = _config(spec, 50, "bracket")
-    return _finish(spec, _run(lambda: newton(objective, T0, config)), "f")
+    return _run_rotation(spec, JacobiObjective(Q), T_hat)
 
 
 def run_fd_check(spec):

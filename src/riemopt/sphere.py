@@ -317,19 +317,19 @@ class RayleighObjective(MatrixObjective):
             A = (self.Q.T if self.Q.flags.c_contiguous else self.Q).copy(order="F")
             A, d, e, tau, _ = lapack.dsytrd(A, lower=1, lwork=lwork, overwrite_a=True)
             # the reflectors sit in A[1:, :-1] with leading dimension n, and
-            # ormqr would copy that strided block on every call: move column
-            # j to offset j (n - 1) of the same buffer, in increasing j, so
-            # as to hold one n^2 array; the last of the n - 1 reflectors is
-            # trivial (tau = 0)
+            # ormqr would copy that strided block on every call: move them,
+            # 64 columns at a time from the left, to leading dimension n - 1
+            # in the same buffer (a block's source lies past the earlier
+            # blocks' destinations); the last reflector is trivial (tau = 0)
             m = n - 1
-            flat = A.ravel(order="F")
-            for j in range(m):
-                flat[j * m:(j + 1) * m] = flat[j * n + 1:j * n + 1 + m]
+            V, R = A.ravel(order="F")[:m * m], A[1:, :m]
+            for j in range(0, m, 64):
+                V[j * m:(j + 64) * m] = R[:, j:j + 64].ravel(order="F")
             # ormqr sets each reflector's leading entry to its implicit 1 while
             # it applies it, then restores it, with the GIL released: store
             # the 1, so that threads sharing the objective all read it
-            flat[:m * m:m + 1] = 1.0
-            reduction = self._reduced = (flat[:m * m].reshape((m, m), order="F"), tau, d, e)
+            V[::m + 1] = 1.0
+            reduction = self._reduced = (V.reshape((m, m), order="F"), tau, d, e)
         return reduction
 
     def value(self, x):

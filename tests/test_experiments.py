@@ -1,4 +1,5 @@
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -73,6 +74,76 @@ def test_spec_validation():
         ExperimentSpec("fig1", method="rqi", line_search="exact")
     with pytest.raises(ValueError, match="unknown line search"):
         ExperimentSpec("fig1", method="sd", line_search="foo")
+
+
+# (experiment, method): iteration cap, default line search, default start
+# and the scale of a near start
+_RESOLVED = {
+    ("fig1", "sd"): (2000, "exact", "random", 0.1), ("fig1", "cg"): (2000, "exact", "random", 0.1),
+    ("fig1", "newton"): (100, "exact", "near", 0.1), ("fig1", "rqi"): (100, "exact", "near", 0.1),
+    ("fig1", "newton-rq"): (100, "exact", "near", 0.1),
+    ("fig2", "sd"): (4000, "estimate", "near", 0.1), ("fig2", "cg"): (4000, "estimate", "near", 0.1),
+    ("fig2", "newton"): (50, "estimate", "near", 0.01),
+    ("jacobi", "newton"): (50, "bracket", "near", 0.1),
+}
+
+
+@pytest.mark.parametrize("experiment, method", list(_RESOLVED))
+def test_spec_resolves_each_methods_defaults(experiment, method):
+    cap, search, mode, eps = _RESOLVED[experiment, method]
+    spec = ExperimentSpec(experiment, method=method)
+    assert spec.config == SolverConfig(grad_tol=1e-12, max_iter=cap, line_search=search)
+    assert spec.start == ((mode, None) if mode == "random" else (mode, eps))
+    near = ExperimentSpec(experiment, method=method, init="near")
+    assert near.start == ("near", eps)
+    assert ExperimentSpec(experiment, method=method, init="near", init_eps=0.3).start == ("near", 0.3)
+    assert ExperimentSpec(experiment, method=method, init="random").start == ("random", None)
+    golden = {} if method == "rqi" else {"line_search": "golden"}  # rqi takes no search
+    given = ExperimentSpec(experiment, method=method, max_iter=7, tol=1e-9, **golden)
+    assert given.config == SolverConfig(grad_tol=1e-9, max_iter=7,
+                                        line_search="bracket" if golden else search)
+    assert given.line_search == golden.get("line_search")  # the report prints it as given
+
+
+def test_spec_derived_fields_cannot_be_set():
+    with pytest.raises(TypeError):
+        ExperimentSpec("fig1", config=SolverConfig())
+    with pytest.raises(TypeError):
+        ExperimentSpec("fig1", start=("near", 0.1))
+    spec = ExperimentSpec("fig2")
+    for name, value in (("method", "newton"), ("config", SolverConfig()), ("start", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):  # would leave config stale
+            setattr(spec, name, value)
+
+
+def test_replace_re_resolves_the_derived_fields():
+    spec = ExperimentSpec("fig2", n=6, method="sd", seed=3)
+    for changes in ({"n": 12}, {"method": "newton"}, {"init": "random"}, {"max_iter": 9}):
+        replaced = dataclasses.replace(spec, **changes)
+        assert replaced == ExperimentSpec("fig2", **{"n": 6, "method": "sd", "seed": 3, **changes})
+    assert dataclasses.replace(spec, method="newton").config.max_iter == 50
+    assert dataclasses.replace(spec, method="newton").start == ("near", 0.01)
+    assert dataclasses.replace(spec, init="random").start == ("random", None)
+    with pytest.raises(ValueError, match="random start"):
+        dataclasses.replace(spec, init="random", init_eps=0.1)
+
+
+@pytest.mark.parametrize("setting", [
+    {"n": 50}, {"n": 9}, {"method": "sd"}, {"init": "near"}, {"init": "random"},
+    {"init_eps": 0.1}, {"max_iter": 3}, {"tol": 1.0}, {"tol": 1e-12}, {"reset_period": 4},
+    {"line_search": "golden"},
+], ids=lambda setting: "-".join(map(str, *setting.items())))
+def test_fd_check_rejects_the_settings_it_never_reads(setting):
+    # fd-check used to accept these and write them into its report
+    with pytest.raises(ValueError, match="fd-check reads only seed and out_dir|not available"):
+        ExperimentSpec("fd-check", **setting)
+
+
+def test_report_prints_the_resolved_tolerance(tmp_path):
+    run_experiment(ExperimentSpec("fig1", n=5, method="rqi", out_dir=str(tmp_path)))
+    run_experiment(ExperimentSpec("fig1", n=5, method="newton", tol=1e-9, out_dir=str(tmp_path)))
+    assert "tol: 9.9999999999999998e-13\n" in (tmp_path / "fig1-rqi-0.report.txt").read_text()
+    assert "tol: 1.0000000000000001e-09\n" in (tmp_path / "fig1-newton-0.report.txt").read_text()
 
 
 def test_csv_round_trip(tmp_path):

@@ -464,3 +464,25 @@ def test_rqi_two_cycle_is_not_converged():
     assert not res.converged
     assert res.iterations == 10
     np.testing.assert_allclose(res.trace.grad_norms, 2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 129, 300])
+def test_reflectors_moved_in_blocks_match_a_move_per_column(n):
+    # the reduction moves sytrd's reflector columns to a leading dimension of
+    # n - 1 in blocks of columns; one column at a time is the reference
+    Q = rand_sym(np.random.default_rng(n), n)
+    A, d, e, tau, _ = lapack.dsytrd(Q.copy(order="F"), lower=1,
+                                    lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))
+    m = n - 1
+    flat = A.ravel(order="F")
+    for j in range(m):
+        flat[j * m:(j + 1) * m] = flat[j * n + 1:j * n + 1 + m]
+    flat[:m * m:m + 1] = 1.0
+    want = (flat[:m * m].reshape((m, m), order="F"), tau, d, e)
+    got = RayleighObjective(Q)._reduction()
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert got[0].flags.f_contiguous
+    root = got[0]
+    while root.base is not None:
+        root = root.base
+    assert root.size == n * n  # moved within sytrd's one n^2 buffer

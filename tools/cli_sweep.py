@@ -3,6 +3,7 @@ between two such runs, or regenerate the golden manifest::
 
     python tools/cli_sweep.py SRC OUT          # riemopt imported from SRC
     python tools/cli_sweep.py --compare A B    # exit 1 if any file differs
+    python tools/cli_sweep.py --compare A B --ignore KEY...  # ... but for these report keys
     python tools/cli_sweep.py --golden         # rewrite tests/golden_sweep.json
 
 Grid: ``fig1`` with every method at n = 5, 21 and 60, every start, the
@@ -27,7 +28,6 @@ remakes it the same way, in a worker with one BLAS thread (the dense
 reduction's bits at n = 250 depend on the thread count), and compares.  A
 change that moves report or trace bytes regenerates it."""
 
-import filecmp
 import hashlib
 import itertools
 import json
@@ -210,10 +210,22 @@ def dense():
     return digests
 
 
-def differ(a, b):
+def _content(path, ignore):
+    """The file's bytes; a report's without the lines of the keys in ``ignore``."""
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    if path.endswith(".report.txt"):
+        lines = [line for line in lines if line.split(b":", 1)[0].decode() not in ignore]
+    return b"".join(lines)
+
+
+def differ(a, b, ignore=()):
+    """The files, relative to ``a`` and ``b``, that only one of them holds or
+    that differ in content, report keys in ``ignore`` left out."""
     fa, fb = ({os.path.relpath(os.path.join(d, f), root) for d, _, fs in os.walk(root) for f in fs}
               for root in (a, b))
-    same = {p for p in fa & fb if filecmp.cmp(os.path.join(a, p), os.path.join(b, p), False)}
+    same = {p for p in fa & fb
+            if _content(os.path.join(a, p), ignore) == _content(os.path.join(b, p), ignore)}
     return sorted((fa | fb) - same)
 
 
@@ -228,7 +240,9 @@ def in_worker(src, *args):
 
 if __name__ == "__main__":
     if sys.argv[1] == "--compare":
-        paths = differ(*sys.argv[2:4])
+        if sys.argv[4:5] not in ([], ["--ignore"]):
+            sys.exit(f"usage: {sys.argv[0]} --compare A B [--ignore KEY...]")
+        paths = differ(*sys.argv[2:4], ignore=set(sys.argv[5:]))
         sys.stdout.writelines(path + "\n" for path in paths)
         sys.exit(1 if paths else 0)
     elif sys.argv[1:3] == ["--worker", "--golden"]:
