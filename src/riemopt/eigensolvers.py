@@ -1,7 +1,7 @@
 """Symmetric eigenpair drivers built on sphere geometry: the generic Newton
 iteration and geodesic conjugate gradient run on the Rayleigh quotient,
-and the classical quotient iteration (solve and renormalize), which is its
-own step map on Newton's loop, so it shares Newton's start check, declined-step
+and the classical quotient iteration (solve and renormalize), a step that
+Newton's map wraps on the solvers' one loop, so it shares Newton's declined-step
 fallback and divergence guard.  This module holds no iteration loop.
 """
 

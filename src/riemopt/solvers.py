@@ -3,6 +3,8 @@
 All three solvers minimize a :class:`~riemopt.core.GeodesicObjective` over
 its manifold.  Maximization problems are expected to negate themselves (the
 objectives in :mod:`riemopt.sphere` and :mod:`riemopt.rotation` do).
+They run one geodesic loop, :func:`_loop`, and differ only in the step map
+that picks each step's direction and length.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GeodesicObjective, IterationTrace
-from .errors import Diverged, LineSearchFailed, NonFinite, StepDeclined, ZeroTangent
+from .errors import Diverged, LineSearchFailed, NonFinite, SolverError, StepDeclined, ZeroTangent
 
 #: Slope search: bracket growth factor, first trial step when the problem
 #: has no step estimate, budget of trial points, and the relative bracket
@@ -158,77 +160,84 @@ def line_minimize_geodesic(objective: GeodesicObjective, p, H, config=None, *,
     return LineSearchResult(float(best.t), evals, best.point)
 
 
-def _stop_tol(objective, config):
-    """Gradient norm below which every loop, the eigen drivers' included,
-    stops as converged; a Python float, so ``gn < tol`` is a ``bool``."""
-    return float(max(config.grad_tol, objective.gradient_floor))
-
-
-def _gradient(objective, p, trace):
-    """Gradient at ``p`` and its norm; :class:`NonFinite`, carrying
-    ``trace``, when the norm is NaN or infinite."""
+def _gradient(objective, p):
+    """Gradient at ``p`` and its norm; :class:`NonFinite` when the norm is
+    NaN or infinite."""
     g = objective.gradient(p)
     gn = objective.manifold.norm(p, g)
     if not math.isfinite(gn):
-        raise NonFinite(f"gradient norm {gn!r} is not finite", trace=trace)
+        raise NonFinite(f"gradient norm {gn!r} is not finite")
     return g, gn
 
 
-def _line_search(objective, p, H, config, trace, g):
-    """:func:`line_minimize_geodesic` along ``H`` with the gradient ``g`` at
-    ``p``; its :class:`LineSearchFailed` carries ``trace``."""
+def _loop(objective, p, config, error_fn, advance, diverge_after):
+    """The solvers' one loop: ``p <- advance(p, g)``, a step map returning the
+    next point and the step to record, until the gradient norm drops below
+    ``max(grad_tol, gradient_floor)`` or the budget runs out.  A start of the
+    wrong shape raises ValueError, and a NaN start :class:`NonFinite` before
+    the manifold checks the point.  ``diverge_after`` growths in a row of the
+    gradient norm (None: no limit) raise :class:`Diverged`.  Every
+    :class:`SolverError` leaves carrying the partial trace."""
+    M = objective.manifold
+    if M.shape not in (None, np.shape(p)):
+        raise ValueError(f"start has shape {np.shape(p)}, not {M.shape}")
+    error_fn = error_fn or objective.error_metric
+    # a Python float, so that ``gn < tol`` is a ``bool``
+    tol = float(max(config.grad_tol, objective.gradient_floor))
+    trace, grown = IterationTrace(), 0
     try:
-        return line_minimize_geodesic(objective, p, H, config, gradient=g)
-    except LineSearchFailed as exc:
+        g, gn = _gradient(objective, p)
+        M.check_point(p)
+        trace.append(p, objective.report_value(p), gn, error_fn(p))
+        for _ in range(config.max_iter):
+            if gn < tol:
+                break
+            p, step = advance(p, g)
+            trace.record_step(step)
+            g, gn_next = _gradient(objective, p)
+            grown = grown + 1 if gn_next > gn else 0
+            gn = gn_next
+            trace.append(p, objective.report_value(p), gn, error_fn(p))
+            if grown == diverge_after:
+                raise Diverged(f"gradient norm grew for {grown} consecutive steps")
+    except SolverError as exc:
         exc.trace = trace
         raise
-
-
-def _start_trace(objective, p, error_fn):
-    """Trace holding the start; a start of the wrong shape raises ValueError,
-    and a NaN start :class:`NonFinite` before the manifold checks the point."""
-    if objective.manifold.shape not in (None, np.shape(p)):
-        raise ValueError(f"start has shape {np.shape(p)}, not {objective.manifold.shape}")
-    trace = IterationTrace()
-    g, gn = _gradient(objective, p, trace)
-    objective.manifold.check_point(p)
-    trace.append(p, objective.report_value(p), gn, error_fn(p))
-    return trace, g, gn
+    trace.converged = gn < tol
+    return trace
 
 
 def _descend(objective, p, config, error_fn, reset_period):
     """Conjugate gradient resetting to the negative gradient every
-    ``reset_period`` steps (1 is steepest descent); the transports and
-    ``<G, H>`` are formed only on steps that build a conjugate direction."""
-    error_fn = error_fn or objective.error_metric
+    ``reset_period`` steps (1 is steepest descent), as a step map on the loop.
+    The map keeps the last step's point, negative gradient, direction and
+    length, and forms the transports and ``<G, H>`` only when the next step
+    takes a conjugate direction."""
     M = objective.manifold
-    tol = _stop_tol(objective, config)
-    trace, g, gn = _start_trace(objective, p, error_fn)
-    G = H = -g
-    for i in range(config.max_iter):
-        if gn < tol:
-            break
+    last, taken = None, 0
+
+    def advance(p, g):
+        nonlocal last, taken
+        G = H = -g
+        if last is not None:
+            p_last, G_last, H_last, lam = last
+            denom = M.inner(p_last, G_last, H_last)
+            if denom != 0.0:
+                tau_G = M.transport(p_last, H_last, lam, G_last)
+                gamma = M.inner(p, G - tau_G, G) / denom
+                H = G + gamma * M.transport(p_last, H_last, lam, H_last)
         try:
-            ls = _line_search(objective, p, H, config, trace, g)
+            ls = line_minimize_geodesic(objective, p, H, config, gradient=g)
         except LineSearchFailed:
             if H is G:
                 raise
             H = G  # drop conjugacy, retry along the gradient
-            ls = _line_search(objective, p, H, config, trace, g)
-        lam, p_next = ls.step, ls.point
-        trace.record_step(lam)
-        g, gn = _gradient(objective, p_next, trace)
-        G_next = H_next = -g
-        if i % reset_period != reset_period - 1:
-            denom = M.inner(p, G, H)
-            if denom != 0.0:
-                tau_G = M.transport(p, H, lam, G)
-                gamma = M.inner(p_next, G_next - tau_G, G_next) / denom
-                H_next = G_next + gamma * M.transport(p, H, lam, H)
-        p, G, H = p_next, G_next, H_next
-        trace.append(p, objective.report_value(p), gn, error_fn(p))
-    trace.converged = gn < tol
-    return trace
+            ls = line_minimize_geodesic(objective, p, H, config, gradient=g)
+        taken += 1
+        last = (p, G, H, ls.step) if taken % reset_period else None
+        return ls.point, ls.step
+
+    return _loop(objective, p, config, error_fn, advance, diverge_after=None)
 
 
 def steepest_descent(objective: GeodesicObjective, p0, config=None, error_fn=None) -> IterationTrace:
@@ -247,30 +256,17 @@ def _newton_step(objective, p):
 
 
 def _newton(objective, p, config, error_fn, step):
-    """Newton's loop on the step map ``step(objective, p) -> (point, recorded step)``.
+    """Newton's step map ``step(objective, p) -> (point, recorded step)`` on the loop.
     A declined step (:class:`StepDeclined`, ``LinAlgError``) gives way to one line-minimized
     gradient step, and 5 growths in a row of the gradient norm raise :class:`Diverged`."""
-    error_fn = error_fn or objective.error_metric
-    tol = _stop_tol(objective, config)
-    trace, g, gn = _start_trace(objective, p, error_fn)
-    grow_count = 0
-    for _ in range(config.max_iter):
-        if gn < tol:
-            break
+    def advance(p, g):
         try:
-            p, lam = step(objective, p)
+            return step(objective, p)
         except (StepDeclined, np.linalg.LinAlgError):
-            ls = _line_search(objective, p, -g, config, trace, g)
-            p, lam = ls.point, ls.step
-        trace.record_step(lam)
-        g, gn_new = _gradient(objective, p, trace)
-        grow_count = grow_count + 1 if gn_new > gn else 0
-        gn = gn_new
-        trace.append(p, objective.report_value(p), gn, error_fn(p))
-        if grow_count >= 5:
-            raise Diverged("gradient norm grew for 5 consecutive steps", trace=trace)
-    trace.converged = gn < tol
-    return trace
+            ls = line_minimize_geodesic(objective, p, -g, config, gradient=g)
+            return ls.point, ls.step
+
+    return _loop(objective, p, config, error_fn, advance, diverge_after=5)
 
 
 def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> IterationTrace:

@@ -215,6 +215,17 @@ def test_singular_shift_carries_the_last_step():
     np.testing.assert_allclose(sphere_exp(x, step), e(2, 0), atol=1e-15)
 
 
+def test_newton_step_taken_at_a_small_but_sound_pivot():
+    # Q = diag(1, -1) and cos 2 theta = 5e-14 give rho = 5e-14 and
+    # |x^T y| / |y| = 1.0e-13: ten times the degenerate-pivot threshold,
+    # so the step is taken, huge as it is
+    theta = 0.5 * np.arccos(5e-14)
+    x = np.array([np.cos(theta), np.sin(theta)])
+    step = rayleigh_newton_step(np.diag([1.0, -1.0]), x)
+    assert np.all(np.isfinite(step))
+    np.testing.assert_allclose(np.abs(step), 7.06e12, rtol=1e-3)
+
+
 def test_newton_step_matches_projected_solve():
     obj = RayleighObjective(np.diag([2.0, 1.0]), "min")
     eps = 0.1

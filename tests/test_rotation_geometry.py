@@ -94,6 +94,20 @@ def test_geodesic_pulls_a_drifted_point_back_onto_the_group(seed, monkeypatch):
     assert np.linalg.norm(R - T @ skew_exp(X, 0.3)) <= 1e-8
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_geodesic_repairs_a_drift_of_a_few_e_minus_11(seed):
+    # T = V (I + 2e-12 S) is off the group by 2.5e-11..3.6e-11, well above
+    # round-off: the drift control must pull the step back to round-off
+    rng = np.random.default_rng(seed)
+    n = 5
+    V = rand_rotation(rng, n)
+    A = rng.standard_normal((n, n))
+    T = V @ (np.eye(n) + 2e-12 * (A + A.T))
+    assert np.linalg.norm(T.T @ T - np.eye(n)) >= 2e-11
+    R = so_geodesic(T, rand_skew(rng, n), 0.3)
+    assert np.linalg.norm(R.T @ R - np.eye(n)) < 1e-13
+
+
 def test_geodesic_on_the_group_is_the_plain_product(monkeypatch):
     rng = np.random.default_rng(9)
     T = rand_rotation(rng, 6)

@@ -93,6 +93,31 @@ def test_line_search_uphill_raises():
         line_minimize_geodesic(obj, p, H, SolverConfig(line_search="golden"))
 
 
+class _ValueDrifts(Paraboloid):
+    """The paraboloid's slope, with a value that climbs by ``rise`` per unit
+    along the first axis, as round-off in a value might."""
+
+    def __init__(self, center, rise):
+        super().__init__(center)
+        self.rise = rise
+
+    def value(self, p):
+        return self.rise * float(p[0])
+
+
+@pytest.mark.parametrize("ulps, accepted", [(500, True), (5000, False)])
+def test_slope_search_allows_a_rise_of_1e3_ulps(ulps, accepted):
+    # the first trial, t = 1, lands on the slope's zero, where the value has
+    # risen from 0 by ulps * eps: inside the round-off slack or beyond it
+    obj = _ValueDrifts([1.0, 0.0], ulps * np.finfo(float).eps)
+    p, H = np.zeros(2), np.array([1.0, 0.0])
+    if accepted:
+        assert line_minimize_geodesic(obj, p, H).step == 1.0
+    else:
+        with pytest.raises(LineSearchFailed, match="raised the objective"):
+            line_minimize_geodesic(obj, p, H)
+
+
 class _Linear(GeodesicObjective):
     """``c^T p`` on flat space: the slope along ``-c`` is ``-|c|^2`` at every
     step, so the slope search never finds an upper end."""
@@ -361,6 +386,21 @@ def test_newton_divergence_guard():
     obj = OutwardNewton([0.0, 0.0])
     with pytest.raises(Diverged):
         newton(obj, np.array([1.0, 0.5]), SolverConfig(max_iter=50))
+
+
+def test_newton_divergence_guard_fires_on_the_last_step_allowed():
+    # each step doubles p, so the gradient norm grows at every step: the
+    # fifth growth is the last step a budget of 5 allows, and still raises
+    obj, p0 = OutwardNewton([0.0, 0.0]), np.array([1.0, 0.5])
+    with pytest.raises(Diverged, match="grew for 5 consecutive steps") as info:
+        newton(obj, p0, SolverConfig(max_iter=5))
+    trace = info.value.trace
+    assert len(trace) == 5 + 1
+    assert np.all(np.diff(trace.grad_norms) > 0.0)
+    assert not trace.converged
+    # one step fewer ends on the budget with four growths
+    trace = newton(obj, p0, SolverConfig(max_iter=4))
+    assert len(trace) == 4 + 1 and not trace.converged
 
 
 def test_cg_small_sphere_near_quadratic():
