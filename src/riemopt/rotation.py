@@ -49,17 +49,11 @@ def skew_part(A):
     return 0.5 * (A - A.T)
 
 
-def polar_orthonormalize(T):
-    """Nearest orthogonal matrix (orthogonal factor of the polar form)."""
-    U, _, Vt = np.linalg.svd(T)
-    return U @ Vt
-
-
 def _drift(R):
-    """``|R^T R - I|_F``, the identity subtracted in place."""
+    """``(R^T R - I, |R^T R - I|_F)``, the identity subtracted in place."""
     G = R.T @ R
     G.flat[:: len(G) + 1] -= 1.0
-    return _fro(G)
+    return G, _fro(G)
 
 
 def expm(X):
@@ -87,10 +81,16 @@ def expm(X):
 
 
 def so_geodesic(T, X, t=1.0):
-    """Point ``T e^{tX}`` with drift control back onto the group."""
+    """Point ``T e^{tX}``.  A round-off drift ``|R^T R - I|_F`` above ``DRIFT_TOL``
+    gets one Newton-Schulz step ``R (3I - R^T R) / 2`` (Higham, Functions of
+    Matrices, 2008, sec. 8.3), which squares it; a point still off the group
+    (as from a non-skew or NaN ``X``) raises :class:`NotRotation`."""
     R = np.asarray(T, dtype=float) @ expm(t * np.asarray(X, dtype=float))
-    if _drift(R) > DRIFT_TOL:
-        R = polar_orthonormalize(R)
+    E, drift = _drift(R)
+    if not drift <= DRIFT_TOL:  # NaN fires too
+        R = R - 0.5 * (R @ E)
+        if not (drift := _drift(R)[1]) <= DRIFT_TOL:
+            raise NotRotation(f"|R^T R - I|_F = {drift:.3e} after a Newton-Schulz step: is X skew?")
     return R
 
 
@@ -141,8 +141,7 @@ class SpecialOrthogonal(Manifold):
 
     def check_point(self, p):
         p = np.asarray(p, dtype=float)
-        drift = _drift(p)
-        if not drift <= DRIFT_TOL:  # NaN fails too
+        if not (drift := _drift(p)[1]) <= DRIFT_TOL:  # NaN fails too
             raise NotRotation(f"|T^T T - I|_F = {drift:.3e} exceeds {DRIFT_TOL:.1e}")
         if not np.linalg.det(p) > 0.0:  # the other component of O(n)
             raise NotRotation("det T is -1: T is orthogonal but not a rotation")

@@ -8,6 +8,8 @@ solved anywhere in this module.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import Manifold, MatrixObjective, _fro, _scipy
@@ -64,11 +66,15 @@ def sphere_exp(x, h, t=1.0):
 
     ``t`` is scaled by ``|h|`` so that ``sphere_exp(x, h, 1)`` is the
     exponential map of the unnormalized tangent ``h``.  The result is
-    renormalized to suppress round-off drift.
+    renormalized to suppress round-off drift.  A zero ``h`` raises
+    :class:`ZeroTangent` (unless ``t`` is 0), one whose norm is not finite
+    :class:`NotTangent`.
     """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
     nh = _fro(h)
+    if not math.isfinite(nh):
+        raise NotTangent(f"tangent must be finite, |h| = {nh!r}")
     if nh == 0.0:
         if t == 0.0:
             return x.copy()
@@ -96,15 +102,19 @@ def sphere_log(x, y):
     ``sphere_exp(x, v, 1) = y``.  The angle is formed with ``arctan2`` of
     the perpendicular component, which resolves nearly identical points far
     below the precision of ``arccos``.  Antipodal pairs have no unique
-    geodesic.
+    geodesic.  A point holding NaN or inf raises :class:`NotUnitDirection`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf * 0 in an inf point
+        c = float(x @ y)
+    if not math.isfinite(c):  # NaN or inf in either point
+        raise NotUnitDirection(f"points must be finite, x^T y = {c!r}")
     if np.array_equal(x, y):
         return np.zeros_like(x), 0.0
-    c = float(np.clip(x @ y, -1.0, 1.0))
+    c = float(np.clip(c, -1.0, 1.0))
     w = project_tangent(x, y - c * x)  # strip the normal round-off component
-    nw = float(np.linalg.norm(w))
+    nw = _fro(w)
     if nw == 0.0:
         if c < 0.0:
             raise AntipodalPoints("antipodal points admit no unique geodesic")
@@ -122,7 +132,7 @@ def sphere_distance(x, y):
     An antipodal pair is at pi."""
     x = np.asarray(x, dtype=float)
     c = float(np.clip(x @ y, -1.0, 1.0))
-    return float(np.arctan2(np.linalg.norm(project_tangent(x, y - c * x)), c))
+    return float(np.arctan2(_fro(project_tangent(x, y - c * x)), c))
 
 
 class Sphere(Manifold):

@@ -9,6 +9,8 @@ only the tests use live here too: ``skew_exp`` (the group exponential of a
 checked skew matrix), ``solve_projected_linear`` (the projected Newton
 equation by dense solves) and its error ``SingularMatrix``,
 ``reference_steepest_descent`` (steepest descent as a loop of its own),
+``reference_newton_direction`` (the SO(n) Newton direction by a
+preconditioned conjugate gradient of its own),
 ``read_trace_csv`` (a trace file read back) and ``experiment_objective``
 (the objective of a CLI experiment).
 """
@@ -282,6 +284,51 @@ def reference_steepest_descent(objective, p, config, error_fn=None):
         trace.append(p, objective.report_value(p), M.norm(p, g), error_fn(p))
     trace.converged = trace.grad_norms[-1] < tol
     return trace, None
+
+
+def reference_newton_direction(objective, T):
+    """A Brockett or Jacobi objective's Newton direction by a preconditioned
+    conjugate gradient of its own, on the objective's ``hessian_apply``,
+    with every constant stated here: the preconditioner is the Hessian's
+    entries at ``diag(H)``, ``(h_i - h_j)(nu_i - nu_j)`` or
+    ``2 (h_i - h_j)^2``, in absolute value, floored at 1e-4 of the largest,
+    which also fills the main diagonal; the solve stops once the residual
+    drops to 1e-12 of ``|b|``, or after ``n(n-1)/2`` steps.  In the
+    library's order of operations, so the direction is bitwise the
+    library's.  Returns ``(X, relative residual per step, preconditioner)``."""
+    H = T.T @ objective.Q @ T
+    H = 0.5 * (H + H.T)
+    h = np.diag(H)
+    if isinstance(objective, BrockettObjective):
+        nu = np.diag(objective.N)
+        d = (h[:, None] - h[None, :]) * (nu[:, None] - nu[None, :])
+        b = H * nu - nu[:, None] * H
+    else:
+        d = 2.0 * (h[:, None] - h[None, :]) ** 2
+        b = 2.0 * (H * h - h[:, None] * H)
+    d = np.abs(d)
+    top = d.max()
+    d = np.maximum(d, 1e-4 * top)
+    np.fill_diagonal(d, top)
+    nb = np.linalg.norm(b)
+    X, r = np.zeros_like(b), b.copy()
+    p = r / d
+    rz = float(np.sum(r * p))
+    residuals = []
+    for _ in range(len(h) * (len(h) - 1) // 2):
+        Ap = objective.hessian_apply(T, p)
+        alpha = rz / float(np.sum(p * Ap))
+        X = X + alpha * p
+        r = r - alpha * Ap
+        nr = np.linalg.norm(r)
+        residuals.append(nr / nb)
+        if nr <= 1e-12 * nb:
+            break
+        z = r / d
+        rz_next = float(np.sum(r * z))
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return X, residuals, d
 
 
 def read_trace_csv(path):

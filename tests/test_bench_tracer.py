@@ -15,9 +15,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Spans the solves below need not reach: the one SVD left is the SO(n)
-#: drift control, ``rotation.polar_orthonormalize``, which runs only when a
-#: rotation has drifted, and no layer calls ``numpy.linalg.solve``.
+#: Spans the solves below need not reach: no layer calls an SVD (SO(n)'s
+#: drift control is a Newton-Schulz step, matrix products only) or
+#: ``numpy.linalg.solve``; the tracer still wraps both.
 UNREACHED = {"linalg.svd", "linalg.solve"}
 
 SCRIPT = r"""

@@ -11,6 +11,8 @@ from riemopt import (
     newton,
     newton_rayleigh,
     rqi,
+    sphere_distance,
+    sphere_exp,
     sphere_log,
 )
 from riemopt.errors import Diverged
@@ -136,6 +138,26 @@ def test_quadratic_agreement_of_next_iterates():
     x_nr = newton_rayleigh(Q, x0, SolverConfig(max_iter=1)).eigenvector
     x_rq = rqi(Q, x0, SolverConfig(max_iter=1)).eigenvector
     assert axis_angle(x_nr, x_rq) <= 1e-3  # quadratic-order agreement
+
+
+@pytest.mark.parametrize("n", [10, 100])
+@pytest.mark.parametrize("theta", [1e-1, 1e-2, 1e-3])
+def test_rqi_approximates_newton_to_third_order(n, theta):
+    # the paper: RQI "is an efficient approximation of Newton's method".
+    # For Newton's direction H at x, x + H = y / (x^T y), so the RQI iterate
+    # is the projective retraction (x + H) / |x + H|, at angle arctan|H|
+    # along the great circle on which Newton's exp_x(H) lies at angle |H|
+    rng = np.random.default_rng(n)
+    Q = rand_sym(rng, n)
+    v = np.linalg.eigh(Q)[1][:, 1]
+    x0 = v * np.cos(theta) + rand_tangent(rng, v) * np.sin(theta)
+    trace = rqi(Q, x0, SolverConfig(max_iter=1)).trace
+    x, x_rqi = trace.points
+    H = RayleighObjective(Q).newton_direction(x)
+    gap = sphere_distance(sphere_exp(x, H), x_rqi)
+    nH = np.linalg.norm(H)
+    assert gap == pytest.approx(nH - np.arctan(nH), rel=1e-6)
+    assert gap <= theta ** 3
 
 
 def test_cg_immediate_return_from_eigenvector():

@@ -112,3 +112,13 @@ def test_longest_decreasing_run():
     assert longest_decreasing_run(errs) == (2, 6)
     errs = [3.0, 2.0, 1.0, 1e-16, 5e-17]
     assert longest_decreasing_run(errs) == (0, 3)
+
+
+def test_entries_between_100_and_1000_eps_are_above_the_floor():
+    # the floor is 100 eps, about 2.2e-14: an error of 1e-13 is still a
+    # converging entry, neither trimmed nor cut from the run
+    errs = [1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-13]
+    assert longest_decreasing_run(errs) == (0, 7)
+    rep = estimate_order(errs)
+    assert rep.window == (0, 7)
+    assert rep.order == pytest.approx(1.0, abs=1e-9)

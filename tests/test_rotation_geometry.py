@@ -4,6 +4,7 @@ import pytest
 from _oracles import expm_series, rand_rotation, rand_skew, skew_exp, transport_ode_rotation
 from riemopt import SpecialOrthogonal, rotation, so_geodesic, so_transport
 from riemopt.errors import NotRotation
+from riemopt.experiments import ExperimentSpec, run_experiment
 
 
 def test_exp_of_zero_is_identity():
@@ -68,15 +69,19 @@ def test_geodesic_stays_orthogonal():
         assert np.linalg.norm(R.T @ R - np.eye(5)) <= 1e-10
 
 
-def _counted_polar(monkeypatch):
+def _counted_repair(monkeypatch):
+    """A list that gains an entry each time a drift check finds a point off
+    the group, which in ``so_geodesic`` is each Newton-Schulz repair."""
     calls = []
-    polar = rotation.polar_orthonormalize
+    drift = rotation._drift
 
     def counted(R):
-        calls.append(1)
-        return polar(R)
+        E, d = drift(R)
+        if not d <= rotation.DRIFT_TOL:
+            calls.append(1)
+        return E, d
 
-    monkeypatch.setattr(rotation, "polar_orthonormalize", counted)
+    monkeypatch.setattr(rotation, "_drift", counted)
     return calls
 
 
@@ -87,7 +92,7 @@ def test_geodesic_pulls_a_drifted_point_back_onto_the_group(seed, monkeypatch):
     T = rand_rotation(rng, n)
     T_off = T + 1e-9 * rng.normal(size=(n, n))  # |T'T - I|_F far above DRIFT_TOL
     X = rand_skew(rng, n)
-    calls = _counted_polar(monkeypatch)
+    calls = _counted_repair(monkeypatch)
     R = so_geodesic(T_off, X, 0.3)
     assert calls == [1]
     assert np.linalg.norm(R.T @ R - np.eye(n)) <= 1e-14
@@ -112,8 +117,55 @@ def test_geodesic_on_the_group_is_the_plain_product(monkeypatch):
     rng = np.random.default_rng(9)
     T = rand_rotation(rng, 6)
     X = rand_skew(rng, 6)
-    calls = _counted_polar(monkeypatch)
+    calls = _counted_repair(monkeypatch)
     assert np.array_equal(so_geodesic(T, X, 0.3), T @ skew_exp(X, 0.3))
+    assert calls == []
+
+
+def test_geodesic_rejects_a_non_skew_direction():
+    # e^{ones(3)} is far from orthogonal; one Newton-Schulz step cannot
+    # repair it, where a polar factor would have returned the identity
+    with pytest.raises(NotRotation, match="skew"):
+        so_geodesic(np.eye(3), np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_geodesic_rejects_a_non_finite_direction(bad):
+    X = rand_skew(np.random.default_rng(10), 4)
+    X[0, 1], X[1, 0] = bad, -bad
+    with pytest.raises(NotRotation):
+        so_geodesic(rand_rotation(np.random.default_rng(11), 4), X, 0.3)
+
+
+@pytest.mark.parametrize("drift", [1e-11, 1e-9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_geodesic_repairs_a_drift_in_one_newton_schulz_step(drift, seed, monkeypatch):
+    # T = V (I + S), S symmetric with |S|_F = drift / 2, is off the group by
+    # about drift; one step squares that to far below round-off
+    rng = np.random.default_rng(seed)
+    n = 6
+    V = rand_rotation(rng, n)
+    A = rng.standard_normal((n, n))
+    S = (A + A.T) * (drift / (2.0 * np.linalg.norm(A + A.T)))
+    T = V @ (np.eye(n) + S)
+    assert np.linalg.norm(T.T @ T - np.eye(n)) == pytest.approx(drift, rel=0.01)
+    X = rand_skew(rng, n)
+    calls = _counted_repair(monkeypatch)
+    R = so_geodesic(T, X, 0.3)
+    assert calls == [1]
+    assert np.linalg.norm(R.T @ R - np.eye(n)) < 1e-14
+    assert np.linalg.norm(R - V @ skew_exp(X, 0.3)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [5, 10, 30])
+@pytest.mark.parametrize("experiment, method",
+                         [("fig2", "sd"), ("fig2", "cg"), ("fig2", "newton"), ("jacobi", "newton")])
+def test_runs_from_near_starts_never_repair(experiment, method, n, monkeypatch):
+    # valid steps stay on the group to round-off, so the repair never
+    # fires and every run keeps the bits of the plain product T e^{tX}
+    calls = _counted_repair(monkeypatch)
+    report, trace = run_experiment(ExperimentSpec(experiment, n=n, method=method, init="near"))
+    assert report.error_message is None and trace.iterations > 0
     assert calls == []
 
 

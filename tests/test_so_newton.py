@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import dense_skew_solve, experiment_objective
-from riemopt import BrockettObjective, SolverConfig, newton, so_geodesic
+from _oracles import (
+    dense_skew_solve,
+    experiment_objective,
+    rand_rotation,
+    rand_skew,
+    reference_newton_direction,
+    skew_exp,
+)
+from riemopt import BrockettObjective, JacobiObjective, SolverConfig, newton, so_geodesic
 import riemopt.rotation as rotation
 import riemopt.solvers as solvers
 from riemopt.errors import StepDeclined
@@ -57,6 +64,26 @@ def test_constant_diagonal_gives_no_preconditioner_and_no_nan():
     Q = np.ones((4, 4)) - np.eye(4)
     with pytest.raises(StepDeclined, match="nonpositive curvature"):
         BrockettObjective(Q, np.diag([4.0, 3.0, 2.0, 1.0])).newton_direction(np.eye(4))
+
+
+@pytest.mark.parametrize("kind, seed", [("brockett", 2), ("jacobi", 5)])
+def test_newton_direction_is_bitwise_a_reference_pcg_near_a_close_pair(kind, seed):
+    # Q has two eigenvalues 0.01 apart, so near the optimum two Hessian
+    # entries lie below 1e-3 of the largest, where the preconditioner's floor
+    # acts, and the inner solve passes a residual between 1e-12 and 1e-10 of
+    # |b| before it stops: a floor or a stop other than the reference's
+    # (1e-4 and 1e-12) changes the direction's bits on any numpy
+    rng = np.random.default_rng(seed)
+    V = rand_rotation(rng, 6)
+    Q = V @ np.diag([6.0, 5.99, 4.0, 3.0, 2.0, 1.0]) @ V.T
+    Q = 0.5 * (Q + Q.T)
+    T = V @ skew_exp(rand_skew(rng, 6), 1e-3)
+    N = np.diag(np.arange(6, 0, -1.0))
+    obj = BrockettObjective(Q, N) if kind == "brockett" else JacobiObjective(Q)
+    X, residuals, precond = reference_newton_direction(obj, T)
+    assert np.count_nonzero(precond < 1e-3 * precond.max()) == 2
+    assert any(1e-12 < r <= 1e-10 for r in residuals)
+    assert np.array_equal(obj.newton_direction(T), X)
 
 
 @pytest.mark.parametrize("kind", ["fig2", "jacobi"])

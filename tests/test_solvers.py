@@ -85,6 +85,26 @@ def test_line_search_parabola_vertex():
     assert res.evaluations > 0
 
 
+class _Kink(Paraboloid):
+    """``|p_0 - c_0|``: along the first axis the slope jumps from -1 to 1 at
+    the center, so no trial point's slope reaches round-off."""
+
+    def value(self, p):
+        return float(abs(p[0] - self.center[0]))
+
+    def gradient(self, p):
+        return np.sign(p - self.center) * (np.arange(len(p)) == 0)
+
+
+def test_bracket_search_stops_on_its_relative_width():
+    # every slope is -1 or 1, so only the width rule stops the search: at
+    # BRACKET_TOL = 1e-10 of the upper end, and the descending end it
+    # returns lies that close below the kink
+    kink = 1.0 / 3.0
+    res = line_minimize_geodesic(_Kink([kink, 0.0]), np.zeros(2), np.array([1.0, 0.0]))
+    assert 0.0 < kink - res.step <= 1e-10 * kink
+
+
 def test_line_search_uphill_raises():
     obj = Paraboloid([1.0, 0.0])
     p = np.zeros(2)

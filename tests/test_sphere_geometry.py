@@ -226,3 +226,25 @@ def test_transport_rejects_a_non_finite_direction(bad):
     v = rand_tangent(rng, x, unit=False)
     with pytest.raises(NotUnitDirection):
         sphere_transport(x, _spoiled(h, bad), 0.5, v)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exp_rejects_a_non_finite_tangent(bad):
+    rng = np.random.default_rng(16)
+    x = rand_unit(rng, 5)
+    h = rand_tangent(rng, x, unit=False)
+    with pytest.raises(NotTangent):
+        sphere_exp(x, _spoiled(h, bad), 0.5)
+    with pytest.raises(NotTangent):
+        Sphere(5).exp(x, np.full(5, bad))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_log_rejects_a_non_finite_point(bad):
+    rng = np.random.default_rng(17)
+    x, y = rand_unit(rng, 5), rand_unit(rng, 5)
+    for p, q in ((_spoiled(x, bad), y), (x, _spoiled(y, bad)),
+                 (_spoiled(x, bad), _spoiled(x, bad)), (np.full(5, bad), e(5, 1))):
+        with pytest.raises(NotUnitDirection):
+            sphere_log(p, q)
+
