@@ -95,6 +95,15 @@ def sphere_transport(x, h, t, v):
     return v - (h @ v) * (x * np.sin(t) + h * (1.0 - np.cos(t)))
 
 
+def _cosine(x, y):
+    """``x^T y``; NotUnitDirection when it is not finite, as for NaN or inf in either point."""
+    with np.errstate(invalid="ignore"):  # inf * 0 in an inf point
+        c = float(x @ y)
+    if not math.isfinite(c):
+        raise NotUnitDirection(f"points must be finite, x^T y = {c!r}")
+    return c
+
+
 def sphere_log(x, y):
     """Inverse of the geodesic map: tangent at ``x`` pointing to ``y``.
 
@@ -106,10 +115,7 @@ def sphere_log(x, y):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    with np.errstate(invalid="ignore"):  # inf * 0 in an inf point
-        c = float(x @ y)
-    if not math.isfinite(c):  # NaN or inf in either point
-        raise NotUnitDirection(f"points must be finite, x^T y = {c!r}")
+    c = _cosine(x, y)
     if np.array_equal(x, y):
         return np.zeros_like(x), 0.0
     c = float(np.clip(c, -1.0, 1.0))
@@ -129,9 +135,10 @@ def sphere_distance(x, y):
     """Angle between unit ``x`` and ``y``, formed as :func:`sphere_log` forms
     its distance, by ``arctan2`` of the perpendicular component, so it stays
     exact for angles far below 1e-8, which ``arccos(x^T y)`` reads as 0.
-    An antipodal pair is at pi."""
+    An antipodal pair is at pi; a point holding NaN or inf raises
+    :class:`NotUnitDirection`, as in :func:`sphere_log`."""
     x = np.asarray(x, dtype=float)
-    c = float(np.clip(x @ y, -1.0, 1.0))
+    c = float(np.clip(_cosine(x, y), -1.0, 1.0))
     return float(np.arctan2(_fro(project_tangent(x, y - c * x)), c))
 
 
@@ -202,30 +209,40 @@ def shift_solve(Q, rho, x):
 
 def _shift_solve(objective, rho, x):
     """``y = P (T - rho I)^{-1} P^T x`` on ``objective``'s one reduction,
-    built here on its first shift solve: two ormqr calls and one gtsv,
-    O(n^2) for any shift.  On an exactly zero pivot or a non-finite ``y``
-    the shift moves by ``eps max(|Q|_F, tiny)``, doubled until the solve
-    succeeds (it does for a finite ``rho`` and ``x``), as inverse iteration
-    does: below the reduction's backward error, so ``y`` lies along the
-    null vector to working accuracy.  A shift that is not finite (a NaN
-    ``rho``, or a nudge grown past overflow by a non-finite ``x``) raises
-    ValueError."""
-    V, tau, d, e = objective._reduction()
-    lapack = _scipy("lapack")
+    built here on its first shift solve: one gtsv, O(n), and for a dense
+    ``Q`` two ormqr calls, O(n^2) (none on a :class:`_ReducedRayleigh`).  On
+    an exactly zero pivot or a non-finite ``y`` the shift moves by
+    ``eps max(|Q|_F, tiny)``, doubled until the solve succeeds (it does for
+    a finite ``rho`` and ``x``), as inverse iteration does: below the
+    reduction's backward error, so ``y`` lies along the null vector to
+    working accuracy.  A shift that is not finite (a NaN ``rho``, or a
+    nudge grown past overflow by a non-finite ``x``) raises ValueError."""
+    d, e = objective._reduction()[2:]
+    b = _reflect(objective, x, "T")
     shift, nudge = rho, 0.0
     while True:
         if not np.isfinite(shift):
             raise ValueError(f"shift must be finite, got {shift!r}")
-        y = np.array(x, dtype=float)
-        # lwork = 1 runs the unblocked code, the faster one for one vector
-        y[1:] = lapack.dormqr("L", "T", V, tau, y[1:], 1)[0]
-        y, info = lapack.dgtsv(e, d - shift, e, y, overwrite_b=True)[3:]
-        y[1:] = lapack.dormqr("L", "N", V, tau, y[1:], 1)[0]
-        if info == 0 and np.all(np.isfinite(y)):  # info > 0: an exactly zero pivot
+        y, info = _scipy("lapack").dgtsv(e, d - shift, e, b)[3:]
+        # info > 0: an exactly zero pivot
+        if info == 0 and np.all(np.isfinite(y := _reflect(objective, y, "N"))):
             return y
         # a Python float, which overflows to inf without a warning
         nudge = 2.0 * nudge or float(EPS * max(objective.Q_fro, np.finfo(float).tiny))
         shift = rho + nudge
+
+
+def _reflect(objective, y, trans):
+    """``P^T y`` (``trans="T"``) or ``P y`` (``"N"``) on rows 2..n of a copy of a
+    vector or n-by-k block ``y``, by one ormqr call."""
+    V, tau = objective._reduction()[:2]
+    y = np.array(y, dtype=float, order="F")
+    if V is not None:  # a reduced problem's P is I
+        # lwork = k runs the unblocked code: at n = 250 and k = 4 to 8 it took
+        # about half the time of the blocked one, which forms each block's T
+        lwork = 1 if y.ndim == 1 else y.shape[1]
+        y[1:] = _scipy("lapack").dormqr("L", trans, V, tau, y[1:], lwork)[0]
+    return y
 
 
 def rayleigh_newton_step(Q, x, objective=None):
@@ -311,17 +328,20 @@ class RayleighObjective(MatrixObjective):
         self._reduced = None
 
     def _reduction(self):
-        """``Q = P T P^T`` by one blocked LAPACK sytrd (lower), built on the
-        first shift solve and kept, as ``Q`` is fixed: ``(V, tau, d, e)``
-        with the diagonal ``d`` and off-diagonal ``e`` of ``T``, and ``P``'s
-        reflectors as a QR set ``(V, tau)`` on coordinates 2..n, which
-        ormqr applies to a vector in O(n^2) without forming ``P``.  It is
+        """``Q = P T P^T`` by one blocked LAPACK sytrd (lower) in 8-column
+        panels, built on the first shift solve and kept, as ``Q`` is fixed:
+        ``(V, tau, d, e)`` with the diagonal ``d`` and off-diagonal ``e`` of
+        ``T``, and ``P``'s reflectors as a QR set ``(V, tau)`` on coordinates
+        2..n, which ormqr applies in O(n^2) per vector without forming ``P``.
+        The panels (``lwork = 8 n``) took 0.82-0.83 of the time of the
+        default 32-column ones at n = 200 to 300, 0.93 at n = 600 and 0.99
+        at n = 1000 (12 alternated repeats, one BLAS thread).  It is
         assigned whole, as :meth:`_at` assigns its entry, so threads that
         share the objective never see half of one."""
         reduction = self._reduced
         if reduction is None:
             n, lapack = self.Q.shape[0], _scipy("lapack")
-            lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])  # the blocked code
+            lwork = 8 * n  # sytrd's blocked code, in panels of lwork / n columns
             # a fresh Fortran-ordered copy for sytrd to overwrite; a C-ordered
             # Q is copied in memory order as Q.T, which holds the same entries
             A = (self.Q.T if self.Q.flags.c_contiguous else self.Q).copy(order="F")
@@ -383,3 +403,33 @@ class RayleighObjective(MatrixObjective):
         c, s, _ = _line_rotation(-self._sign * a, -self._sign * b)
         t = float(np.arctan2(s, c))
         return (t + np.pi if t < 0.0 else t) / nh
+
+
+
+
+class _Tridiagonal:
+    """``T`` by its diagonal ``d`` and off-diagonal ``e``: ``T @ x`` in O(n)."""
+
+    def __init__(self, d, e):
+        self.d, self.e = d, e
+
+    def __matmul__(self, x):
+        y = self.d * x
+        y[1:] += self.e * x[:-1]
+        y[:-1] += self.e * x[1:]
+        return y
+
+
+class _ReducedRayleigh(RayleighObjective):
+    """``objective``'s quotient in the basis of its reduction ``Q = P T P^T``:
+    ``T``'s, so its entry, products and shift solve (one gtsv on its reduction
+    ``(None, None, d, e)``) cost O(n); a point ``z`` is ``P z`` there."""
+
+    def __init__(self, objective):
+        d, e = objective._reduction()[2:]
+        vars(self).update(vars(objective), Q=_Tridiagonal(d, e), _last=(None, None),
+                          _reduced=(None, None, d, e))
+
+    def _at(self, x, form):
+        # T's own entry (Tx, x^T (Tx)), not the dense _qx_rho the methods name
+        return super()._at(x, lambda T, z: ((tz := T @ z), float(z @ tz)))

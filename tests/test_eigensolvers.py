@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import riemopt.eigensolvers
 
@@ -124,6 +125,41 @@ def test_rqi_raises_diverged_after_five_growths(monkeypatch):
     assert trace.iterations == 5
     assert np.all(np.diff(trace.grad_norms) > 0.0)
     assert not trace.converged
+
+
+def test_diverged_rqi_carries_points_in_the_original_basis(monkeypatch):
+    # rqi steps on the tridiagonal T of Q = P T P^T; a shift solve that
+    # doubles the angle of T's iterate from T's top eigenvector toward its
+    # bottom one grows the gradient norm at every step, and the Diverged it
+    # raises carries the stored points P z, with rho and the residual on them
+    n = 6
+    Q = rand_sym(np.random.default_rng(6), n)
+    V, tau, d, e = RayleighObjective(Q)._reduction()
+    u = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[1]
+    seen = []
+
+    def walk(objective, rho, z):
+        seen.append(z)
+        theta = min(2.0 * np.arctan2(z @ u[:, 0], z @ u[:, -1]), np.pi / 4)
+        return 3.0 * (np.cos(theta) * u[:, -1] + np.sin(theta) * u[:, 0])
+
+    def back(z):
+        p = z.copy()
+        p[1:] = lapack.dormqr("L", "N", V, tau, p[1:], 1)[0]
+        return p
+
+    monkeypatch.setattr(riemopt.eigensolvers, "_shift_solve", walk)
+    with pytest.raises(Diverged) as info:
+        rqi(Q, back(np.cos(1e-3) * u[:, -1] + np.sin(1e-3) * u[:, 0]), SolverConfig(max_iter=50))
+    trace = info.value.trace
+    assert trace.iterations == 5
+    assert np.all(np.diff(trace.grad_norms) > 0.0)
+    for z, p in zip(seen, trace.points):
+        assert not np.allclose(z, p, atol=1e-3)
+        np.testing.assert_allclose(p, back(z), rtol=0.0, atol=1e-15)
+    assert trace.values == [float(p @ (Q @ p)) for p in trace.points]
+    assert trace.errors == [float(np.linalg.norm(Q @ p - (p @ (Q @ p)) * p))
+                            for p in trace.points]
 
 
 def test_quadratic_agreement_of_next_iterates():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from _oracles import (
     midpoint_start,
@@ -34,8 +35,9 @@ from riemopt import (
     sphere_exp,
     steepest_descent,
 )
+from riemopt import eigensolvers, solvers
 from riemopt.errors import LineSearchFailed, SolverError
-from riemopt.sphere import shift_solve
+from riemopt.sphere import _ReducedRayleigh, shift_solve
 
 SEEDS = st.integers(0, 2**32 - 1)
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -46,24 +48,118 @@ def _residual(Q):
     return lambda p: float(np.linalg.norm(Q @ p - (p @ (Q @ p)) * p))
 
 
+def _mapped_back(objective, trace):
+    """The points of a loop on ``objective``'s reduced problem, times ``P``:
+    one LAPACK ormqr on the n-by-(k+1) block of them, the unblocked code
+    (``lwork = k + 1``)."""
+    V, tau = objective._reduction()[:2]
+    Z = np.array(trace.points).T
+    Z[1:] = lapack.dormqr("L", "N", V, tau, Z[1:], Z.shape[1])[0]
+    return list(Z.T)
+
+
 @PROPERTY
 @given(n=st.integers(5, 120), seed=SEEDS)
 def test_newton_rayleigh_is_the_generic_newton(n, seed):
+    # the generic newton on the quotient of T, Q = P T P^T, from P^T x0/|x0|:
+    # newton_rayleigh's points are P times the loop's, its values and errors
+    # rho and the residual on those, and its gradient norms and steps the loop's
     rng = np.random.default_rng(seed)
     Q = rand_sym(rng, n)
     x0 = rng.normal(size=n)
 
     res = newton_rayleigh(Q, x0)
+    objective = RayleighObjective(Q)
+    V, tau = objective._reduction()[:2]
+    z0 = x0 / np.linalg.norm(x0)
+    z0[1:] = lapack.dormqr("L", "T", V, tau, z0[1:], 1)[0]
     config = SolverConfig(grad_tol=2.0 * 1e-12 * float(np.linalg.norm(Q)))
-    trace = newton(RayleighObjective(Q), x0 / np.linalg.norm(x0), config, error_fn=_residual(Q))
+    trace = newton(_ReducedRayleigh(objective), z0, config)
+    points = _mapped_back(objective, trace)
     assert len(res.trace) == len(trace)
-    for p, q in zip(res.trace.points, trace.points):
+    for p, q in zip(res.trace.points, points):
         np.testing.assert_array_equal(p, q)
-    for field in ("values", "grad_norms", "errors", "steps"):
+    assert res.trace.values == [float(p @ (Q @ p)) for p in points]
+    assert res.trace.errors == [_residual(Q)(p) for p in points]
+    for field in ("grad_norms", "steps"):
         assert getattr(res.trace, field) == getattr(trace, field)
     assert res.converged == trace.converged
-    np.testing.assert_array_equal(res.eigenvector, trace.points[-1])
-    assert res.eigenvalue == trace.values[-1]
+    np.testing.assert_array_equal(res.eigenvector, points[-1])
+    assert res.eigenvalue == res.trace.values[-1]
+
+
+def _symmetric(rng, n, kind):
+    """An exactly symmetric ``Q``: random, zero, diagonal, or ``U diag(lam) U^T``
+    for a random orthogonal ``U`` and three values ``lam`` repeated exactly,
+    or clustered, each spread by 1e-14."""
+    if kind in ("random", "zero", "diagonal"):
+        return {"random": rand_sym, "zero": lambda rng, n: np.zeros((n, n)),
+                "diagonal": lambda rng, n: np.diag(rng.normal(size=n))}[kind](rng, n)
+    lam = rng.normal(size=3)[rng.integers(0, 3, size=n)]
+    if kind == "clustered":
+        lam = lam + 1e-14 * rng.normal(size=n)
+    U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = (U * lam) @ U.T
+    return (A + A.T) / 2.0
+
+
+def _outcome(solve):
+    """The trace a solve returns or its error carries, and the error's type."""
+    try:
+        return solve(), None
+    except SolverError as exc:
+        return exc.trace, type(exc)
+
+
+def _near(rng, Q, angle):
+    """A unit start at ``angle`` from a random eigenvector of ``Q``."""
+    u = np.linalg.eigh(Q)[1][:, rng.integers(len(Q))]
+    r = rng.normal(size=len(Q))
+    r -= (u @ r) * u
+    return np.cos(angle) * u + np.sin(angle) * r / np.linalg.norm(r)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 300), seed=SEEDS,
+       kind=st.sampled_from(["random", "repeated", "clustered", "zero", "diagonal"]))
+def test_reduced_drivers_agree_with_the_dense_loop(n, seed, kind):
+    # rqi and newton_rayleigh iterate on T and map back by P; the dense
+    # reference runs the same step maps on the generic newton loop on
+    # RayleighObjective(Q), with the dense shift solve (two ormqr and one gtsv
+    # per step).  On a diagonal Q, where P = I exactly, they agree bit for
+    # bit.  Elsewhere they differ by round-off, which the first steps from a
+    # random start can grow into another eigenpair, so the limits and the
+    # step counts are compared from a start near an eigenvector.  There too,
+    # at a repeated or clustered eigenvalue, Newton's step inside the
+    # eigenspace is set by round-off, and its count varies by several steps
+    # in either basis; quotient iteration's does not
+    rng = np.random.default_rng(seed)
+    Q = _symmetric(rng, n, kind)
+    scale = float(np.linalg.norm(Q))
+    config = SolverConfig(grad_tol=2.0 * 1e-12 * max(scale, np.finfo(float).tiny))
+    dense = RayleighObjective(Q)
+    steps = {rqi: eigensolvers._rqi_step, newton_rayleigh: solvers._newton_step}
+    for start in ("random", "near"):
+        x0 = rng.normal(size=n) if start == "random" else _near(rng, Q, 0.01)
+        x = x0 / np.linalg.norm(x0)
+        for driver, step in steps.items():
+            got, got_error = _outcome(lambda: driver(Q, x0).trace)
+            want, want_error = _outcome(lambda: solvers._newton(dense, x, config, _residual(Q),
+                                                                step))
+            assert got_error is want_error
+            assert got.converged == want.converged
+            assert all(abs(np.linalg.norm(p) - 1.0) <= 1e-14 for p in got.points)
+            if got.converged:
+                p = got.points[-1]
+                assert np.linalg.norm(Q @ p - got.values[-1] * p) <= 1e-10 * scale
+            if start == "near":
+                assert abs(got.values[-1] - want.values[-1]) <= 1e-12 * scale
+                if driver is rqi or kind not in ("repeated", "clustered"):
+                    assert abs(got.iterations - want.iterations) <= 1
+            if kind == "diagonal":
+                assert np.array(got.points).tobytes() == np.array(want.points).tobytes()
+                for field in ("values", "grad_norms", "errors", "steps"):
+                    assert getattr(got, field) == getattr(want, field)
 
 
 @PROPERTY

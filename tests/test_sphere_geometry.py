@@ -248,3 +248,15 @@ def test_log_rejects_a_non_finite_point(bad):
         with pytest.raises(NotUnitDirection):
             sphere_log(p, q)
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distance_rejects_a_non_finite_point(bad):
+    # the same check as sphere_log's; the angle used to come back as NaN,
+    # with a warning from the tangent projection for an inf point
+    rng = np.random.default_rng(18)
+    x, y = rand_unit(rng, 5), rand_unit(rng, 5)
+    for p, q in ((_spoiled(x, bad), y), (x, _spoiled(y, bad)),
+                 (_spoiled(x, bad), _spoiled(x, bad)), (e(5, 0), np.array([bad, 0, 0, 0, 0]))):
+        with pytest.raises(NotUnitDirection):
+            sphere_distance(p, q)

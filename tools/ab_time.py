@@ -5,7 +5,8 @@
 
 Each tree has a worker process (one BLAS thread) that imports riemopt from
 it and times each CLI run in-process by process CPU time, which a shared
-machine disturbs less than wall time.  With ``--wall`` every ``WALL`` class
+machine disturbs less than wall time.  The ``DENSE`` classes time an eigen
+driver called from the library on a dense ``Q``, built outside the timing.  With ``--wall`` every ``WALL`` class
 is instead one fresh process (one BLAS thread), timed by wall clock from
 start to exit, so the import and start-up a user pays are counted.  After a
 warm-up round, ROUNDS rounds (default 11) alternate the trees, the first
@@ -36,6 +37,13 @@ CLASSES = ["fig1 --method sd --n 21", "fig1 --method cg --n 21", "fig1 --method 
            "fig1 --method rqi --n 1000 --init random",
            "fig1 --method newton-rq --n 1000 --init random",
            "fig1 --method newton --n 1000 --init random --seed 1"]
+#: library classes: ``rqi``, ``newton_rayleigh`` and the generic ``newton`` on
+#: ``random_symmetric(rng_from_seed(0), n)`` from ``random_unit_vector(rng_from_seed(1),
+#: n)``.  fig1's Q is diagonal, so its reduction is trivial (every reflector has
+#: tau = 0), and the CLI classes above cannot show a change to it.
+DENSE = [f"dense {driver} --n {n}" for driver in ("rqi", "newton_rayleigh", "newton")
+         for n in (250, 1000)]
+CLASSES += DENSE
 #: fresh-process classes: the import alone, then whole CLI runs
 WALL = ["import riemopt", "fig1 --method sd --n 21", "fig1 --method cg --n 21",
         "fig2 --method cg --n 10", "fig1 --method rqi --n 250 --init random",
@@ -44,15 +52,30 @@ CLI = "import sys; from riemopt.cli import main; sys.exit(main(sys.argv[1:]))"
 THREADS = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
 
 
+def dense_solve(name):
+    """The call of ``DENSE`` class ``name``, its ``Q`` and start already built."""
+    from riemopt import RayleighObjective, eigensolvers, newton
+    from riemopt.sampling import random_symmetric, random_unit_vector, rng_from_seed
+
+    driver, n = name.split()[1], int(name.split()[-1])
+    Q = random_symmetric(rng_from_seed(0), n)
+    x0 = random_unit_vector(rng_from_seed(1), n)
+    if driver == "newton":
+        return lambda: newton(RayleighObjective(Q), x0)
+    return lambda: getattr(eigensolvers, driver)(Q, x0)
+
+
 def worker():
     from riemopt.cli import main
 
     with tempfile.TemporaryDirectory() as out:
+        solves = {name: dense_solve(name) for name in DENSE}
         for line in sys.stdin:
-            argv = CLASSES[int(line)].split() + ["--out", out]
+            name = CLASSES[int(line)]
+            run = solves.get(name) or (lambda: main(name.split() + ["--out", out]))
             with contextlib.redirect_stdout(io.StringIO()):
                 t0 = time.process_time()
-                main(argv)
+                run()
                 dt = time.process_time() - t0
             print(dt, flush=True)
 
