@@ -431,5 +431,6 @@ class _ReducedRayleigh(RayleighObjective):
                           _reduced=(None, None, d, e))
 
     def _at(self, x, form):
-        # T's own entry (Tx, x^T (Tx)), not the dense _qx_rho the methods name
+        # T's entry (Tz, z^T (Tz)), apart from the dense _qx_rho the methods
+        # name, which then forms one entry per stored point, after the map back
         return super()._at(x, lambda T, z: ((tz := T @ z), float(z @ tz)))
