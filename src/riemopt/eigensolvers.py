@@ -58,7 +58,7 @@ def _on_quotient(solver, Q, x0, config, error_fn, which="max", reduce=False) -> 
     else:
         try:  # the errors are formed on the points mapped back
             trace = solver(_ReducedRayleigh(objective), _reflect(objective, x, "T"), config,
-                           error_fn=lambda z: 0.0)
+                           lambda z: 0.0)
         except SolverError as exc:
             exc.trace = _mapped_back(objective, exc.trace, error_fn)
             raise
@@ -67,9 +67,8 @@ def _on_quotient(solver, Q, x0, config, error_fn, which="max", reduce=False) -> 
 
 
 def _mapped_back(objective, trace, error_fn):
-    """``trace`` with its points ``P z``, one ormqr on all of them, and its
-    values ``x^T (Qx)`` and errors formed on those; gradient norms and steps
-    stay the loop's."""
+    """``trace`` with its points ``P z`` by one ormqr, values and errors formed
+    on those, and the loop's gradient norms and steps."""
     out = IterationTrace(converged=trace.converged)
     points = _reflect(objective, np.array(trace.points).T, "N").T if trace.points else []
     for p, gn, step in zip(points, trace.grad_norms, trace.steps):
@@ -79,9 +78,8 @@ def _mapped_back(objective, trace, error_fn):
 
 def newton_rayleigh(Q, x0, config=None, error_fn=None) -> EigenResult:
     """Tangent-space Newton iteration for an eigenpair of symmetric ``Q``:
-    :func:`~riemopt.solvers.newton` on the Rayleigh quotient of the
-    tridiagonal ``T`` of ``Q = P T P^T``, O(n) per step after the one
-    reduction, its points mapped back by ``P`` as :func:`_on_quotient` says.
+    :func:`~riemopt.solvers.newton` on the Rayleigh quotient of ``T`` for
+    ``Q = P T P^T``, O(n) per step, as :func:`_on_quotient` says.
 
     Each step solves ``y = (Q - rho I)^{-1} x`` and follows the great
     circle along ``H = -x + y / (x^T y)`` to ``exp_x(H)``; the trace records
@@ -106,10 +104,9 @@ def rqi(Q, x0, config=None, error_fn=None) -> EigenResult:
     :func:`~riemopt.solvers.newton`, for ``y = (Q - rho I)^{-1} x`` and ``rho = x^T (Qx)``,
     signed so successive iterates keep a positive inner product; the trace records
     each step's angle by the arctan2 of :func:`~riemopt.sphere.sphere_log` (arccos
-    reads one below 1.5e-8 as 0).  It runs on ``T``, O(n) per step, as
-    :func:`newton_rayleigh` does.  Bad input raises as in :func:`newton_rayleigh`."""
-    return _on_quotient(partial(solvers._newton, step=_rqi_step), Q, x0, config, error_fn,
-                        reduce=True)
+    reads one below 1.5e-8 as 0).  It runs on ``T`` and bad input raises as in
+    :func:`newton_rayleigh`."""
+    return _on_quotient(partial(solvers._newton, step=_rqi_step), Q, x0, config, error_fn, reduce=True)
 
 
 def cg_extreme_eigen(Q, x0, config=None, which="max", error_fn=None) -> EigenResult:

@@ -238,8 +238,7 @@ def _reflect(objective, y, trans):
     V, tau = objective._reduction()[:2]
     y = np.array(y, dtype=float, order="F")
     if V is not None:  # a reduced problem's P is I
-        # lwork = k runs the unblocked code: at n = 250 and k = 4 to 8 it took
-        # about half the time of the blocked one, which forms each block's T
+        # lwork = k, the unblocked code: half the blocked one's time at n = 250, k = 4..8
         lwork = 1 if y.ndim == 1 else y.shape[1]
         y[1:] = _scipy("lapack").dormqr("L", trans, V, tau, y[1:], lwork)[0]
     return y
@@ -405,8 +404,6 @@ class RayleighObjective(MatrixObjective):
         return (t + np.pi if t < 0.0 else t) / nh
 
 
-
-
 class _Tridiagonal:
     """``T`` by its diagonal ``d`` and off-diagonal ``e``: ``T @ x`` in O(n)."""
 
@@ -421,16 +418,10 @@ class _Tridiagonal:
 
 
 class _ReducedRayleigh(RayleighObjective):
-    """``objective``'s quotient in the basis of its reduction ``Q = P T P^T``:
-    ``T``'s, so its entry, products and shift solve (one gtsv on its reduction
-    ``(None, None, d, e)``) cost O(n); a point ``z`` is ``P z`` there."""
+    """``objective``'s quotient on ``T`` of ``Q = P T P^T``, where a point ``z`` is
+    ``P z``: its entry, products and shift solve (one gtsv) cost O(n)."""
 
     def __init__(self, objective):
         d, e = objective._reduction()[2:]
         vars(self).update(vars(objective), Q=_Tridiagonal(d, e), _last=(None, None),
                           _reduced=(None, None, d, e))
-
-    def _at(self, x, form):
-        # T's entry (Tz, z^T (Tz)), apart from the dense _qx_rho the methods
-        # name, which then forms one entry per stored point, after the map back
-        return super()._at(x, lambda T, z: ((tz := T @ z), float(z @ tz)))

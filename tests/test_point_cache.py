@@ -178,11 +178,19 @@ def test_newton_rayleigh_forms_the_quotient_once_per_iterate(monkeypatch):
     rng = np.random.default_rng(3)
     Q = rand_sym(rng, 40)
     counts = {}
-    _count(monkeypatch, sphere, "_qx_rho", counts, "rho")
+    real = sphere._qx_rho
+
+    def counted(Q, x):  # a dense n^2 pass, or an O(n) one on the tridiagonal T
+        key = "dense" if isinstance(Q, np.ndarray) else "T"
+        counts[key] = counts.get(key, 0) + 1
+        return real(Q, x)
+
+    monkeypatch.setattr(sphere, "_qx_rho", counted)
     res = newton_rayleigh(Q, rand_unit(rng, 40))
     assert res.converged and res.iterations >= 2
-    # the step, the reported value and the default error share it
-    assert counts["rho"] == len(res.trace)
+    # on T the step and the gradient share one entry per iterate; mapped
+    # back, the reported value and the default error share one per point
+    assert counts == {"T": len(res.trace), "dense": len(res.trace)}
 
 
 @pytest.mark.parametrize("reset_period", [1, 3, None])
