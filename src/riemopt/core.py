@@ -160,18 +160,6 @@ class GeodesicObjective(ABC):
         return self.manifold.norm(p, g)
 
 
-def _check_symmetric(Q):
-    """``Q`` as floats; ValueError unless square, finite and exactly symmetric."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError("Q must be square")
-    if not np.all(np.isfinite(Q)):
-        raise ValueError("Q must be finite")
-    if not np.array_equal(Q, Q.T):
-        raise ValueError("Q must be exactly symmetric as stored")
-    return Q
-
-
 class MatrixObjective(GeodesicObjective):
     """An objective defined by one finite, exactly symmetric matrix ``Q``
     with a finite ``Q_fro = |Q|_F`` (ValueError otherwise) on the manifold
@@ -185,12 +173,20 @@ class MatrixObjective(GeodesicObjective):
     """
 
     def __init__(self, Q, manifold):
-        self.Q = _check_symmetric(Q)
+        self.Q = Q = np.asarray(Q, dtype=float)
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+            raise ValueError("Q must be square")
         with np.errstate(over="ignore"):  # an overflow raises below
-            self.Q_fro = _fro(self.Q)
+            self.Q_fro = _fro(Q)
+        # |Q|_F is finite exactly when every entry is and no square overflows,
+        # so only an infinite or NaN norm needs the entrywise pass
+        if not math.isfinite(self.Q_fro) and not np.all(np.isfinite(Q)):
+            raise ValueError("Q must be finite")
+        if not np.array_equal(Q, Q.T):
+            raise ValueError("Q must be exactly symmetric as stored")
         if math.isinf(self.Q_fro):
             raise ValueError("|Q|_F overflows to inf; scale Q down")
-        self.manifold = manifold(self.Q.shape[0])
+        self.manifold = manifold(Q.shape[0])
         self._last = (None, None)
 
     def _at(self, p, form):

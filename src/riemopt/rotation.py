@@ -150,7 +150,8 @@ class SpecialOrthogonal(Manifold):
 def _solve_definite(apply_op, b, *, diag):
     """Linear conjugate gradient for a self-adjoint positive definite
     operator on the algebra, in Frobenius arithmetic, preconditioned by the
-    elementwise positive ``diag``.
+    elementwise positive ``diag``.  Each inner product is one ``np.vdot``,
+    and the iterate, residual and search direction are updated in place.
 
     Stops when the residual norm drops below ``1e-12 |b|``, or after
     ``n(n-1)/2`` iterations, the algebra's dimension.  Raises
@@ -164,20 +165,21 @@ def _solve_definite(apply_op, b, *, diag):
     n = b.shape[0]
     r = b.copy()
     p = r / diag
-    rz = float(np.sum(r * p))
+    rz = float(np.vdot(r, p))
     for _ in range(n * (n - 1) // 2):
         Ap = apply_op(p)
-        pAp = float(np.sum(p * Ap))
+        pAp = float(np.vdot(p, Ap))
         if pAp <= 0.0:
             raise StepDeclined("operator has nonpositive curvature along a search direction")
         alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
+        x += alpha * p
+        r -= alpha * Ap
         if _fro(r) <= 1e-12 * nb:
             break
         z = r / diag
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        rz_new = float(np.vdot(r, z))
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return x
 
@@ -255,6 +257,7 @@ class BrockettObjective(MatrixObjective):
             raise ValueError("N must have pairwise distinct diagonal entries")
         self.N = N
         self._nu = np.diag(N).copy()
+        self._half_dnu = 0.5 * (self._nu - self._nu[:, None])  # (nu_j - nu_i) / 2
         slots = np.argsort(self._nu)[::-1]
         self.D = np.zeros_like(N)
         self.D[slots, slots] = np.sort(np.linalg.eigvalsh(self.Q))[::-1]
@@ -277,10 +280,14 @@ class BrockettObjective(MatrixObjective):
         differential of ``f`` is ``-1/2 tr(L(X) Y)`` against a tangent
         ``T Y``, so that of ``-f`` is ``<-L(X)/2, Y>``.  At a diagonal
         ``H = diag(h)`` it is diagonal in the ``E_ij - E_ji`` basis, with
-        entries ``(h_i - h_j)(nu_i - nu_j)``."""
-        H = self._at(T, conjugated_matrix)
-        return 0.5 * (_commutator_diag(commutator(X, H), self._nu)
-                      - commutator(H, _commutator_diag(X, self._nu)))
+        entries ``(h_i - h_j)(nu_i - nu_j)``.  One product per commutator:
+        for skew ``X`` and symmetric ``H``, ``(XH)^T = -HX``, and
+        ``[Y, N] = Y o 2 Delta`` with ``Delta_ij = (nu_j - nu_i) / 2``, so
+        ``-L(X)/2 = W - W^T`` with ``W = (XH) o Delta - H (X o Delta)``:
+        exactly skew, and the dense commutators to round-off."""
+        H, half = self._at(T, conjugated_matrix), self._half_dnu
+        W = (X @ H) * half - H @ (X * half)
+        return W - W.T
 
     def newton_direction(self, T):
         """Newton direction: solves ``hessian_apply(T, X) = -gradient(T)`` by
@@ -347,11 +354,14 @@ class JacobiObjective(MatrixObjective):
         - 2 [H, pi([X, H])]``: the second differential of ``f`` is
         ``-tr(M(X) Y)``, so that of ``-f`` is ``<-M(X), Y>``.  At a diagonal
         ``H = diag(h)`` it is diagonal in the ``E_ij - E_ji`` basis, with
-        entries ``2 (h_i - h_j)^2``."""
+        entries ``2 (h_i - h_j)^2``.  Formed as Brockett's with
+        ``Delta_ij = h_j - h_i``, plus ``2 [H, pi([X, H])] = V - V^T`` with
+        ``V = 4 H diag(a)``, ``a`` the diagonal of ``XH``, added to ``W``."""
         H = self._at(T, conjugated_matrix)
-        h, adXH = H.diagonal(), commutator(X, H)
-        return (_commutator_diag(adXH, h) + 2.0 * _commutator_diag(H, adXH.diagonal())
-                - commutator(H, _commutator_diag(X, h)))
+        h, XH = H.diagonal(), X @ H
+        delta = h - h[:, None]
+        W = XH * delta - H @ (X * delta) + H * (4.0 * XH.diagonal())
+        return W - W.T
 
     def newton_direction(self, T):
         """Newton direction: solves ``hessian_apply(T, X) = -gradient(T)`` by

@@ -3,8 +3,9 @@
 Everything here recomputes expected values by a route different from the
 library code under test: high-order finite differences, ODE integration of
 the parallel-transport equation, dense operator matrices in coordinate
-bases, truncated exponential series, brute-force scans, and the SO(n)
-objectives' diagonal commutators and Hessians as dense products.  A few helpers
+bases, truncated exponential series, brute-force scans, the SO(n)
+objectives' diagonal commutators and Hessians as dense products, and both
+Hessians in the library's two-product form.  A few helpers
 only the tests use live here too: ``skew_exp`` (the group exponential of a
 checked skew matrix), ``solve_projected_linear`` (the projected Newton
 equation by dense solves) and its error ``SingularMatrix``,
@@ -197,6 +198,29 @@ def dense_jacobi_neg_M(H, X):
     return (XH @ P - P @ XH) + 2.0 * (H @ D - D @ H) - (H @ XP - XP @ H)
 
 
+def two_product_brockett_neg_L(H, nu, X):
+    """``-L(X)``, twice Brockett's Hessian, with one product per commutator:
+    ``W - W^T`` with ``W = (XH) o Delta - H (X o Delta)`` and
+    ``Delta_ij = nu_j - nu_i``, for skew ``X`` and symmetric ``H``.  Half of
+    it is bitwise the library's operator, whose ``Delta`` holds the half."""
+    delta = -np.subtract.outer(nu, nu)
+    W = (X @ H) * delta - H @ (X * delta)
+    return W - W.T
+
+
+def two_product_jacobi_neg_M(H, X):
+    """``-M(X)``, Jacobi's Hessian, with one product per commutator: the
+    form of :func:`two_product_brockett_neg_L` with ``Delta_ij = h_j - h_i``,
+    plus ``2 [H, pi([X, H])]`` as ``V - V^T`` with ``V = 2 H diag(g)`` and
+    ``g = diag([X, H]) = 2 diag(XH)``, added inside ``W``, in the library's
+    order of operations."""
+    delta = -np.subtract.outer(np.diag(H), np.diag(H))
+    XH = X @ H
+    g = 2.0 * np.diag(XH)
+    W = XH * delta - H @ (X * delta) + 2.0 * H * g
+    return W - W.T
+
+
 def experiment_objective(kind, n, seed):
     """Objective of the CLI experiment ``kind`` (``fig2`` or ``jacobi``)
     and its optimum ``T_hat``."""
@@ -294,8 +318,8 @@ def reference_newton_direction(objective, T):
     ``2 (h_i - h_j)^2``, in absolute value, floored at 1e-4 of the largest,
     which also fills the main diagonal; the solve stops once the residual
     drops to 1e-12 of ``|b|``, or after ``n(n-1)/2`` steps.  In the
-    library's order of operations, so the direction is bitwise the
-    library's.  Returns ``(X, relative residual per step, preconditioner)``."""
+    library's order of operations, each inner product one ``np.vdot``, so
+    the direction is bitwise the library's.  Returns ``(X, relative residual per step, preconditioner)``."""
     H = T.T @ objective.Q @ T
     H = 0.5 * (H + H.T)
     h = np.diag(H)
@@ -313,11 +337,11 @@ def reference_newton_direction(objective, T):
     nb = np.linalg.norm(b)
     X, r = np.zeros_like(b), b.copy()
     p = r / d
-    rz = float(np.sum(r * p))
+    rz = float(np.vdot(r, p))
     residuals = []
     for _ in range(len(h) * (len(h) - 1) // 2):
         Ap = objective.hessian_apply(T, p)
-        alpha = rz / float(np.sum(p * Ap))
+        alpha = rz / float(np.vdot(p, Ap))
         X = X + alpha * p
         r = r - alpha * Ap
         nr = np.linalg.norm(r)
@@ -325,7 +349,7 @@ def reference_newton_direction(objective, T):
         if nr <= 1e-12 * nb:
             break
         z = r / d
-        rz_next = float(np.sum(r * z))
+        rz_next = float(np.vdot(r, z))
         p = z + (rz_next / rz) * p
         rz = rz_next
     return X, residuals, d

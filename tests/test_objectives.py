@@ -64,6 +64,34 @@ def test_an_overflowing_norm_raises_only_the_value_error(make):
         make(1e160 * descending_diag(3))
 
 
+def _q3(entries, scale=1.0):
+    """``scale * diag(3, 2, 1)`` with the given ``{(i, j): value}`` set first."""
+    Q = np.diag([3.0, 2.0, 1.0])
+    for (i, j), value in entries.items():
+        Q[i, j] = value
+    return scale * Q
+
+
+_BAD_Q = {
+    "nan": (_q3({(0, 2): np.nan, (2, 0): np.nan}), "Q must be finite"),
+    "inf": (_q3({(0, 2): np.inf, (2, 0): np.inf}), "Q must be finite"),
+    "-inf and inf": (_q3({(1, 1): -np.inf, (0, 2): np.inf, (2, 0): np.inf}), "Q must be finite"),
+    "nan, asymmetric": (_q3({(1, 2): np.nan, (0, 2): 1.0}), "Q must be finite"),
+    "overflow, asymmetric": (_q3({(0, 2): 1.0}, 1e154), "Q must be exactly symmetric as stored"),
+    "overflow": (_q3({}, 1e154), "|Q|_F overflows to inf; scale Q down")}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_Q))
+@each_objective
+def test_the_matrix_check_keeps_its_messages_and_their_order(make, bad):
+    # |Q|_F is formed first and the entrywise pass runs only when it is not
+    # finite; non-finite entries still come first, then symmetry, then overflow
+    Q, message = _BAD_Q[bad]
+    with pytest.raises(ValueError) as info:
+        make(Q)
+    assert str(info.value) == message
+
+
 @each_objective
 def test_objectives_reject_a_non_square_matrix(make):
     with pytest.raises(ValueError, match="square"):

@@ -30,7 +30,9 @@ CLASSES = ["fig1 --method sd --n 21", "fig1 --method cg --n 21", "fig1 --method 
            "fig2 --method cg --n 10", "fig2 --method cg --n 10 --line-search golden",
            "fig2 --method cg --n 30 --init near",
            "fig2 --method newton --n 30 --init near",
-           "fig2 --method newton --n 60 --init near:0.01", "jacobi --n 20 --init near:0.1",
+           "fig2 --method newton --n 30 --init near:0.1",
+           "fig2 --method newton --n 60 --init near:0.01",
+           "fig2 --method newton --n 60 --init near:0.1", "jacobi --n 20 --init near:0.1",
            "jacobi --n 60 --init near:0.1", "fig1 --method rqi --n 250 --init random",
            "fig1 --method newton-rq --n 250 --init random",
            "fig1 --method newton --n 250 --init random",
