@@ -282,7 +282,7 @@ class BrockettObjective(MatrixObjective):
         ``H = diag(h)`` it is diagonal in the ``E_ij - E_ji`` basis, with
         entries ``(h_i - h_j)(nu_i - nu_j)``.  One product per commutator:
         for skew ``X`` and symmetric ``H``, ``(XH)^T = -HX``, and
-        ``[Y, N] = Y o 2 Delta`` with ``Delta_ij = (nu_j - nu_i) / 2``, so
+        ``[Y, N] = 2 Y o Delta`` with ``Delta_ij = (nu_j - nu_i) / 2``, so
         ``-L(X)/2 = W - W^T`` with ``W = (XH) o Delta - H (X o Delta)``:
         exactly skew, and the dense commutators to round-off."""
         H, half = self._at(T, conjugated_matrix), self._half_dnu

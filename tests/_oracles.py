@@ -319,7 +319,8 @@ def reference_newton_direction(objective, T):
     which also fills the main diagonal; the solve stops once the residual
     drops to 1e-12 of ``|b|``, or after ``n(n-1)/2`` steps.  In the
     library's order of operations, each inner product one ``np.vdot``, so
-    the direction is bitwise the library's.  Returns ``(X, relative residual per step, preconditioner)``."""
+    the direction is bitwise the library's.  Returns ``(X, relative
+    residual per step, preconditioner)``."""
     H = T.T @ objective.Q @ T
     H = 0.5 * (H + H.T)
     h = np.diag(H)
