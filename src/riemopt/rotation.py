@@ -296,7 +296,7 @@ class BrockettObjective(MatrixObjective):
         nonpositive curvature, as met away from the maximum."""
         H = self._at(T, conjugated_matrix)
         h, nu = np.diag(H), self._nu
-        diag = _preconditioner(np.subtract.outer(h, h) * np.subtract.outer(nu, nu))
+        diag = _preconditioner(2.0 * np.subtract.outer(h, h) * self._half_dnu)  # sign aside
         b = _commutator_diag(H, nu)  # -gradient(T), without a gradient evaluation
         return _solve_definite(lambda X: self.hessian_apply(T, X), b, diag=diag)
 
@@ -325,6 +325,12 @@ class BrockettObjective(MatrixObjective):
 
 # ---------------------------------------------------------------------------
 # Diagonalization objective  f(T) = tr(H diag(H)),  H = T' Q T
+
+
+def _jacobi_neg_M(H, X, delta):
+    """:meth:`JacobiObjective.hessian_apply` at ``H`` for ``delta_ij = h_j - h_i``."""
+    W = (XH := X @ H) * delta - H @ (X * delta) + H * (4.0 * XH.diagonal())
+    return W - W.T
 
 
 class JacobiObjective(MatrixObjective):
@@ -358,10 +364,7 @@ class JacobiObjective(MatrixObjective):
         ``Delta_ij = h_j - h_i``, plus ``2 [H, pi([X, H])] = V - V^T`` with
         ``V = 4 H diag(a)``, ``a`` the diagonal of ``XH``, added to ``W``."""
         H = self._at(T, conjugated_matrix)
-        h, XH = H.diagonal(), X @ H
-        delta = h - h[:, None]
-        W = XH * delta - H @ (X * delta) + H * (4.0 * XH.diagonal())
-        return W - W.T
+        return _jacobi_neg_M(H, X, H.diagonal() - H.diagonal()[:, None])
 
     def newton_direction(self, T):
         """Newton direction: solves ``hessian_apply(T, X) = -gradient(T)`` by
@@ -370,9 +373,10 @@ class JacobiObjective(MatrixObjective):
         nonpositive curvature, as met away from a diagonalizer."""
         H = self._at(T, conjugated_matrix)
         h = H.diagonal()
-        diag = _preconditioner(2.0 * np.subtract.outer(h, h) ** 2)
+        delta = h - h[:, None]  # fixed over the solve
+        diag = _preconditioner(2.0 * delta ** 2)
         b = 2.0 * _commutator_diag(H, h)  # -gradient(T), without a gradient evaluation
-        return _solve_definite(lambda X: self.hessian_apply(T, X), b, diag=diag)
+        return _solve_definite(lambda X: _jacobi_neg_M(H, X, delta), b, diag=diag)
 
     def error_metric(self, T):
         return off_diagonal_norm(self._at(T, conjugated_matrix))

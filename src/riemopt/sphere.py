@@ -184,9 +184,9 @@ def shift_solve(Q, rho, x):
     takes it (ValueError otherwise: finite, exactly symmetric, n >= 2 and
     ``|Q|_F`` finite), a finite ``rho`` and a finite n-vector ``x``
     (ValueError otherwise), by :func:`_shift_solve` on a throwaway
-    objective of ``Q``: one tridiagonal reduction ``Q = P T P^T`` per call,
-    then ``y = P (T - rho I)^{-1} P^T x``.  A kept :class:`RayleighObjective`
-    reduces once for all its shifts, so each costs O(n^2).
+    objective of ``Q``: one reduction ``Q = P T P^T`` per call unless ``Q``
+    is tridiagonal, then ``y = P (T - rho I)^{-1} P^T x``.  A kept
+    :class:`RayleighObjective` reduces once for all its shifts.
 
     Near an eigenvalue the shift is nearly singular and ``y`` is large,
     but the solve is backward stable and ``y`` is dominated by the target
@@ -208,9 +208,8 @@ def shift_solve(Q, rho, x):
 
 
 def _shift_solve(objective, rho, x):
-    """``y = P (T - rho I)^{-1} P^T x`` on ``objective``'s one reduction,
-    built here on its first shift solve: one gtsv, O(n), and for a dense
-    ``Q`` two ormqr calls, O(n^2) (none on a :class:`_ReducedRayleigh`).  On
+    """``y = P (T - rho I)^{-1} P^T x`` on ``objective``'s one reduction: one
+    gtsv, O(n), and two ormqr calls, O(n^2), unless ``Q`` is tridiagonal.  On
     an exactly zero pivot or a non-finite ``y`` the shift moves by
     ``eps max(|Q|_F, tiny)``, doubled until the solve succeeds (it does for
     a finite ``rho`` and ``x``), as inverse iteration does: below the
@@ -234,12 +233,13 @@ def _shift_solve(objective, rho, x):
 
 def _reflect(objective, y, trans):
     """``P^T y`` (``trans="T"``) or ``P y`` (``"N"``) on rows 2..n of a copy of a
-    vector or n-by-k block ``y``, by one ormqr call."""
+    vector or n-by-k block ``y``, by one ormqr call.  Its blocked code pays from
+    about 48 columns at n = 60, 14 at n = 250 and 8 at n = 1000 (one BLAS thread)."""
     V, tau = objective._reduction()[:2]
     y = np.array(y, dtype=float, order="F")
-    if V is not None:  # a reduced problem's P is I
-        # lwork = k, the unblocked code: half the blocked one's time at n = 250, k = 4..8
-        lwork = 1 if y.ndim == 1 else y.shape[1]
+    if V is not None:  # a tridiagonal Q's P is I
+        k = y.size // len(y)  # lwork = k runs the unblocked code; 64 k + 65 * 64 is
+        lwork = k if k <= 16 else 64 * k + 65 * 64  # room for blocks up to 64 wide
         y[1:] = _scipy("lapack").dormqr("L", trans, V, tau, y[1:], lwork)[0]
     return y
 
@@ -322,29 +322,27 @@ class RayleighObjective(MatrixObjective):
             raise ValueError("which must be 'max' or 'min'")
         super().__init__(Q, Sphere)
         self._sign = -1.0 if which == "max" else 1.0
-        n = self.Q.shape[0]
-        self.gradient_floor = 6.0 * np.sqrt(n) * EPS * self.Q_fro
+        self.gradient_floor = 6.0 * np.sqrt(self.Q.shape[0]) * EPS * self.Q_fro
         self._reduced = None
 
     def _reduction(self):
-        """``Q = P T P^T`` by one blocked LAPACK sytrd (lower) in 8-column
-        panels, built on the first shift solve and kept, as ``Q`` is fixed:
-        ``(V, tau, d, e)`` with the diagonal ``d`` and off-diagonal ``e`` of
-        ``T``, and ``P``'s reflectors as a QR set ``(V, tau)`` on coordinates
-        2..n, which ormqr applies in O(n^2) per vector without forming ``P``.
-        The panels (``lwork = 8 n``) took 0.82-0.83 of the time of the
-        default 32-column ones at n = 200 to 300, 0.93 at n = 600 and 0.99
-        at n = 1000 (12 alternated repeats, one BLAS thread).  It is
-        assigned whole, as :meth:`_at` assigns its entry, so threads that
-        share the objective never see half of one."""
-        reduction = self._reduced
+        """``Q = P T P^T`` as ``(V, tau, d, e)``: ``T``'s diagonals and ``P``'s
+        reflectors on coordinates 2..n, for ormqr.  A tridiagonal ``Q`` is its own
+        ``T``, ``(None, None, diag(Q), diag(Q, -1))``, as sytrd finds it (every
+        ``tau = 0``, a zero's sign aside): column 0 settles a dense ``Q``, else a
+        count of nonzeros, with no copy of ``Q``.  Any other takes one sytrd in
+        8-column panels, 0.82 of the default 32-column time at n = 200 to 300.
+        Built on first use and assigned whole, so threads never see half of one."""
+        reduction, Q = self._reduced, self.Q
+        if reduction is None and not np.any(Q[2:, 0]) and np.count_nonzero(Q) == (
+                np.count_nonzero(np.diag(Q)) + 2 * np.count_nonzero(np.diag(Q, -1))):
+            reduction = self._reduced = (None, None, np.diag(Q).copy(), np.diag(Q, -1).copy())
         if reduction is None:
-            n, lapack = self.Q.shape[0], _scipy("lapack")
-            lwork = 8 * n  # sytrd's blocked code, in panels of lwork / n columns
-            # a fresh Fortran-ordered copy for sytrd to overwrite; a C-ordered
-            # Q is copied in memory order as Q.T, which holds the same entries
-            A = (self.Q.T if self.Q.flags.c_contiguous else self.Q).copy(order="F")
-            A, d, e, tau, _ = lapack.dsytrd(A, lower=1, lwork=lwork, overwrite_a=True)
+            n, lapack = Q.shape[0], _scipy("lapack")
+            # a fresh Fortran-ordered copy for sytrd's blocked code (lwork / n = 8-column
+            # panels) to overwrite; a C-ordered Q is copied in memory order, as Q.T
+            A = (Q.T if Q.flags.c_contiguous else Q).copy(order="F")
+            A, d, e, tau, _ = lapack.dsytrd(A, lower=1, lwork=8 * n, overwrite_a=True)
             # the reflectors sit in A[1:, :-1] with leading dimension n, and
             # ormqr would copy that strided block on every call: move them,
             # 64 columns at a time from the left, to leading dimension n - 1

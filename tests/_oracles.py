@@ -11,18 +11,22 @@ checked skew matrix), ``solve_projected_linear`` (the projected Newton
 equation by dense solves) and its error ``SingularMatrix``,
 ``reference_steepest_descent`` (steepest descent as a loop of its own),
 ``reference_newton_direction`` (the SO(n) Newton direction by a
-preconditioned conjugate gradient of its own),
+preconditioned conjugate gradient of its own), ``reduced_eigen_trace``
+(the trace an eigen driver reports on a ``Q`` it reduces, by that trace's
+definition) and ``tridiagonal_quotient`` (the quotient and residual on ``T``),
 ``read_trace_csv`` (a trace file read back) and ``experiment_objective``
 (the objective of a CLI experiment).
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 
-from riemopt import BrockettObjective, IterationTrace, JacobiObjective, line_minimize_geodesic
-from riemopt.errors import RiemoptError, StepDeclined
+from riemopt import (BrockettObjective, IterationTrace, JacobiObjective, RayleighObjective,
+                     line_minimize_geodesic)
+from riemopt.errors import RiemoptError, SolverError, StepDeclined
 from riemopt.experiments import fig2_matrices, jacobi_matrices
+from riemopt.sphere import _ReducedRayleigh
 
 SKEW_TOL = 1e-12
 
@@ -354,6 +358,54 @@ def reference_newton_direction(objective, T):
         p = z + (rz_next / rz) * p
         rz = rz_next
     return X, residuals, d
+
+
+def tridiagonal_quotient(d, e, z):
+    """``(rho, |Tz - rho z|)`` for the tridiagonal ``T`` of diagonal ``d`` and
+    off-diagonal ``e``: ``Tz`` as ``d z``, plus ``e`` times ``z`` shifted down,
+    plus ``e`` times ``z`` shifted up, in that order."""
+    y = d * z
+    y[1:] += e * z[:-1]
+    y[:-1] += e * z[1:]
+    rho = float(z @ y)
+    return rho, float(np.linalg.norm(y - rho * z))
+
+
+def reduced_eigen_trace(loop, Q, x0, config, error_fn=None):
+    """The trace an eigen driver reports on a ``Q`` that is not tridiagonal,
+    by its definition: the solver ``loop`` run on the quotient of ``T`` for
+    ``Q = P T P^T`` (the objective's sytrd), with ``config`` as given, from
+    ``P^T x0 / |x0|``.  Its points are mapped back by ``P`` in one ormqr, the
+    unblocked code up to 16 columns and the blocked one above; its values,
+    gradient norms and steps are the loop's.  Its errors are ``error_fn`` on
+    the points mapped back, or else :func:`tridiagonal_quotient`'s residual
+    of each loop point but the last, whose error is the dense
+    ``|Qx - rho x|`` of the point mapped back.  The quotient is maximized.
+    Returns the trace and the type of the :class:`SolverError` that stopped
+    the loop, or None."""
+    objective = RayleighObjective(Q)
+    V, tau, d, e = objective._reduction()
+    z0 = x0 / np.linalg.norm(x0)
+    z0[1:] = lapack.dormqr("L", "T", V, tau, z0[1:], 1)[0]
+    try:
+        trace, failure = loop(_ReducedRayleigh(objective), z0, config,
+                              lambda z: tridiagonal_quotient(d, e, z)[1]), None
+    except SolverError as exc:
+        trace, failure = exc.trace, type(exc)
+    out = IterationTrace(converged=trace.converged)
+    if not trace.points:
+        return out, failure
+    Z = np.array(trace.points).T
+    k = Z.shape[1]
+    Z[1:] = lapack.dormqr("L", "N", V, tau, Z[1:], k if k <= 16 else 64 * k + 4160)[0]
+    x = Z[:, -1]
+    rho = float(x @ (Q @ x))
+    errors = trace.errors[:-1] + [float(np.linalg.norm(Q @ x - rho * x))]
+    if error_fn is not None:
+        errors = [error_fn(p) for p in Z.T]
+    for row in zip(Z.T, trace.values, trace.grad_norms, errors, trace.steps):
+        out.append(*row)
+    return out, failure
 
 
 def read_trace_csv(path):

@@ -4,7 +4,7 @@ from scipy.linalg import lapack
 
 import riemopt.eigensolvers
 
-from _oracles import axis_angle, rand_sym, rand_tangent, rand_unit
+from _oracles import axis_angle, rand_sym, rand_tangent, rand_unit, tridiagonal_quotient
 from riemopt import (
     RayleighObjective,
     SolverConfig,
@@ -131,7 +131,9 @@ def test_diverged_rqi_carries_points_in_the_original_basis(monkeypatch):
     # rqi steps on the tridiagonal T of Q = P T P^T; a shift solve that
     # doubles the angle of T's iterate from T's top eigenvector toward its
     # bottom one grows the gradient norm at every step, and the Diverged it
-    # raises carries the stored points P z, with rho and the residual on them
+    # raises carries the stored points P z, with the loop's rho and residual
+    # on T, the last residual the dense one on P z, each within round-off of
+    # the dense formulas on P z
     n = 6
     Q = rand_sym(np.random.default_rng(6), n)
     V, tau, d, e = RayleighObjective(Q)._reduction()
@@ -157,9 +159,15 @@ def test_diverged_rqi_carries_points_in_the_original_basis(monkeypatch):
     for z, p in zip(seen, trace.points):
         assert not np.allclose(z, p, atol=1e-3)
         np.testing.assert_allclose(p, back(z), rtol=0.0, atol=1e-15)
-    assert trace.values == [float(p @ (Q @ p)) for p in trace.points]
-    assert trace.errors == [float(np.linalg.norm(Q @ p - (p @ (Q @ p)) * p))
-                            for p in trace.points]
+    on_T = [tridiagonal_quotient(d, e, z) for z in seen]
+    assert trace.values[:-1] == [rho for rho, _ in on_T]
+    assert trace.errors[:-1] == [residual for _, residual in on_T]
+    dense = [(float(p @ (Q @ p)), float(np.linalg.norm(Q @ p - (p @ (Q @ p)) * p)))
+             for p in trace.points]
+    assert trace.errors[-1] == dense[-1][1]
+    bound = 4.0 * np.sqrt(n) * np.finfo(float).eps * np.linalg.norm(Q)
+    np.testing.assert_allclose(trace.values, [rho for rho, _ in dense], rtol=0.0, atol=bound)
+    np.testing.assert_allclose(trace.errors, [r for _, r in dense], rtol=0.0, atol=bound)
 
 
 def test_quadratic_agreement_of_next_iterates():

@@ -113,7 +113,7 @@ def test_shift_solve_is_one_reduced_solve_bit_for_bit(n, seed, layout, frac):
     assert Q.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 60, 250])
+@pytest.mark.parametrize("n", [3, 60, 250])
 def test_shift_solve_runs_the_blocked_factorization(monkeypatch, n):
     # the factorization Q = P T P^T in 8-column panels, lwork / n: scipy's
     # default workspace, n, runs the unblocked code (sytrd's blocked code
@@ -135,12 +135,11 @@ def test_shift_solve_runs_the_blocked_factorization(monkeypatch, n):
     assert seen == [8 * n]
 
 
-@pytest.mark.parametrize("solver", ["rqi", "newton_rayleigh", "newton"])
-def test_one_reduction_per_solve(monkeypatch, solver):
-    # every shift of one eigen solve reuses the objective's one reduction
-    calls = {"dsytrd": 0, "dsytrf": 0}
+def _counting(monkeypatch, *names):
+    """``{name: 0}`` for LAPACK kernels ``names``, each counting its calls from here on."""
+    calls = dict.fromkeys(names, 0)
     kernels = _scipy("lapack")
-    for name in calls:
+    for name in names:
         kernel = getattr(kernels, name)
 
         def counting(*args, name=name, kernel=kernel, **kwargs):
@@ -148,6 +147,86 @@ def test_one_reduction_per_solve(monkeypatch, solver):
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(kernels, name, counting)
+    return calls
+
+
+def _tridiagonal(rng, n, kind, zeros):
+    """A random tridiagonal ``Q``, or a diagonal one (``kind="diagonal"``),
+    with negative zeros on about a third of its entries below the
+    subdiagonal, and on its two diagonals too when ``zeros="diagonals"``."""
+    d = rng.normal(size=n)
+    e = rng.normal(size=n - 1) if kind == "tridiagonal" else np.zeros(n - 1)
+    if zeros == "diagonals":
+        d[rng.random(n) < 0.2] = -0.0
+        e[rng.random(n - 1) < 0.3] = -0.0
+    Q, i = np.zeros((n, n)), np.arange(n)
+    below = np.tril(rng.random((n, n)) < 0.3, -2)
+    Q[below] = Q[below.T] = -0.0
+    Q[i, i], Q[i[1:], i[:-1]], Q[i[:-1], i[1:]] = d, e, e
+    return Q
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(3, 300), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["diagonal", "tridiagonal"]),
+       zeros=st.sampled_from(["below", "diagonals"]))
+def test_sytrd_leaves_a_tridiagonal_q_as_it_is(n, seed, kind, zeros):
+    # why a tridiagonal Q skips its reduction: sytrd finds every tau = 0, so
+    # P = I, and returns Q's own diagonals, bit for bit but for the sign of a
+    # zero on them, which its blocked code (past 32 columns here) may drop;
+    # the skip keeps Q's own, and its shift solve is sytrd's bit for bit
+    rng = np.random.default_rng(seed)
+    Q = _tridiagonal(rng, n, kind, zeros)
+    _, d, e, tau, info = lapack.dsytrd(Q.copy(order="F"), lower=1, lwork=8 * n)
+    assert info == 0 and np.all(tau == 0.0)
+    V, no_tau, own_d, own_e = RayleighObjective(Q)._reduction()
+    assert V is None and no_tau is None
+    for got, own, want in ((d, own_d, np.diag(Q)), (e, own_e, np.diag(Q, -1))):
+        assert own.tobytes() == want.tobytes()
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()  # -0 + 0 is +0
+        if zeros == "below":
+            assert got.tobytes() == want.tobytes()
+    x = rand_unit(rng, n)
+    expected = _tridiagonal_solve(np.array(Q), 0.25, x)
+    assume(expected is not None)
+    assert shift_solve(Q, 0.25, x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 60])
+def test_a_lone_entry_off_column_0_is_reduced(monkeypatch, n):
+    # Q[2:, 0] is zero but Q[n - 1, 1] is not: Q is not tridiagonal, and a
+    # check of column 0 alone would take it as its own T
+    rng = np.random.default_rng(n)
+    Q = _tridiagonal(rng, n, "tridiagonal", "below")
+    Q[n - 1, 1] = Q[1, n - 1] = 1.0
+    calls = _counting(monkeypatch, "dsytrd")
+    x = rand_unit(rng, n)
+    y = shift_solve(Q, 0.25, x)
+    assert calls == {"dsytrd": 1}
+    A = Q - 0.25 * np.eye(n)
+    assert np.linalg.norm(A @ y - x) <= 1e-12 * np.linalg.norm(A, 2) * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "tridiagonal"])
+def test_a_tridiagonal_q_is_never_reduced(monkeypatch, kind):
+    # a tridiagonal Q is its own T: no driver, no generic newton on its
+    # objective and no public shift solve calls sytrd, or ormqr to apply a P
+    calls = _counting(monkeypatch, "dsytrd", "dormqr")
+    rng = np.random.default_rng(5)
+    Q = _tridiagonal(rng, 40, kind, "below")
+    x0 = rand_unit(rng, 40)
+    for solver in (rqi, newton_rayleigh, cg_extreme_eigen):
+        assert solver(Q, x0).converged
+    assert newton(RayleighObjective(Q), x0).converged
+    shift_solve(Q, 0.25, x0)
+    rayleigh_newton_step(Q, x0)
+    assert calls == {"dsytrd": 0, "dormqr": 0}
+
+
+@pytest.mark.parametrize("solver", ["rqi", "newton_rayleigh", "newton"])
+def test_one_reduction_per_solve(monkeypatch, solver):
+    # every shift of one eigen solve reuses the objective's one reduction
+    calls = _counting(monkeypatch, "dsytrd", "dsytrf")
     rng = np.random.default_rng(60)
     n = 60
     Q = rand_sym(rng, n)
@@ -168,16 +247,7 @@ def test_shift_drivers_step_on_the_tridiagonal(monkeypatch, solver):
     # after one sytrd a step is one gtsv on T, O(n): two ormqr calls per
     # solve, P^T on the start and P on the block of stored points, however
     # many steps it takes (the dense solve takes two per step)
-    calls = {"dsytrd": 0, "dormqr": 0, "dgtsv": 0}
-    kernels = _scipy("lapack")
-    for name in calls:
-        kernel = getattr(kernels, name)
-
-        def counting(*args, name=name, kernel=kernel, **kwargs):
-            calls[name] += 1
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(kernels, name, counting)
+    calls = _counting(monkeypatch, "dsytrd", "dormqr", "dgtsv")
     rng = np.random.default_rng(60)
     Q, x0 = rand_sym(rng, 60), rand_unit(rng, 60)
     for max_iter in (1, 60):
@@ -491,7 +561,7 @@ def test_rqi_two_cycle_is_not_converged():
     np.testing.assert_allclose(res.trace.grad_norms, 2.0)
 
 
-@pytest.mark.parametrize("n", [2, 3, 64, 65, 129, 300])
+@pytest.mark.parametrize("n", [3, 4, 64, 65, 129, 300])
 def test_reflectors_moved_in_blocks_match_a_move_per_column(n):
     # the reduction moves sytrd's reflector columns to a leading dimension of
     # n - 1 in blocks of columns; one column at a time is the reference

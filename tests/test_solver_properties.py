@@ -1,6 +1,8 @@
 """Solver invariants over random sizes and seeds: ``newton_rayleigh`` is
-the generic ``newton``, the eigen drivers report ``rho = x^T (Qx)`` and
-their default error is the residual ``|Qx - rho x|`` bit for bit, steepest
+the generic ``newton`` on the tridiagonal ``T`` of ``Q = P T P^T``, the eigen
+drivers report ``rho`` and the residual on ``T`` bit for bit, within
+round-off of ``rho = x^T (Qx)`` and ``|Qx - rho x|``, and the latter as the
+last error, the drivers agree with their loops on the dense ``Q``, steepest
 descent and conjugate gradient with the exact line search never raise the
 value they minimize beyond round-off, steepest descent (conjugate gradient
 with a reset at every step) runs the loop of the reference steepest descent
@@ -9,17 +11,19 @@ ends below its stop tolerance, and the Rayleigh quotient's round-off floor
 sits above the gradient norms that Newton and quotient iteration reach at
 round-off."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
 
 from _oracles import (
     midpoint_start,
     rand_rotation,
     rand_sym,
     rand_unit,
+    reduced_eigen_trace,
     reference_steepest_descent,
 )
 from riemopt import (
@@ -37,7 +41,7 @@ from riemopt import (
 )
 from riemopt import eigensolvers, solvers
 from riemopt.errors import LineSearchFailed, SolverError
-from riemopt.sphere import _ReducedRayleigh, shift_solve
+from riemopt.sphere import shift_solve
 
 SEEDS = st.integers(0, 2**32 - 1)
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -48,44 +52,42 @@ def _residual(Q):
     return lambda p: float(np.linalg.norm(Q @ p - (p @ (Q @ p)) * p))
 
 
-def _mapped_back(objective, trace):
-    """The points of a loop on ``objective``'s reduced problem, times ``P``:
-    one LAPACK ormqr on the n-by-(k+1) block of them, the unblocked code
-    (``lwork = k + 1``)."""
-    V, tau = objective._reduction()[:2]
-    Z = np.array(trace.points).T
-    Z[1:] = lapack.dormqr("L", "N", V, tau, Z[1:], Z.shape[1])[0]
-    return list(Z.T)
+#: each eigen driver's solver, as a loop to run on a Rayleigh objective
+_LOOPS = {rqi: partial(solvers._newton, step=eigensolvers._rqi_step), newton_rayleigh: newton,
+          cg_extreme_eigen: conjugate_gradient}
+
+
+def _config(Q, driver):
+    """The driver's config: ``grad_tol`` read relative to ``|Q|_F``, and the
+    exact search for conjugate gradient."""
+    scale = max(float(np.linalg.norm(Q)), np.finfo(float).tiny)
+    return SolverConfig(grad_tol=2.0 * 1e-12 * scale,
+                        line_search="exact" if driver is cg_extreme_eigen else "bracket")
+
+
+def _assert_same_trace(got, want):
+    assert np.array(got.points).tobytes() == np.array(want.points).tobytes()
+    for field in ("values", "grad_norms", "errors", "steps", "converged"):
+        assert getattr(got, field) == getattr(want, field)
 
 
 @PROPERTY
 @given(n=st.integers(5, 120), seed=SEEDS)
 def test_newton_rayleigh_is_the_generic_newton(n, seed):
     # the generic newton on the quotient of T, Q = P T P^T, from P^T x0/|x0|:
-    # newton_rayleigh's points are P times the loop's, its values and errors
-    # rho and the residual on those, and its gradient norms and steps the loop's
+    # newton_rayleigh's trace is the one reduced_eigen_trace defines on that
+    # loop, its points P times the loop's, and a caller's error_fn runs on those
     rng = np.random.default_rng(seed)
     Q = rand_sym(rng, n)
     x0 = rng.normal(size=n)
 
-    res = newton_rayleigh(Q, x0)
-    objective = RayleighObjective(Q)
-    V, tau = objective._reduction()[:2]
-    z0 = x0 / np.linalg.norm(x0)
-    z0[1:] = lapack.dormqr("L", "T", V, tau, z0[1:], 1)[0]
-    config = SolverConfig(grad_tol=2.0 * 1e-12 * float(np.linalg.norm(Q)))
-    trace = newton(_ReducedRayleigh(objective), z0, config)
-    points = _mapped_back(objective, trace)
-    assert len(res.trace) == len(trace)
-    for p, q in zip(res.trace.points, points):
-        np.testing.assert_array_equal(p, q)
-    assert res.trace.values == [float(p @ (Q @ p)) for p in points]
-    assert res.trace.errors == [_residual(Q)(p) for p in points]
-    for field in ("grad_norms", "steps"):
-        assert getattr(res.trace, field) == getattr(trace, field)
-    assert res.converged == trace.converged
-    np.testing.assert_array_equal(res.eigenvector, points[-1])
-    assert res.eigenvalue == res.trace.values[-1]
+    for error_fn in (None, lambda p: abs(float(p[-1]))):  # P fixes coordinate 1 only
+        res = newton_rayleigh(Q, x0, error_fn=error_fn)
+        want, failure = reduced_eigen_trace(newton, Q, x0, _config(Q, newton_rayleigh), error_fn)
+        assert failure is None
+        _assert_same_trace(res.trace, want)
+        np.testing.assert_array_equal(res.eigenvector, want.points[-1])
+        assert res.eigenvalue == res.trace.values[-1]
 
 
 def _symmetric(rng, n, kind):
@@ -123,53 +125,69 @@ def _near(rng, Q, angle):
 @given(n=st.integers(2, 300), seed=SEEDS,
        kind=st.sampled_from(["random", "repeated", "clustered", "zero", "diagonal"]))
 def test_reduced_drivers_agree_with_the_dense_loop(n, seed, kind):
-    # rqi and newton_rayleigh iterate on T and map back by P; the dense
-    # reference runs the same step maps on the generic newton loop on
-    # RayleighObjective(Q), with the dense shift solve (two ormqr and one gtsv
-    # per step).  On a diagonal Q, where P = I exactly, they agree bit for
-    # bit.  Elsewhere they differ by round-off, which the first steps from a
-    # random start can grow into another eigenpair, so the limits and the
-    # step counts are compared from a start near an eigenvector.  There too,
-    # at a repeated or clustered eigenvalue, Newton's step inside the
-    # eigenspace is set by round-off, and its count varies by several steps
-    # in either basis; quotient iteration's does not
+    # the drivers iterate on T and map back by P; the dense reference runs
+    # the same loops on RayleighObjective(Q), the shift drivers' with the
+    # dense shift solve (two ormqr and one gtsv per step).  On a diagonal Q,
+    # its own T, they are one loop, bit for bit.  Elsewhere they differ by
+    # round-off, which the first steps from a random start can grow into
+    # another eigenpair, so the shift drivers' limits and step counts are
+    # compared from a start near an eigenvector.  There too, at a repeated or
+    # clustered eigenvalue, Newton's step inside the eigenspace is set by
+    # round-off, and its count varies by several steps in either basis;
+    # quotient iteration's does not.  Conjugate gradient ascends to the top
+    # eigenvalue from either start, in step counts that round-off moves.
+    # Every value and error reported lies within 4 sqrt(n) eps |Q|_F of the
+    # dense formula on the point reported (0.6 sqrt(n) eps |Q|_F at most over
+    # 300 solves), and the last error is the dense residual
     rng = np.random.default_rng(seed)
     Q = _symmetric(rng, n, kind)
     scale = float(np.linalg.norm(Q))
-    config = SolverConfig(grad_tol=2.0 * 1e-12 * max(scale, np.finfo(float).tiny))
+    bound = 4.0 * np.sqrt(n) * EPS * scale
     dense = RayleighObjective(Q)
-    steps = {rqi: eigensolvers._rqi_step, newton_rayleigh: solvers._newton_step}
     for start in ("random", "near"):
         x0 = rng.normal(size=n) if start == "random" else _near(rng, Q, 0.01)
         x = x0 / np.linalg.norm(x0)
-        for driver, step in steps.items():
+        for driver, loop in _LOOPS.items():
             got, got_error = _outcome(lambda: driver(Q, x0).trace)
-            want, want_error = _outcome(lambda: solvers._newton(dense, x, config, _residual(Q),
-                                                                step))
+            want, want_error = _outcome(lambda: loop(dense, x, _config(Q, driver), _residual(Q)))
             assert got_error is want_error
             assert got.converged == want.converged
             assert all(abs(np.linalg.norm(p) - 1.0) <= 1e-14 for p in got.points)
+            for p, value, error in zip(got.points, got.values, got.errors):
+                assert abs(value - float(p @ (Q @ p))) <= bound
+                assert abs(error - _residual(Q)(p)) <= bound
+            assert got.errors[-1] == _residual(Q)(got.points[-1])
             if got.converged:
                 p = got.points[-1]
                 assert np.linalg.norm(Q @ p - got.values[-1] * p) <= 1e-10 * scale
-            if start == "near":
+            if start == "near" or driver is cg_extreme_eigen:
                 assert abs(got.values[-1] - want.values[-1]) <= 1e-12 * scale
-                if driver is rqi or kind not in ("repeated", "clustered"):
-                    assert abs(got.iterations - want.iterations) <= 1
+            if start == "near" and (driver is rqi or driver is newton_rayleigh
+                                    and kind not in ("repeated", "clustered")):
+                assert abs(got.iterations - want.iterations) <= 1
             if kind == "diagonal":
-                assert np.array(got.points).tobytes() == np.array(want.points).tobytes()
-                for field in ("values", "grad_norms", "errors", "steps"):
-                    assert getattr(got, field) == getattr(want, field)
+                _assert_same_trace(got, want)
 
 
 @PROPERTY
 @given(n=st.integers(2, 120), seed=SEEDS, driver=st.sampled_from([rqi, cg_extreme_eigen]))
 def test_default_error_is_the_residual_bit_for_bit(n, seed, driver):
+    # on a reduced Q, as reduced_eigen_trace defines it: the residual
+    # |Tz - rho z| of each loop point but the last, whose error is the dense
+    # |Qx - rho x| of the eigenvector; a 2-by-2 Q is tridiagonal, its own T,
+    # and every row's value and error are the dense ones
     rng = np.random.default_rng(seed)
     Q = rand_sym(rng, n)
-    res = driver(Q, rng.normal(size=n))
-    assert res.trace.errors == [_residual(Q)(p) for p in res.trace.points]
-    assert res.trace.values == [float(p @ (Q @ p)) for p in res.trace.points]
+    x0 = rng.normal(size=n)
+    res = driver(Q, x0)
+    if n == 2:
+        assert res.trace.errors == [_residual(Q)(p) for p in res.trace.points]
+        assert res.trace.values == [float(p @ (Q @ p)) for p in res.trace.points]
+    else:
+        want, failure = reduced_eigen_trace(_LOOPS[driver], Q, x0, _config(Q, driver))
+        assert failure is None
+        _assert_same_trace(res.trace, want)
+    assert res.trace.errors[-1] == _residual(Q)(res.eigenvector)
 
 
 @PROPERTY

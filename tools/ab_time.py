@@ -39,12 +39,12 @@ CLASSES = ["fig1 --method sd --n 21", "fig1 --method cg --n 21", "fig1 --method 
            "fig1 --method rqi --n 1000 --init random",
            "fig1 --method newton-rq --n 1000 --init random",
            "fig1 --method newton --n 1000 --init random --seed 1"]
-#: library classes: ``rqi``, ``newton_rayleigh`` and the generic ``newton`` on
-#: ``random_symmetric(rng_from_seed(0), n)`` from ``random_unit_vector(rng_from_seed(1),
-#: n)``.  fig1's Q is diagonal, so its reduction is trivial (every reflector has
-#: tau = 0), and the CLI classes above cannot show a change to it.
-DENSE = [f"dense {driver} --n {n}" for driver in ("rqi", "newton_rayleigh", "newton")
-         for n in (250, 1000)]
+#: library classes: ``rqi``, ``newton_rayleigh``, ``cg_extreme_eigen`` and the
+#: generic ``newton`` on ``random_symmetric(rng_from_seed(0), n)`` from
+#: ``random_unit_vector(rng_from_seed(1), n)``.  fig1's Q is diagonal, so it skips
+#: the reduction, and the CLI classes above cannot show a change to it.
+DENSE = [f"dense {driver} --n {n}" for driver in ("rqi", "newton_rayleigh", "newton",
+                                                  "cg_extreme_eigen") for n in (250, 1000)]
 CLASSES += DENSE
 #: fresh-process classes: the import alone, then whole CLI runs
 WALL = ["import riemopt", "fig1 --method sd --n 21", "fig1 --method cg --n 21",
