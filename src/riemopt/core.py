@@ -201,11 +201,14 @@ class MatrixObjective(GeodesicObjective):
 class IterationTrace:
     """Per-iteration record of a solver run.
 
-    Row ``i`` stores the iterate ``points[i]``, the reported objective
-    value, the gradient norm, the error metric, and the step taken *from*
-    this iterate (0.0 on the final row).  ``converged`` is set by the loop
-    that produced the trace, when it stops; a trace handed out with a
-    solver error keeps ``False``.
+    Row ``i`` stores the reported objective value, the gradient norm, the
+    error metric, and the step taken *from* its iterate (0.0 on the final
+    row).  Of the iterates, ``points`` keeps the first and the latest
+    (``[start, last]``; one point for a one-row trace), so a long run takes
+    flat memory.  The solvers call their ``error_fn`` once per row, in row
+    order, on that row's iterate: a caller that wants every iterate records
+    it there.  ``converged`` is set by the loop that produced the trace, when
+    it stops; a trace handed out with a solver error keeps ``False``.
     """
 
     points: list = field(default_factory=list)
@@ -219,7 +222,7 @@ class IterationTrace:
         error = float(error)
         if error < 0.0:
             raise ValueError("error metric must be nonnegative")
-        self.points.append(point)
+        self.points[min(len(self.values), 1):] = [point]  # keeps [start, latest]
         self.values.append(float(value))
         self.grad_norms.append(float(grad_norm))
         self.errors.append(error)
@@ -230,11 +233,11 @@ class IterationTrace:
         self.steps[-1] = float(step)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.values)
 
     @property
     def iterations(self) -> int:
-        return max(len(self.points) - 1, 0)
+        return max(len(self.values) - 1, 0)
 
 
 @dataclass(frozen=True)

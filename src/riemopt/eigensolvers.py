@@ -44,7 +44,8 @@ def _on_quotient(solver, Q, x0, config, error_fn, which="max") -> EigenResult:
     ``max(2 grad_tol |Q|_F, gradient_floor)``.  It runs on ``T`` for
     ``Q = P T P^T`` from ``P^T x0 / |x0|``, O(n) per step, and every exit, a
     :class:`~riemopt.errors.SolverError`'s too, maps the trace back by
-    :func:`_mapped_back`; a tridiagonal ``Q`` is its own ``T``."""
+    :func:`_mapped_back`; a tridiagonal ``Q`` is its own ``T``.  A caller's ``error_fn`` sees
+    every iterate, once per row in row order; the trace keeps the first and last."""
     objective = RayleighObjective(Q, which)
     config = config or SolverConfig()
     # a zero Q still needs a positive tolerance (its every point is critical)
@@ -54,26 +55,32 @@ def _on_quotient(solver, Q, x0, config, error_fn, which="max") -> EigenResult:
     if objective._reduction()[0] is None:  # its own T: nothing to map back
         trace = solver(objective, x, config, error_fn=error_fn or objective.residual_norm)
         return EigenResult(trace.values[-1], trace.points[-1], trace)
-    reduced = _ReducedRayleigh(objective)
+    reduced, seen = _ReducedRayleigh(objective), []  # seen: the loop's points, row by row
+
+    def record(z):
+        seen.append(z)
+        return reduced.residual_norm(z) if error_fn is None else 0.0
+
     try:
-        trace = solver(reduced, _reflect(objective, x, "T"), config,
-                       error_fn=reduced.residual_norm if error_fn is None else lambda z: 0.0)
+        trace = solver(reduced, _reflect(objective, x, "T"), config, error_fn=record)
     except SolverError as exc:
-        exc.trace = _mapped_back(objective, exc.trace, error_fn)
+        exc.trace = _mapped_back(objective, exc.trace, seen, error_fn)
         raise
-    trace = _mapped_back(objective, trace, error_fn)
+    trace = _mapped_back(objective, trace, seen, error_fn)
     return EigenResult(trace.values[-1], trace.points[-1], trace)
 
 
-def _mapped_back(objective, trace, error_fn):
-    """``trace`` with its points ``P z`` by one ormqr, the loop's values, gradient norms and
-    steps, and ``error_fn`` on those points, or the loop's errors but a dense last one."""
-    points = _reflect(objective, np.array(trace.points).T, "N").T if trace.points else []
+def _mapped_back(objective, trace, seen, error_fn):
+    """``trace`` with the loop's points ``seen`` mapped to ``P z`` by one ormqr, of which it
+    keeps copies of the first and last; the loop's values, gradient norms and steps; and
+    ``error_fn`` on every mapped point, or the loop's errors but a dense last one."""
+    points = _reflect(objective, np.array(seen).T, "N").T if seen else []
     errors = ([error_fn(p) for p in points] if error_fn else
               trace.errors[:-1] + [objective.residual_norm(p) for p in points[-1:]])
     out = IterationTrace(converged=trace.converged)
     for row in zip(points, trace.values, trace.grad_norms, errors, trace.steps):
         out.append(*row)
+    out.points = [p.copy() for p in out.points]  # not views that hold the whole block
     return out
 
 
@@ -113,6 +120,7 @@ def cg_extreme_eigen(Q, x0, config=None, which="max", error_fn=None) -> EigenRes
     (``which='min'``) of the Rayleigh quotient, with its closed-form
     geodesic line search whatever ``config.line_search`` says.  The
     direction resets as :func:`~riemopt.solvers.conjugate_gradient` says:
-    every ``dim S^{n-1} = n - 1`` steps unless ``config.reset_period`` is set."""
+    every ``dim S^{n-1} = n - 1`` steps unless ``config.reset_period`` is set.
+    It runs as :func:`_on_quotient` says."""
     config = replace(config or SolverConfig(), line_search="exact")
     return _on_quotient(conjugate_gradient, Q, x0, config, error_fn, which)

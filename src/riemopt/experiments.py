@@ -201,12 +201,11 @@ def _fmt(x):
 
 
 def write_trace_csv(path, trace, value_label):
-    # the trace holds floats, which format as _fmt does
-    rows = zip(trace.values, trace.grad_norms, trace.errors, trace.steps)
-    lines = [f"iter,{value_label},grad_norm,error,step"]
-    lines += [f"{i},{v:.17g},{g:.17g},{e:.17g},{s:.17g}" for i, (v, g, e, s) in enumerate(rows)]
+    # the trace holds floats, which format as _fmt does; written a line at a time
+    rows = enumerate(zip(trace.values, trace.grad_norms, trace.errors, trace.steps))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"iter,{value_label},grad_norm,error,step\n")
+        fh.writelines(f"{i},{v:.17g},{g:.17g},{e:.17g},{s:.17g}\n" for i, (v, g, e, s) in rows)
 
 
 def write_report(path, report):

@@ -25,10 +25,6 @@ PRECOND_FLOOR = 1e-4
 EPS = np.finfo(float).eps
 
 
-def commutator(A, B):
-    return A @ B - B @ A
-
-
 def _commutator_diag(X, d):
     # [X, diag(d)]: each entry of the dense X D - D X has one nonzero term,
     # so the scalings give the same bits

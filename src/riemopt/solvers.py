@@ -4,7 +4,9 @@ All three solvers minimize a :class:`~riemopt.core.GeodesicObjective` over
 its manifold.  Maximization problems are expected to negate themselves (the
 objectives in :mod:`riemopt.sphere` and :mod:`riemopt.rotation` do).
 They run one geodesic loop, :func:`_loop`, and differ only in the step map
-that picks each step's direction and length.
+that picks each step's direction and length.  The loop calls ``error_fn`` once
+per trace row, in row order, on that row's iterate; the trace keeps the first
+and last iterate, so a caller that wants every one records it in ``error_fn``.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ equation by dense solves) and its error ``SingularMatrix``,
 preconditioned conjugate gradient of its own), ``reduced_eigen_trace``
 (the trace an eigen driver reports on a ``Q`` it reduces, by that trace's
 definition) and ``tridiagonal_quotient`` (the quotient and residual on ``T``),
+``recording`` (an error function that keeps every iterate, which a trace
+does not), ``commutator`` (``AB - BA`` as two dense products),
 ``read_trace_csv`` (a trace file read back) and ``experiment_objective``
 (the objective of a CLI experiment).
 """
@@ -161,6 +163,11 @@ def dense_skew_solve(apply_op, rhs):
         X[i, j] = coeffs[c]
         X[j, i] = -coeffs[c]
     return X
+
+
+def commutator(A, B):
+    """``[A, B] = AB - BA`` as two dense products and a subtraction."""
+    return A @ B - B @ A
 
 
 def dense_commutator(X, d):
@@ -360,6 +367,21 @@ def reference_newton_direction(objective, T):
     return X, residuals, d
 
 
+def recording(error_fn=None):
+    """``(record, points)``: an error function that appends each point it is
+    called on to the list ``points`` and returns ``error_fn`` of it (0.0 when
+    None).  A solver calls it once per trace row, in row order, on that row's
+    iterate, so ``points`` holds every iterate where the trace keeps the
+    first and the last."""
+    points = []
+
+    def record(p):
+        points.append(p)
+        return 0.0 if error_fn is None else error_fn(p)
+
+    return record, points
+
+
 def tridiagonal_quotient(d, e, z):
     """``(rho, |Tz - rho z|)`` for the tridiagonal ``T`` of diagonal ``d`` and
     off-diagonal ``e``: ``Tz`` as ``d z``, plus ``e`` times ``z`` shifted down,
@@ -381,21 +403,22 @@ def reduced_eigen_trace(loop, Q, x0, config, error_fn=None):
     the points mapped back, or else :func:`tridiagonal_quotient`'s residual
     of each loop point but the last, whose error is the dense
     ``|Qx - rho x|`` of the point mapped back.  The quotient is maximized.
-    Returns the trace and the type of the :class:`SolverError` that stopped
-    the loop, or None."""
+    Returns ``(trace, points, failure)``: the trace, which keeps the first
+    and the last point, every point mapped back, and the type of the
+    :class:`SolverError` that stopped the loop, or None."""
     objective = RayleighObjective(Q)
     V, tau, d, e = objective._reduction()
     z0 = x0 / np.linalg.norm(x0)
     z0[1:] = lapack.dormqr("L", "T", V, tau, z0[1:], 1)[0]
+    record, seen = recording(lambda z: tridiagonal_quotient(d, e, z)[1])
     try:
-        trace, failure = loop(_ReducedRayleigh(objective), z0, config,
-                              lambda z: tridiagonal_quotient(d, e, z)[1]), None
+        trace, failure = loop(_ReducedRayleigh(objective), z0, config, record), None
     except SolverError as exc:
         trace, failure = exc.trace, type(exc)
     out = IterationTrace(converged=trace.converged)
-    if not trace.points:
-        return out, failure
-    Z = np.array(trace.points).T
+    if not seen:
+        return out, [], failure
+    Z = np.array(seen).T
     k = Z.shape[1]
     Z[1:] = lapack.dormqr("L", "N", V, tau, Z[1:], k if k <= 16 else 64 * k + 4160)[0]
     x = Z[:, -1]
@@ -405,7 +428,7 @@ def reduced_eigen_trace(loop, Q, x0, config, error_fn=None):
         errors = [error_fn(p) for p in Z.T]
     for row in zip(Z.T, trace.values, trace.grad_norms, errors, trace.steps):
         out.append(*row)
-    return out, failure
+    return out, list(Z.T), failure
 
 
 def read_trace_csv(path):

@@ -10,12 +10,14 @@ import numpy as np
 
 from _oracles import (
     axis_angle,
+    commutator,
     fd_third_mixed,
     rand_rotation,
     rand_skew,
     rand_sym,
     rand_tangent,
     rand_unit,
+    recording,
     skew_exp,
     transport_ode_rotation,
     transport_ode_sphere,
@@ -25,8 +27,10 @@ from riemopt import (
     SolverConfig,
     brockett_third_component,
     cg_extreme_eigen,
+    conjugate_gradient,
     estimate_order,
     longest_decreasing_run,
+    newton,
     newton_rayleigh,
     rayleigh_line_max,
     rqi,
@@ -35,9 +39,11 @@ from riemopt import (
     sphere_exp,
     sphere_log,
     sphere_transport,
+    steepest_descent,
 )
+from riemopt import experiments
 from riemopt.experiments import ExperimentSpec, run_fd_check, run_fig1, run_fig2, run_jacobi
-from riemopt.rotation import commutator, conjugated_matrix
+from riemopt.rotation import conjugated_matrix
 
 
 def first_index_at_or_below(values, threshold):
@@ -166,7 +172,17 @@ def test_criterion_4_cubic_quotient_agreement():
           f"orders {orders['newton-rq']:.2f}/{orders['rqi']:.2f} (>=2.5)")
 
 
-def test_criterion_5_rotation_desk_reproduction():
+def test_criterion_5_rotation_desk_reproduction(monkeypatch):
+    # every iterate of each run, recorded through the error function of the
+    # solver that the experiment looks up at call time
+    runs = []
+    for solver in (steepest_descent, conjugate_gradient, newton):
+        def recorded(objective, p0, config, solver=solver):
+            record, points = recording(objective.error_metric)
+            runs.append(points)
+            return solver(objective, p0, config, record)
+
+        monkeypatch.setattr(experiments, solver.__name__, recorded)
     t0 = time.perf_counter()
     seed = 3
     nw_rep, nw_tr = run_fig2(ExperimentSpec("fig2", n=10, method="newton", seed=seed,
@@ -191,8 +207,9 @@ def test_criterion_5_rotation_desk_reproduction():
     Q, N, _ = fig2_matrices(10, seed)
     ref = np.sort(np.linalg.eigvalsh(Q))
     worst = 0.0
-    for tr in (nw_tr, sd_tr, cg_tr):
-        for T in tr.points:
+    assert [len(points) for points in runs] == [len(tr) for tr in (nw_tr, sd_tr, cg_tr)]
+    for points in runs:
+        for T in points:
             H = T.T @ Q @ T
             drift = np.max(np.abs(np.sort(np.linalg.eigvalsh(0.5 * (H + H.T))) - ref))
             worst = max(worst, drift)
@@ -277,11 +294,11 @@ def test_criterion_9_cg_mechanics():
     Q = np.diag(np.arange(n, 0, -1.0))
     rng = np.random.default_rng(41)
     x0 = rand_unit(rng, n)
-    res = cg_extreme_eigen(Q, x0, SolverConfig(grad_tol=1e-12, max_iter=400))
-    tr = res.trace
+    record, points = recording()
+    cg_extreme_eigen(Q, x0, SolverConfig(grad_tol=1e-12, max_iter=400), error_fn=record)
     worst = 0.0
-    for i in range(len(tr) - 1):
-        x, x2 = tr.points[i], tr.points[i + 1]
+    for i in range(len(points) - 1):
+        x, x2 = points[i], points[i + 1]
         v, d = sphere_log(x, x2)
         if d == 0.0:
             continue

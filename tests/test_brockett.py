@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    commutator,
     dense_skew_solve,
     fd_curvature,
     fd_slope,
@@ -13,7 +14,7 @@ from _oracles import (
 )
 from riemopt import BrockettObjective, brockett_third_component, so_geodesic
 from riemopt.errors import StepDeclined
-from riemopt.rotation import commutator, conjugated_matrix
+from riemopt.rotation import conjugated_matrix
 
 
 def descending_diag(n):

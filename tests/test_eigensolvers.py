@@ -4,7 +4,7 @@ from scipy.linalg import lapack
 
 import riemopt.eigensolvers
 
-from _oracles import axis_angle, rand_sym, rand_tangent, rand_unit, tridiagonal_quotient
+from _oracles import axis_angle, rand_sym, rand_tangent, rand_unit, recording, tridiagonal_quotient
 from riemopt import (
     RayleighObjective,
     SolverConfig,
@@ -17,6 +17,7 @@ from riemopt import (
     sphere_log,
 )
 from riemopt.errors import Diverged
+from riemopt import experiments
 from riemopt.experiments import ExperimentSpec, run_fig1
 from riemopt.sphere import _line_rotation
 
@@ -62,11 +63,12 @@ def test_newton_rayleigh_converges_to_top():
     rng = np.random.default_rng(0)
     u = rand_tangent(rng, axis)
     x0 = axis * np.cos(0.1) + u * np.sin(0.1)
-    res = newton_rayleigh(Q, x0)
+    record, points = recording()
+    res = newton_rayleigh(Q, x0, error_fn=record)
     assert res.converged
     assert abs(res.eigenvalue - 21.0) <= 1e-10
     assert axis_angle(res.eigenvector, axis) <= 1e-10
-    for x in res.trace.points:
+    for x in points:
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
 
 
@@ -98,8 +100,8 @@ def test_rqi_sign_convention():
     rng = np.random.default_rng(2)
     Q = rand_sym(rng, n)
     x0 = rand_unit(rng, n)
-    res = rqi(Q, x0, SolverConfig(max_iter=30))
-    pts = res.trace.points
+    record, pts = recording()
+    rqi(Q, x0, SolverConfig(max_iter=30), error_fn=record)
     for a, b in zip(pts[:-1], pts[1:]):
         assert float(a @ b) > 0.0
 
@@ -131,7 +133,8 @@ def test_diverged_rqi_carries_points_in_the_original_basis(monkeypatch):
     # rqi steps on the tridiagonal T of Q = P T P^T; a shift solve that
     # doubles the angle of T's iterate from T's top eigenvector toward its
     # bottom one grows the gradient norm at every step, and the Diverged it
-    # raises carries the stored points P z, with the loop's rho and residual
+    # raises carries the points P z (every one recorded by a caller's
+    # error_fn, which a first run passes), with the loop's rho and residual
     # on T, the last residual the dense one on P z, each within round-off of
     # the dense formulas on P z
     n = 6
@@ -151,19 +154,25 @@ def test_diverged_rqi_carries_points_in_the_original_basis(monkeypatch):
         return p
 
     monkeypatch.setattr(riemopt.eigensolvers, "_shift_solve", walk)
-    with pytest.raises(Diverged) as info:
-        rqi(Q, back(np.cos(1e-3) * u[:, -1] + np.sin(1e-3) * u[:, 0]), SolverConfig(max_iter=50))
+    record, points = recording()
+    for error_fn in (record, None):
+        seen.clear()
+        with pytest.raises(Diverged) as info:
+            rqi(Q, back(np.cos(1e-3) * u[:, -1] + np.sin(1e-3) * u[:, 0]),
+                SolverConfig(max_iter=50), error_fn=error_fn)
     trace = info.value.trace
     assert trace.iterations == 5
     assert np.all(np.diff(trace.grad_norms) > 0.0)
-    for z, p in zip(seen, trace.points):
+    assert len(points) == len(trace)
+    np.testing.assert_array_equal(trace.points, [points[0], points[-1]])
+    for z, p in zip(seen, points):
         assert not np.allclose(z, p, atol=1e-3)
         np.testing.assert_allclose(p, back(z), rtol=0.0, atol=1e-15)
     on_T = [tridiagonal_quotient(d, e, z) for z in seen]
     assert trace.values[:-1] == [rho for rho, _ in on_T]
     assert trace.errors[:-1] == [residual for _, residual in on_T]
     dense = [(float(p @ (Q @ p)), float(np.linalg.norm(Q @ p - (p @ (Q @ p)) * p)))
-             for p in trace.points]
+             for p in points]
     assert trace.errors[-1] == dense[-1][1]
     bound = 4.0 * np.sqrt(n) * np.finfo(float).eps * np.linalg.norm(Q)
     np.testing.assert_allclose(trace.values, [rho for rho, _ in dense], rtol=0.0, atol=bound)
@@ -249,10 +258,11 @@ def test_cg_rho_monotone_and_units():
     rng = np.random.default_rng(5)
     Q = rand_sym(rng, n)
     x0 = rand_unit(rng, n)
-    res = cg_extreme_eigen(Q, x0, SolverConfig(max_iter=300))
+    record, points = recording()
+    res = cg_extreme_eigen(Q, x0, SolverConfig(max_iter=300), error_fn=record)
     vals = np.asarray(res.trace.values)
     assert np.all(np.diff(vals) >= -1e-12 * np.maximum(1.0, np.abs(vals[:-1])))
-    for x in res.trace.points:
+    for x in points:
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
 
 
@@ -398,13 +408,26 @@ _SHIFT_PINS = {
 
 
 @pytest.mark.parametrize("method, seed", sorted(_SHIFT_PINS))
-def test_shift_drivers_keep_every_row(method, seed):
+def test_shift_drivers_keep_every_row(method, seed, monkeypatch):
+    # the run's every iterate, recorded by wrapping the error_fn that
+    # run_fig1 passes to the driver it looks up at call time
     iterations, final_error, last_step = _SHIFT_PINS[method, seed]
+    driver, runs = {"rqi": rqi, "newton-rq": newton_rayleigh}[method], []
+
+    def recorded(Q, x0, config, error_fn):
+        record, points = recording(error_fn)
+        runs.append(points)
+        return driver(Q, x0, config, error_fn=record)
+
+    monkeypatch.setattr(experiments, driver.__name__, recorded)
     report, trace = run_fig1(ExperimentSpec("fig1", n=5, method=method, seed=seed))
     assert report.converged
     assert report.iterations == iterations
     assert report.final_error == pytest.approx(final_error, rel=1e-6, abs=1e-30)
-    arc = sphere_log(trace.points[-2], trace.points[-1])[1]
+    [points] = runs
+    assert len(points) == len(trace)
+    np.testing.assert_array_equal(trace.points[-1], points[-1])
+    arc = sphere_log(points[-2], points[-1])[1]
     if method == "rqi":
         assert trace.steps[-2] == arc
     assert arc == pytest.approx(last_step, rel=1e-6, abs=1e-30)

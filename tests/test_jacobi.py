@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    commutator,
     dense_skew_solve,
     fd_curvature,
     fd_slope,
@@ -11,7 +12,7 @@ from _oracles import (
     skew_exp,
 )
 from riemopt import JacobiObjective, estimate_order, so_geodesic
-from riemopt.rotation import commutator, conjugated_matrix, diag_part, off_diagonal_norm
+from riemopt.rotation import conjugated_matrix, diag_part, off_diagonal_norm
 
 
 def test_value_and_gradient_at_diagonal():

@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from _oracles import rand_skew, rand_sym, rand_unit
+from _oracles import rand_skew, rand_sym, rand_unit, recording
 from riemopt import (
     BrockettObjective,
     JacobiObjective,
@@ -210,8 +210,12 @@ def test_cg_calls_expm_twice_per_conjugate_step(monkeypatch, reset_period):
     assert counts["expm"] == trace.iterations + conjugate
 
 
-def _rows(trace):
-    return [np.array(r) for r in (trace.points, trace.values, trace.grad_norms,
+def _rows(solver, objective, p0, config):
+    """The rows of ``solver``'s trace, led by every iterate, which its error
+    function records."""
+    record, points = recording(objective.error_metric)
+    trace = solver(objective, p0, config, record)
+    return [np.array(r) for r in (points, trace.points, trace.values, trace.grad_norms,
                                   trace.errors, trace.steps)]
 
 
@@ -221,7 +225,7 @@ def test_threads_sharing_an_objective_match_serial_runs():
     Q, N, _ = fig2_matrices(8, 2)
     starts = [_fig2_start(8, 2, eps)[2] for eps in (0.1, 0.2, 0.3, 0.4)]
     config = SolverConfig(max_iter=60, line_search="estimate")
-    serial = [conjugate_gradient(BrockettObjective(Q, N), T0, config) for T0 in starts]
+    serial = [_rows(conjugate_gradient, BrockettObjective(Q, N), T0, config) for T0 in starts]
 
     shared = BrockettObjective(Q, N)
     results = [[] for _ in starts]
@@ -230,7 +234,7 @@ def test_threads_sharing_an_objective_match_serial_runs():
     def run(k):
         barrier.wait(timeout=60)
         for _ in range(10):
-            results[k].append(conjugate_gradient(shared, starts[k], config))
+            results[k].append(_rows(conjugate_gradient, shared, starts[k], config))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -245,8 +249,8 @@ def test_threads_sharing_an_objective_match_serial_runs():
     assert not any(t.is_alive() for t in threads)
     for k, runs in enumerate(results):
         assert len(runs) == 10
-        for trace in runs:
-            for got, want in zip(_rows(trace), _rows(serial[k])):
+        for rows in runs:
+            for got, want in zip(rows, serial[k]):
                 assert np.array_equal(got, want)
 
 
@@ -257,12 +261,12 @@ def test_threads_sharing_a_rayleigh_objective_match_serial_runs():
     Q = rand_sym(rng, 40)
     starts = [rand_unit(rng, 40) for _ in range(4)]
     config = SolverConfig(max_iter=30)
-    serial = [newton(RayleighObjective(Q), x0, config) for x0 in starts]
+    serial = [_rows(newton, RayleighObjective(Q), x0, config) for x0 in starts]
     results = [[] for _ in starts]
 
     def run(k, shared, barrier):
         barrier.wait(timeout=60)
-        results[k].append(newton(shared, starts[k], config))
+        results[k].append(_rows(newton, shared, starts[k], config))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -281,6 +285,6 @@ def test_threads_sharing_a_rayleigh_objective_match_serial_runs():
         sys.setswitchinterval(interval)
     for k, runs in enumerate(results):
         assert len(runs) == 5
-        for trace in runs:
-            for got, want in zip(_rows(trace), _rows(serial[k])):
+        for rows in runs:
+            for got, want in zip(rows, serial[k]):
                 assert np.array_equal(got, want)

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from _oracles import midpoint_start, rand_sym, rand_unit
+from _oracles import midpoint_start, rand_sym, rand_unit, recording
 from riemopt import (
     RayleighObjective,
     SolverConfig,
@@ -487,12 +487,13 @@ def test_newton_rayleigh_fallback_takes_the_configured_search(kind):
     # the tiny-pivot start above: the first step is the gradient fallback
     Q = np.diag([1.0, -1.0])
     x = normalized_start(np.array([1.0, 1.0 + 1e-15]))
-    res = newton_rayleigh(Q, x, SolverConfig(max_iter=5, line_search=kind))
+    record, points = recording()
+    res = newton_rayleigh(Q, x, SolverConfig(max_iter=5, line_search=kind), error_fn=record)
     objective = RayleighObjective(Q)
     ls = line_minimize_geodesic(objective, x, -objective.gradient(x),
                                 SolverConfig(line_search=kind))
     assert res.trace.steps[0] == ls.step
-    np.testing.assert_array_equal(res.trace.points[1], ls.point)
+    np.testing.assert_array_equal(points[1], ls.point)
 
 
 @pytest.mark.parametrize("solver", [rqi, newton_rayleigh, cg_extreme_eigen])

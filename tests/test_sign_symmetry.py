@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import experiment_objective, rand_skew, rand_sym
+from _oracles import experiment_objective, rand_skew, rand_sym, recording
 from riemopt import (
     RayleighObjective,
     SolverConfig,
@@ -32,19 +32,25 @@ PROPERTY = settings(max_examples=16, deadline=None, derandomize=True)
 
 
 def _run(solve, *args):
-    """The trace of ``solve(*args)`` and the type and message of the
-    solver error that ended it, if one did."""
+    """The trace of ``solve(*args)``, the type and message of the solver
+    error that ended it, if one did, and every iterate, as a recording
+    ``error_fn`` of a second run sees them."""
+    record, points = recording()
     try:
-        return solve(*args), None
+        solve(*args, error_fn=record)
+    except SolverError:
+        pass
+    try:
+        return solve(*args), None, points
     except SolverError as exc:
-        return exc.trace, (type(exc), str(exc))
+        return exc.trace, (type(exc), str(exc)), points
 
 
 def _assert_same_run(a, b, point_map, value_sign=1.0):
-    (ta, ea), (tb, eb) = a, b
+    (ta, ea, pa), (tb, eb, pb) = a, b
     assert ea == eb
-    assert len(ta) == len(tb)
-    for p, q in zip(ta.points, tb.points):
+    assert len(ta) == len(tb) == len(pa) == len(pb)
+    for p, q in zip(pa + ta.points, pb + tb.points):
         assert np.array_equal(point_map(p), q)
     assert [value_sign * v for v in ta.values] == tb.values
     for field in ("grad_norms", "errors", "steps"):
@@ -80,8 +86,8 @@ def test_eigen_drivers_from_minus_x0_visit_the_negated_points(driver, n, seed):
     x0 = rng.normal(size=n)
     config = SolverConfig(max_iter=60)
 
-    def solve(x):
-        return driver(Q, x, config).trace
+    def solve(x, error_fn=None):
+        return driver(Q, x, config, error_fn=error_fn).trace
 
     _assert_same_run(_run(solve, x0), _run(solve, -x0), lambda p: -p)
 

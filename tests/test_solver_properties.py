@@ -9,9 +9,12 @@ with a reset at every step) runs the loop of the reference steepest descent
 point for point, a loop on the sphere reports convergence exactly when it
 ends below its stop tolerance, and the Rayleigh quotient's round-off floor
 sits above the gradient norms that Newton and quotient iteration reach at
-round-off."""
+round-off.  Every solver and driver calls its ``error_fn`` once per row, in
+row order, on that row's iterate, so an error function that records them
+sees every iterate, of which the trace keeps the first and the last."""
 
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    experiment_objective,
     midpoint_start,
     rand_rotation,
     rand_sym,
     rand_unit,
+    recording,
     reduced_eigen_trace,
     reference_steepest_descent,
 )
@@ -40,7 +45,7 @@ from riemopt import (
     steepest_descent,
 )
 from riemopt import eigensolvers, solvers
-from riemopt.errors import LineSearchFailed, SolverError
+from riemopt.errors import LineSearchFailed, NonFinite, SolverError
 from riemopt.sphere import shift_solve
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -65,10 +70,21 @@ def _config(Q, driver):
                         line_search="exact" if driver is cg_extreme_eigen else "bracket")
 
 
-def _assert_same_trace(got, want):
+def _assert_same_trace(got, want, got_points, want_points):
+    """The same rows and kept ends bit for bit, and the same iterates, every
+    one as recorded."""
+    assert np.array(got_points).tobytes() == np.array(want_points).tobytes()
     assert np.array(got.points).tobytes() == np.array(want.points).tobytes()
     for field in ("values", "grad_norms", "errors", "steps", "converged"):
         assert getattr(got, field) == getattr(want, field)
+
+
+def _iterates(driver, Q, x0):
+    """Every iterate of ``driver`` on ``Q`` from ``x0``, as a recording
+    ``error_fn`` sees them, a solver error's partial run included."""
+    record, points = recording()
+    _outcome(lambda: driver(Q, x0, error_fn=record))
+    return points
 
 
 @PROPERTY
@@ -83,10 +99,11 @@ def test_newton_rayleigh_is_the_generic_newton(n, seed):
 
     for error_fn in (None, lambda p: abs(float(p[-1]))):  # P fixes coordinate 1 only
         res = newton_rayleigh(Q, x0, error_fn=error_fn)
-        want, failure = reduced_eigen_trace(newton, Q, x0, _config(Q, newton_rayleigh), error_fn)
+        want, points, failure = reduced_eigen_trace(newton, Q, x0, _config(Q, newton_rayleigh),
+                                                    error_fn)
         assert failure is None
-        _assert_same_trace(res.trace, want)
-        np.testing.assert_array_equal(res.eigenvector, want.points[-1])
+        _assert_same_trace(res.trace, want, _iterates(newton_rayleigh, Q, x0), points)
+        np.testing.assert_array_equal(res.eigenvector, points[-1])
         assert res.eigenvalue == res.trace.values[-1]
 
 
@@ -149,11 +166,14 @@ def test_reduced_drivers_agree_with_the_dense_loop(n, seed, kind):
         x = x0 / np.linalg.norm(x0)
         for driver, loop in _LOOPS.items():
             got, got_error = _outcome(lambda: driver(Q, x0).trace)
-            want, want_error = _outcome(lambda: loop(dense, x, _config(Q, driver), _residual(Q)))
+            points = _iterates(driver, Q, x0)
+            record, want_points = recording(_residual(Q))
+            want, want_error = _outcome(lambda: loop(dense, x, _config(Q, driver), record))
             assert got_error is want_error
             assert got.converged == want.converged
-            assert all(abs(np.linalg.norm(p) - 1.0) <= 1e-14 for p in got.points)
-            for p, value, error in zip(got.points, got.values, got.errors):
+            assert len(points) == len(got)
+            assert all(abs(np.linalg.norm(p) - 1.0) <= 1e-14 for p in points)
+            for p, value, error in zip(points, got.values, got.errors):
                 assert abs(value - float(p @ (Q @ p))) <= bound
                 assert abs(error - _residual(Q)(p)) <= bound
             assert got.errors[-1] == _residual(Q)(got.points[-1])
@@ -166,7 +186,7 @@ def test_reduced_drivers_agree_with_the_dense_loop(n, seed, kind):
                                     and kind not in ("repeated", "clustered")):
                 assert abs(got.iterations - want.iterations) <= 1
             if kind == "diagonal":
-                _assert_same_trace(got, want)
+                _assert_same_trace(got, want, points, want_points)
 
 
 @PROPERTY
@@ -180,13 +200,14 @@ def test_default_error_is_the_residual_bit_for_bit(n, seed, driver):
     Q = rand_sym(rng, n)
     x0 = rng.normal(size=n)
     res = driver(Q, x0)
+    points = _iterates(driver, Q, x0)
     if n == 2:
-        assert res.trace.errors == [_residual(Q)(p) for p in res.trace.points]
-        assert res.trace.values == [float(p @ (Q @ p)) for p in res.trace.points]
+        assert res.trace.errors == [_residual(Q)(p) for p in points]
+        assert res.trace.values == [float(p @ (Q @ p)) for p in points]
     else:
-        want, failure = reduced_eigen_trace(_LOOPS[driver], Q, x0, _config(Q, driver))
+        want, want_points, failure = reduced_eigen_trace(_LOOPS[driver], Q, x0, _config(Q, driver))
         assert failure is None
-        _assert_same_trace(res.trace, want)
+        _assert_same_trace(res.trace, want, points, want_points)
     assert res.trace.errors[-1] == _residual(Q)(res.eigenvector)
 
 
@@ -207,16 +228,18 @@ def test_exact_search_never_raises_the_value(n, seed, which, solver):
 
 
 def _assert_same_descent(objective, p0, config):
-    expected, failure = reference_steepest_descent(objective, p0, config)
+    record, expected_points = recording(objective.error_metric)
+    expected, failure = reference_steepest_descent(objective, p0, config, record)
+    record, points = recording(objective.error_metric)
     if failure is None:
-        trace = steepest_descent(objective, p0, config)
+        trace = steepest_descent(objective, p0, config, record)
     else:
         with pytest.raises(LineSearchFailed) as info:
-            steepest_descent(objective, p0, config)
+            steepest_descent(objective, p0, config, record)
         assert str(info.value) == str(failure)
         trace = info.value.trace
-    assert len(trace) == len(expected)
-    for p, q in zip(trace.points, expected.points):
+    assert len(trace) == len(expected) == len(points) == len(expected_points)
+    for p, q in zip(points + trace.points, expected_points + expected.points):
         np.testing.assert_array_equal(p, q)
     for field in ("values", "grad_norms", "errors", "steps"):
         assert getattr(trace, field) == getattr(expected, field)
@@ -336,3 +359,87 @@ def test_round_off_stop_lies_below_the_floor(n, seed, kind, loop):
 @pytest.mark.parametrize("loop", [rqi, newton_rayleigh])
 def test_round_off_stop_lies_below_the_floor_at_n1000(loop):
     _assert_round_off_stop(loop, *_floor_problem(np.random.default_rng(1000), 1000, "dense"))
+
+
+def _failing_after(rows):
+    """``solvers._gradient``, but raising :class:`NonFinite` from its call
+    ``rows + 1`` on, so a loop stops there with a partial trace of ``rows``
+    rows; None never raises."""
+    calls, gradient = 0, solvers._gradient
+
+    def wrapped(objective, p):
+        nonlocal calls
+        calls += 1
+        if rows is not None and calls > rows:
+            raise NonFinite("stopped by the test")
+        return gradient(objective, p)
+
+    return wrapped
+
+
+#: (run, objective) pairs: the solvers on the sphere and on SO(n), the drivers on a dense Q
+_RUNS = [(solver, kind) for solver in (steepest_descent, conjugate_gradient, newton)
+         for kind in ("sphere", "fig2")]
+_RUNS += [(newton, "jacobi"), (rqi, "dense"), (newton_rayleigh, "dense"),
+          (cg_extreme_eigen, "dense")]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40), seed=SEEDS, run=st.sampled_from(_RUNS),
+       rows=st.one_of(st.none(), st.integers(0, 6)))
+def test_a_recording_error_fn_sees_every_row_in_order(n, seed, run, rows):
+    # a trace keeps the first and the last iterate; the error function sees
+    # each row's iterate in row order, a run stopped by a solver error
+    # included, and recording there moves no bit of any column.  The row's
+    # value read at the recorded point ties the point to its row: bit for
+    # bit for the solvers, within round-off for a driver, whose values the
+    # loop on T reports
+    rng = np.random.default_rng(seed)
+    solver, kind = run
+    if kind == "dense":
+        Q, x0 = rand_sym(rng, n), rng.normal(size=n)
+        error_fn = _residual(Q)
+        bound = 4.0 * np.sqrt(n) * EPS * float(np.linalg.norm(Q))
+
+        def solve(fn):
+            return solver(Q, x0, error_fn=fn).trace
+
+        def check_value(p, value):
+            assert abs(float(p @ (Q @ p)) - value) <= bound
+    else:
+        if kind == "sphere":
+            objective, p0 = RayleighObjective(rand_sym(rng, n)), rand_unit(rng, n)
+            config = SolverConfig(max_iter=40, line_search="exact")
+        else:
+            m = 2 + n % 7  # SO(m) for m = 2..8
+            objective = experiment_objective(kind, m, seed % 1000)[0]
+            p0 = rand_rotation(rng, m)
+            search = "estimate" if kind == "fig2" else "bracket"  # Jacobi has no estimate
+            config = SolverConfig(max_iter=30, line_search=search)
+        error_fn = objective.error_metric
+
+        def solve(fn):
+            return solver(objective, p0, config, fn)
+
+        def check_value(p, value):
+            assert objective.report_value(p) == value
+
+    outcomes = []
+    record, points = recording(error_fn)
+    for fn in (None, error_fn, record):
+        with mock.patch.object(solvers, "_gradient", _failing_after(rows)):
+            outcomes.append(_outcome(lambda: solve(fn)))
+    (default, default_error), (plain, plain_error), (got, got_error) = outcomes
+    assert got_error is plain_error is default_error
+    if rows is not None:  # the stop leaves the rows before it
+        assert len(got) == rows if got_error is NonFinite else len(got) <= rows
+    assert len(points) == len(got) == len(plain) == len(default)
+    ends = points[:1] + points[1:][-1:]
+    for trace in (got, plain, default):
+        assert np.array(trace.points).tobytes() == np.array(ends).tobytes()
+    for field in ("values", "grad_norms", "errors", "steps", "converged"):
+        assert getattr(got, field) == getattr(plain, field)
+        if field != "errors":  # a driver's default errors are the loop's on T
+            assert getattr(got, field) == getattr(default, field)
+    for p, value in zip(points, got.values):
+        check_value(p, value)

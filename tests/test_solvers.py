@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from _oracles import axis_angle, rand_rotation, rand_skew, rand_sym, rand_tangent, rand_unit
+from _oracles import (axis_angle, rand_rotation, rand_skew, rand_sym, rand_tangent, rand_unit,
+                      recording)
 from riemopt import (
     BrockettObjective,
     GeodesicObjective,
@@ -303,9 +304,10 @@ def test_steepest_descent_ninety_degree_turns():
     rng = np.random.default_rng(2)
     obj = RayleighObjective(rand_sym(rng, n), which="max")
     x0 = rand_unit(rng, n)
-    trace = steepest_descent(obj, x0, SolverConfig(line_search="exact", max_iter=60))
+    record, points = recording(obj.error_metric)
+    trace = steepest_descent(obj, x0, SolverConfig(line_search="exact", max_iter=60), record)
     for i in range(min(len(trace) - 1, 40)):
-        x, x2 = trace.points[i], trace.points[i + 1]
+        x, x2 = points[i], points[i + 1]
         g = -obj.gradient(x)  # descent direction followed by the solver
         g2 = -obj.gradient(x2)
         v, d = sphere_log(x, x2)
@@ -323,11 +325,12 @@ def test_steepest_descent_brockett_monotone():
     obj = BrockettObjective(rand_sym(rng, n) + np.diag(np.arange(n, 0, -1.0)), N)
     T0 = rand_rotation(rng, n)
     cfg = SolverConfig(line_search="estimate", max_iter=300)
-    trace = steepest_descent(obj, T0, cfg)
+    record, points = recording(obj.error_metric)
+    trace = steepest_descent(obj, T0, cfg, record)
     vals = np.asarray(trace.values)
     assert np.all(np.diff(vals) >= -1e-12 * np.maximum(1.0, np.abs(vals[:-1])))
     # iterates stay on the group
-    for T in trace.points[:: max(1, len(trace) // 10)]:
+    for T in points[:: max(1, len(trace) // 10)]:
         assert np.linalg.norm(T.T @ T - np.eye(n)) <= 1e-10
 
 
@@ -463,11 +466,12 @@ def test_cg_descent_and_exact_search_orthogonality():
     obj = RayleighObjective(Q, which="max")
     x0 = rand_unit(rng, n)
     cfg = SolverConfig(line_search="exact", max_iter=120)
-    trace = conjugate_gradient(obj, x0, cfg)
+    record, points = recording(obj.error_metric)
+    trace = conjugate_gradient(obj, x0, cfg, record)
     vals = np.asarray(trace.values)
     assert np.all(np.diff(vals) >= -1e-12 * np.maximum(1.0, np.abs(vals[:-1])))
     for i in range(len(trace) - 1):
-        x, x2 = trace.points[i], trace.points[i + 1]
+        x, x2 = points[i], points[i + 1]
         v, d = sphere_log(x, x2)
         if d == 0.0:
             continue
@@ -489,7 +493,8 @@ def test_cg_conjugacy_surrogate_near_optimum():
     rng = np.random.default_rng(10)
     x0 = rand_unit(rng, n)
     cfg = SolverConfig(line_search="exact", max_iter=400, grad_tol=1e-11)
-    trace = conjugate_gradient(obj, x0, cfg, error_fn=lambda x: axis_angle(x, axis))
+    record, points = recording(lambda x: axis_angle(x, axis))
+    trace = conjugate_gradient(obj, x0, cfg, error_fn=record)
     reset = obj.manifold.dim
     checked = 0
     for i in range(len(trace) - 2):
@@ -497,7 +502,7 @@ def test_cg_conjugacy_surrogate_near_optimum():
             continue
         if (i % reset) == reset - 1 or ((i + 1) % reset) == reset - 1:
             continue  # directions around a reset are not conjugate pairs
-        x1, x2, x3 = trace.points[i], trace.points[i + 1], trace.points[i + 2]
+        x1, x2, x3 = points[i], points[i + 1], points[i + 2]
         v1, d1 = sphere_log(x1, x2)
         v2, d2 = sphere_log(x2, x3)
         if d1 == 0.0 or d2 == 0.0:
@@ -519,12 +524,14 @@ def test_cg_trace_error_consistency_and_determinism():
     x0 = rand_unit(rng, n)
     cfg = SolverConfig(line_search="exact", max_iter=60)
     err = lambda x: float(np.linalg.norm(obj.gradient(x)))
-    t1 = conjugate_gradient(obj, x0, cfg, error_fn=err)
+    record, points = recording(err)
+    t1 = conjugate_gradient(obj, x0, cfg, error_fn=record)
     t2 = conjugate_gradient(obj, x0, cfg, error_fn=err)
     assert t1.values == t2.values
     assert t1.errors == t2.errors
     assert t1.steps == t2.steps
-    for i, p in enumerate(t1.points):
+    assert len(points) == len(t1)
+    for i, p in enumerate(points):
         assert err(p) == t1.errors[i]
 
 
@@ -806,9 +813,12 @@ def test_newton_takes_a_gradient_step_on_a_zero_direction():
     Q = np.diag(np.arange(6.0, 0.0, -1.0))
     x0 = rand_unit(rng, 6)
     config = SolverConfig(max_iter=15, line_search="exact")
-    trace = newton(_ZeroNewtonRayleigh(Q), x0, config)
-    reference = steepest_descent(RayleighObjective(Q), x0, config)
+    record, points = recording()
+    trace = newton(_ZeroNewtonRayleigh(Q), x0, config, record)
+    record, reference_points = recording()
+    reference = steepest_descent(RayleighObjective(Q), x0, config, record)
     assert trace.iterations == reference.iterations == 15
+    assert np.array_equal(points, reference_points)
     assert np.array_equal(trace.points, reference.points)
     assert trace.steps == reference.steps
 

@@ -8,12 +8,13 @@ it and times each CLI run in-process by process CPU time, which a shared
 machine disturbs less than wall time.  The ``DENSE`` classes time an eigen
 driver called from the library on a dense ``Q``, built outside the timing.  With ``--wall`` every ``WALL`` class
 is instead one fresh process (one BLAS thread), timed by wall clock from
-start to exit, so the import and start-up a user pays are counted.  After a
-warm-up round, ROUNDS rounds (default 11) alternate the trees, the first
-rotating by class and round.  Prints each class's min and median ms per tree
-and B/A of both.  On a shared machine load moves the medians more than the
-minima: a class whose median ratio moves while its minimum ratio stays near
-1 reads as load."""
+start to exit, so the import and start-up a user pays are counted, and its
+peak RSS is read from ``os.wait4`` on the child.  After a warm-up round,
+ROUNDS rounds (default 11) alternate the trees, the first rotating by class
+and round.  Prints each class's min and median ms per tree and B/A of both,
+and with ``--wall`` each tree's median peak RSS in MB.  On a shared machine
+load moves the medians more than the minima: a class whose median ratio
+moves while its minimum ratio stays near 1 reads as load."""
 
 import contextlib
 import io
@@ -46,10 +47,13 @@ CLASSES = ["fig1 --method sd --n 21", "fig1 --method cg --n 21", "fig1 --method 
 DENSE = [f"dense {driver} --n {n}" for driver in ("rqi", "newton_rayleigh", "newton",
                                                   "cg_extreme_eigen") for n in (250, 1000)]
 CLASSES += DENSE
-#: fresh-process classes: the import alone, then whole CLI runs
+#: fresh-process classes: the import alone, then whole CLI runs; fig2 sd and cg
+#: at n = 30 from a near start compare the peak RSS of a 4,001-row trace with a
+#: 105-row one
 WALL = ["import riemopt", "fig1 --method sd --n 21", "fig1 --method cg --n 21",
         "fig2 --method cg --n 10", "fig1 --method rqi --n 250 --init random",
-        "jacobi --n 20 --init near:0.1"]
+        "jacobi --n 20 --init near:0.1", "fig2 --method sd --n 30 --init near",
+        "fig2 --method cg --n 30 --init near"]
 CLI = "import sys; from riemopt.cli import main; sys.exit(main(sys.argv[1:]))"
 THREADS = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
 
@@ -87,7 +91,8 @@ def env_for(src):
 
 
 def cpu_timer(src):
-    """``k -> CPU ms`` of ``CLASSES[k]`` in a worker importing riemopt from ``src``."""
+    """``k -> (CPU ms, None)`` of ``CLASSES[k]`` in a worker importing riemopt
+    from ``src``."""
     proc = subprocess.Popen([sys.executable, os.path.abspath(__file__), "--worker"],
                             env=env_for(src), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                             text=True)
@@ -95,13 +100,14 @@ def cpu_timer(src):
     def timed(k):
         proc.stdin.write(f"{k}\n")
         proc.stdin.flush()
-        return 1e3 * float(proc.stdout.readline())
+        return 1e3 * float(proc.stdout.readline()), None
 
     return timed, proc.communicate
 
 
 def wall_timer(src, out):
-    """``k -> wall ms`` of a fresh process running ``WALL[k]`` from ``src``."""
+    """``k -> (wall ms, peak RSS MB)`` of a fresh process running ``WALL[k]``
+    from ``src``."""
     env = env_for(src)
 
     def timed(k):
@@ -109,32 +115,42 @@ def wall_timer(src, out):
         cmd = ["-c", name] if name.startswith("import ") else ["-c", CLI, *name.split(),
                                                                 "--out", out]
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, *cmd], env=env, check=True, stdout=subprocess.DEVNULL)
-        return 1e3 * (time.perf_counter() - t0)
+        proc = subprocess.Popen([sys.executable, *cmd], env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        ms = 1e3 * (time.perf_counter() - t0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, name)
+        return ms, usage.ru_maxrss / 1024.0  # Linux reports kB
 
     return timed, lambda: None
 
 
 def alternate(timers, count, rounds):
-    """``times[tree][class]``: a warm-up round, then ``rounds`` alternated."""
-    times = [[[] for _ in range(count)] for _ in timers]
+    """``runs[tree][class]``, each run's ``(ms, peak MB or None)``: a warm-up
+    round, then ``rounds`` alternated."""
+    runs = [[[] for _ in range(count)] for _ in timers]
     for r in range(rounds + 1):
         for k in range(count):
             for t in ((0, 1) if (r + k) % 2 == 0 else (1, 0)):
-                ms = timers[t](k)
+                run = timers[t](k)
                 if r > 0:  # round 0 warms up
-                    times[t][k].append(ms)
-    return times
+                    runs[t][k].append(run)
+    return runs
 
 
-def report(names, times):
+def report(names, runs, rss):
     print(f"{'class':48s} {'min A':>8s} {'min B':>8s} {'min B/A':>8s}"
-          f" {'med A':>8s} {'med B':>8s} {'med B/A':>8s}")
+          f" {'med A':>8s} {'med B':>8s} {'med B/A':>8s}"
+          + (f" {'MB A':>7s} {'MB B':>7s}" if rss else ""))
     for k, name in enumerate(names):
-        a, b = (ts[k] for ts in times)
-        ma, mb = statistics.median(a), statistics.median(b)
-        print(f"{name:48s} {min(a):8.2f} {min(b):8.2f} {min(b) / min(a):8.3f}"
-              f" {ma:8.2f} {mb:8.2f} {mb / ma:8.3f}")
+        a, b = ([ms for ms, _ in tree[k]] for tree in runs)
+        med_a, med_b = statistics.median(a), statistics.median(b)
+        line = (f"{name:48s} {min(a):8.2f} {min(b):8.2f} {min(b) / min(a):8.3f}"
+                f" {med_a:8.2f} {med_b:8.2f} {med_b / med_a:8.3f}")
+        if rss:
+            line += "".join(f" {statistics.median(mb for _, mb in tree[k]):7.1f}" for tree in runs)
+        print(line)
 
 
 if __name__ == "__main__":
@@ -146,7 +162,7 @@ if __name__ == "__main__":
     names = WALL if wall else CLASSES
     with tempfile.TemporaryDirectory() as out:
         timers = [wall_timer(src, out) if wall else cpu_timer(src) for src in args[:2]]
-        times = alternate([timed for timed, _ in timers], len(names), rounds)
+        runs = alternate([timed for timed, _ in timers], len(names), rounds)
         for _, close in timers:
             close()
-    report(names, times)
+    report(names, runs, rss=wall)

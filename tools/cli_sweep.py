@@ -180,21 +180,25 @@ def dense():
     """``{name: SHA-256}`` of the trace of ``rqi``, ``newton_rayleigh``,
     ``cg_extreme_eigen`` and the generic ``newton`` on each ``DENSE``
     problem, and of ``rqi`` and ``newton_rayleigh`` on each of the
-    :func:`edge_cases`: its points, values, gradient norms, errors and
-    steps."""
+    :func:`edge_cases`: its every iterate, which a trace does not keep and a
+    second run's ``error_fn`` records, then its values, gradient norms,
+    errors and steps."""
     import numpy as np
 
     from riemopt import RayleighObjective, cg_extreme_eigen, newton, newton_rayleigh, rqi
     from riemopt.sampling import random_symmetric, random_unit_vector, rng_from_seed
 
-    drivers = {"rqi": lambda Q, x0: rqi(Q, x0).trace,
-               "newton_rayleigh": lambda Q, x0: newton_rayleigh(Q, x0).trace,
-               "cg_extreme_eigen": lambda Q, x0: cg_extreme_eigen(Q, x0).trace,
-               "newton": lambda Q, x0: newton(RayleighObjective(Q), x0)}
+    drivers = {"rqi": lambda Q, x0, **kw: rqi(Q, x0, **kw).trace,
+               "newton_rayleigh": lambda Q, x0, **kw: newton_rayleigh(Q, x0, **kw).trace,
+               "cg_extreme_eigen": lambda Q, x0, **kw: cg_extreme_eigen(Q, x0, **kw).trace,
+               "newton": lambda Q, x0, **kw: newton(RayleighObjective(Q), x0, **kw)}
 
-    def digest(trace):
+    def digest(solve, Q, x0, **kw):
+        points = []
+        solve(Q, x0, error_fn=lambda p: points.append(p) or 0.0, **kw)
+        trace = solve(Q, x0, **kw)
         sha = hashlib.sha256()
-        for rows in (trace.points, trace.values, trace.grad_norms, trace.errors, trace.steps):
+        for rows in (points, trace.values, trace.grad_norms, trace.errors, trace.steps):
             sha.update(np.asarray(rows, dtype=float).tobytes())
         return sha.hexdigest()
 
@@ -203,10 +207,10 @@ def dense():
         Q = random_symmetric(rng_from_seed(seed), n)
         x0 = random_unit_vector(rng_from_seed(seed + 1), n)
         for name, solve in drivers.items():
-            digests[f"{name}-n{n}-s{seed}"] = digest(solve(Q, x0))
+            digests[f"{name}-n{n}-s{seed}"] = digest(solve, Q, x0)
     for case, (Q, x0, config) in edge_cases().items():
-        for name, driver in (("rqi", rqi), ("newton_rayleigh", newton_rayleigh)):
-            digests[f"{name}-{case}"] = digest(driver(Q, x0, config).trace)
+        for name in ("rqi", "newton_rayleigh"):
+            digests[f"{name}-{case}"] = digest(drivers[name], Q, x0, config=config)
     return digests
 
 
