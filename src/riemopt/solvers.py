@@ -4,9 +4,7 @@ All three solvers minimize a :class:`~riemopt.core.GeodesicObjective` over
 its manifold.  Maximization problems are expected to negate themselves (the
 objectives in :mod:`riemopt.sphere` and :mod:`riemopt.rotation` do).
 They run one geodesic loop, :func:`_loop`, and differ only in the step map
-that picks each step's direction and length.  The loop calls ``error_fn`` once
-per trace row, in row order, on that row's iterate; the trace keeps the first
-and last iterate, so a caller that wants every one records it in ``error_fn``.
+that picks each step's direction and length.
 """
 
 from __future__ import annotations
@@ -245,7 +243,8 @@ def _descend(objective, p, config, error_fn, reset_period):
 def steepest_descent(objective: GeodesicObjective, p0, config=None, error_fn=None) -> IterationTrace:
     """Line-minimize along the negative gradient until the gradient norm
     drops below tolerance or the iteration budget runs out: conjugate
-    gradient with a reset at every step."""
+    gradient with a reset at every step.
+    ``error_fn`` sees every iterate, once per row in order; the trace keeps the first and last."""
     return _descend(objective, p0, config or SolverConfig(), error_fn, reset_period=1)
 
 
@@ -278,6 +277,7 @@ def newton(objective: GeodesicObjective, p0, config=None, error_fn=None) -> Iter
     There is no damping or line search.  On an indefinite or singular
     second differential, a degenerate pivot or a zero direction, it takes one
     line-minimized gradient step instead.
+    ``error_fn`` sees every iterate, once per row in order; the trace keeps the first and last.
     """
     return _newton(objective, p0, config or SolverConfig(), error_fn, _newton_step)
 
@@ -291,6 +291,7 @@ def conjugate_gradient(objective: GeodesicObjective, p0, config=None, error_fn=N
     The direction is reset to the plain gradient every ``reset_period``
     steps (default: manifold dimension), and whenever the gamma denominator
     vanishes or the mixed direction fails to decrease the objective.
+    ``error_fn`` sees every iterate, once per row in order; the trace keeps the first and last.
     """
     config = config or SolverConfig()
     return _descend(objective, p0, config, error_fn, config.reset_period or objective.manifold.dim)
