@@ -13,12 +13,11 @@ from functools import partial
 import numpy as np
 
 from . import solvers
-from .core import IterationTrace
 from .errors import SolverError
 from .solvers import SolverConfig, conjugate_gradient, newton
 # _shift_solve is looked up here by name, so that it can be wrapped
 from .sphere import (RayleighObjective, _ReducedRayleigh, _reflect, _rescaled, _shift_solve,
-                     normalized_start, sphere_log)
+                     normalized_start, sphere_distance)
 
 
 @dataclass
@@ -27,7 +26,7 @@ class EigenResult:
     ``trace``, stopped as :func:`_on_quotient` says."""
     eigenvalue: float
     eigenvector: np.ndarray
-    trace: IterationTrace
+    trace: solvers.IterationTrace
 
     @property
     def converged(self) -> bool:
@@ -39,13 +38,14 @@ class EigenResult:
 
 
 def _on_quotient(solver, Q, x0, config, error_fn, which="max") -> EigenResult:
-    """``solver`` on the Rayleigh quotient from ``x0 / |x0|``, default error
+    """``solver`` on the Rayleigh quotient from ``x = x0 / |x0|``, default error
     ``|Qx - rho x|``, converged once the gradient ``2(Qx - rho x)`` drops below
     ``max(2 grad_tol |Q|_F, gradient_floor)``.  It runs on ``T`` for
-    ``Q = P T P^T`` from ``P^T x0 / |x0|``, O(n) per step, and every exit, a
-    :class:`~riemopt.errors.SolverError`'s too, maps the trace back by
-    :func:`_mapped_back`; a tridiagonal ``Q`` is its own ``T``.  A caller's ``error_fn`` sees
-    every iterate, once per row in row order; the trace keeps the first and last."""
+    ``Q = P T P^T`` from ``P^T x``, O(n) per step; a tridiagonal ``Q`` is its own
+    ``T``.  A loop point ``z`` is ``P z``, by one single-column ormqr, but the start,
+    which is ``x`` itself.  A caller's ``error_fn`` sees each point so, once per row
+    as the loop makes it; at every exit, a :class:`~riemopt.errors.SolverError`'s too,
+    the trace's two points are mapped so, and its default last error is the dense one."""
     objective = RayleighObjective(Q, which)
     config = config or SolverConfig()
     # a zero Q still needs a positive tolerance (its every point is critical)
@@ -55,33 +55,24 @@ def _on_quotient(solver, Q, x0, config, error_fn, which="max") -> EigenResult:
     if objective._reduction()[0] is None:  # its own T: nothing to map back
         trace = solver(objective, x, config, error_fn=error_fn or objective.residual_norm)
         return EigenResult(trace.values[-1], trace.points[-1], trace)
-    reduced, seen = _ReducedRayleigh(objective), []  # seen: the loop's points, row by row
+    reduced, z0 = _ReducedRayleigh(objective), _reflect(objective, x, "T")
 
-    def record(z):
-        seen.append(z)
-        return reduced.residual_norm(z) if error_fn is None else 0.0
+    def back(z):  # the start is told by identity, as MatrixObjective._at tells points
+        return x if z is z0 else _reflect(objective, z, "N")
 
+    def mapped_back(trace):
+        trace.points[:] = [back(z) for z in trace.points]
+        if error_fn is None and trace.errors:
+            trace.errors[-1] = objective.residual_norm(trace.points[-1])
+        return trace
+
+    loop_error = reduced.residual_norm if error_fn is None else lambda z: error_fn(back(z))
     try:
-        trace = solver(reduced, _reflect(objective, x, "T"), config, error_fn=record)
+        trace = mapped_back(solver(reduced, z0, config, error_fn=loop_error))
     except SolverError as exc:
-        exc.trace = _mapped_back(objective, exc.trace, seen, error_fn)
+        mapped_back(exc.trace)
         raise
-    trace = _mapped_back(objective, trace, seen, error_fn)
     return EigenResult(trace.values[-1], trace.points[-1], trace)
-
-
-def _mapped_back(objective, trace, seen, error_fn):
-    """``trace`` with the loop's points ``seen`` mapped to ``P z`` by one ormqr, of which it
-    keeps copies of the first and last; the loop's values, gradient norms and steps; and
-    ``error_fn`` on every mapped point, or the loop's errors but a dense last one."""
-    points = _reflect(objective, np.array(seen).T, "N").T if seen else []
-    errors = ([error_fn(p) for p in points] if error_fn else
-              trace.errors[:-1] + [objective.residual_norm(p) for p in points[-1:]])
-    out = IterationTrace(converged=trace.converged)
-    for row in zip(points, trace.values, trace.grad_norms, errors, trace.steps):
-        out.append(*row)
-    out.points = [p.copy() for p in out.points]  # not views that hold the whole block
-    return out
 
 
 def newton_rayleigh(Q, x0, config=None, error_fn=None) -> EigenResult:
@@ -102,14 +93,14 @@ def _rqi_step(objective, x):
     x_next = y / ny
     if float(x_next @ x) < 0.0:
         x_next = -x_next
-    return x_next, sphere_log(x, x_next)[1]
+    return x_next, sphere_distance(x, x_next)
 
 
 def rqi(Q, x0, config=None, error_fn=None) -> EigenResult:
     """Rayleigh quotient iteration, the step map ``x <- y / |y|`` on the loop of
     :func:`~riemopt.solvers.newton`, for ``y = (Q - rho I)^{-1} x`` and ``rho = x^T (Qx)``,
     signed so successive iterates keep a positive inner product; the trace records
-    each step's angle by the arctan2 of :func:`~riemopt.sphere.sphere_log` (arccos
+    each step's angle by :func:`~riemopt.sphere.sphere_distance`, an arctan2 (arccos
     reads one below 1.5e-8 as 0).  It runs as :func:`_on_quotient` says, and bad
     input raises as in :func:`newton_rayleigh`."""
     return _on_quotient(partial(solvers._newton, step=_rqi_step), Q, x0, config, error_fn)

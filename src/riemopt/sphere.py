@@ -232,15 +232,14 @@ def _shift_solve(objective, rho, x):
 
 
 def _reflect(objective, y, trans):
-    """``P^T y`` (``trans="T"``) or ``P y`` (``"N"``) on rows 2..n of a copy of a
-    vector or n-by-k block ``y``, by one ormqr call.  Its blocked code pays from
-    about 48 columns at n = 60, 14 at n = 250 and 8 at n = 1000 (one BLAS thread)."""
+    """``P^T y`` (``trans="T"``) or ``P y`` (``"N"``) on rows 2..n of a copy of the
+    vector ``y``, by one unblocked ormqr call; ``y`` itself when ``P = I``, for a
+    tridiagonal ``Q`` (gtsv, its one reader there, copies it)."""
     V, tau = objective._reduction()[:2]
-    y = np.array(y, dtype=float, order="F")
-    if V is not None:  # a tridiagonal Q's P is I
-        k = y.size // len(y)  # lwork = k runs the unblocked code; 64 k + 65 * 64 is
-        lwork = k if k <= 16 else 64 * k + 65 * 64  # room for blocks up to 64 wide
-        y[1:] = _scipy("lapack").dormqr("L", trans, V, tau, y[1:], lwork)[0]
+    if V is None:
+        return y
+    y = np.array(y, dtype=float)
+    y[1:] = _scipy("lapack").dormqr("L", trans, V, tau, y[1:], 1)[0]
     return y
 
 

@@ -397,18 +397,19 @@ def reduced_eigen_trace(loop, Q, x0, config, error_fn=None):
     """The trace an eigen driver reports on a ``Q`` that is not tridiagonal,
     by its definition: the solver ``loop`` run on the quotient of ``T`` for
     ``Q = P T P^T`` (the objective's sytrd), with ``config`` as given, from
-    ``P^T x0 / |x0|``.  Its points are mapped back by ``P`` in one ormqr, the
-    unblocked code up to 16 columns and the blocked one above; its values,
-    gradient norms and steps are the loop's.  Its errors are ``error_fn`` on
-    the points mapped back, or else :func:`tridiagonal_quotient`'s residual
-    of each loop point but the last, whose error is the dense
-    ``|Qx - rho x|`` of the point mapped back.  The quotient is maximized.
-    Returns ``(trace, points, failure)``: the trace, which keeps the first
-    and the last point, every point mapped back, and the type of the
-    :class:`SolverError` that stopped the loop, or None."""
+    ``P^T x0 / |x0|``.  Its first point is ``x0 / |x0|`` itself, and every
+    later point is the loop's mapped back by ``P`` in an unblocked ormqr call
+    of its own on that one column; its values, gradient norms and steps are
+    the loop's.  Its errors are ``error_fn`` on the points mapped back, or
+    else :func:`tridiagonal_quotient`'s residual of each loop point but the
+    last, whose error is the dense ``|Qx - rho x|`` of the point mapped back.
+    The quotient is maximized.  Returns ``(trace, points, failure)``: the
+    trace, which keeps the first and the last point, every point mapped back,
+    and the type of the :class:`SolverError` that stopped the loop, or None."""
     objective = RayleighObjective(Q)
     V, tau, d, e = objective._reduction()
-    z0 = x0 / np.linalg.norm(x0)
+    x = x0 / np.linalg.norm(x0)
+    z0 = x.copy()
     z0[1:] = lapack.dormqr("L", "T", V, tau, z0[1:], 1)[0]
     record, seen = recording(lambda z: tridiagonal_quotient(d, e, z)[1])
     try:
@@ -418,17 +419,16 @@ def reduced_eigen_trace(loop, Q, x0, config, error_fn=None):
     out = IterationTrace(converged=trace.converged)
     if not seen:
         return out, [], failure
-    Z = np.array(seen).T
-    k = Z.shape[1]
-    Z[1:] = lapack.dormqr("L", "N", V, tau, Z[1:], k if k <= 16 else 64 * k + 4160)[0]
-    x = Z[:, -1]
+    points = [x] + [np.concatenate([z[:1], lapack.dormqr("L", "N", V, tau, z[1:], 1)[0]])
+                    for z in seen[1:]]
+    x = points[-1]
     rho = float(x @ (Q @ x))
     errors = trace.errors[:-1] + [float(np.linalg.norm(Q @ x - rho * x))]
     if error_fn is not None:
-        errors = [error_fn(p) for p in Z.T]
-    for row in zip(Z.T, trace.values, trace.grad_norms, errors, trace.steps):
+        errors = [error_fn(p) for p in points]
+    for row in zip(points, trace.values, trace.grad_norms, errors, trace.steps):
         out.append(*row)
-    return out, list(Z.T), failure
+    return out, points, failure
 
 
 def read_trace_csv(path):

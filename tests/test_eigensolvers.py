@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -19,7 +21,8 @@ from riemopt import (
 from riemopt.errors import Diverged
 from riemopt import experiments
 from riemopt.experiments import ExperimentSpec, run_fig1
-from riemopt.sphere import _line_rotation
+from riemopt.sampling import random_symmetric, random_unit_vector, rng_from_seed
+from riemopt.sphere import _line_rotation, normalized_start
 
 
 def diag_desc(n):
@@ -177,6 +180,56 @@ def test_diverged_rqi_carries_points_in_the_original_basis(monkeypatch):
     bound = 4.0 * np.sqrt(n) * np.finfo(float).eps * np.linalg.norm(Q)
     np.testing.assert_allclose(trace.values, [rho for rho, _ in dense], rtol=0.0, atol=bound)
     np.testing.assert_allclose(trace.errors, [r for _, r in dense], rtol=0.0, atol=bound)
+
+
+@pytest.mark.parametrize("driver", [rqi, newton_rayleigh, cg_extreme_eigen])
+def test_a_reduced_run_starts_at_the_callers_point_and_reports_as_it_goes(driver, monkeypatch):
+    # on a Q the drivers reduce, the trace keeps x0/|x0| itself, not P P^T of
+    # it, and a caller's error_fn runs on each row before the loop steps on:
+    # row i has seen i + 1 gradients, and rqi's i shift solves
+    Q = random_symmetric(rng_from_seed(0), 60)
+    x0 = random_unit_vector(rng_from_seed(1), 60)
+    counts = dict.fromkeys(["gradient", "shift solve"], 0)
+
+    def counted(name, f):
+        def call(*args):
+            counts[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(RayleighObjective, "gradient",
+                        counted("gradient", RayleighObjective.gradient))
+    monkeypatch.setattr(riemopt.eigensolvers, "_shift_solve",
+                        counted("shift solve", riemopt.eigensolvers._shift_solve))
+    seen = []
+    res = driver(Q, x0, error_fn=lambda p: seen.append(dict(counts)) or 0.0)
+    assert res.converged
+    assert res.trace.points[0].tobytes() == normalized_start(x0).tobytes()
+    rows = range(len(res.trace))
+    assert [c["gradient"] for c in seen] == [i + 1 for i in rows]
+    if driver is rqi:
+        assert [c["shift solve"] for c in seen] == list(rows)
+
+
+def test_a_reduced_run_holds_flat_memory():
+    # no block of points: over 120 steps the peak stays within half as much
+    # again as the reduction's one n^2 buffer
+    n = 250
+    Q = random_symmetric(rng_from_seed(0), n)
+    x0 = random_unit_vector(rng_from_seed(1), n)
+    cg_extreme_eigen(Q, x0)  # the first run loads LAPACK
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        res = cg_extreme_eigen(Q, x0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert res.iterations == 120
+    assert peak < 1.5 * 8 * n * n
 
 
 def test_quadratic_agreement_of_next_iterates():

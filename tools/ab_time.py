@@ -2,6 +2,7 @@
 
     python tools/ab_time.py SRC_A SRC_B [ROUNDS]
     python tools/ab_time.py --wall SRC_A SRC_B [ROUNDS]
+    python tools/ab_time.py --dense "dense DRIVER --n N"   # one DENSE solve, then exit
 
 Each tree has a worker process (one BLAS thread) that imports riemopt from
 it and times each CLI run in-process by process CPU time, which a shared
@@ -49,11 +50,13 @@ DENSE = [f"dense {driver} --n {n}" for driver in ("rqi", "newton_rayleigh", "new
 CLASSES += DENSE
 #: fresh-process classes: the import alone, then whole CLI runs; fig2 sd and cg
 #: at n = 30 from a near start compare the peak RSS of a 4,001-row trace with a
-#: 105-row one
+#: 105-row one; then two ``DENSE`` solves, each Q built in the process: a
+#: 302-row cg_extreme_eigen run, and a 4-row rqi run as its control
 WALL = ["import riemopt", "fig1 --method sd --n 21", "fig1 --method cg --n 21",
         "fig2 --method cg --n 10", "fig1 --method rqi --n 250 --init random",
         "jacobi --n 20 --init near:0.1", "fig2 --method sd --n 30 --init near",
-        "fig2 --method cg --n 30 --init near"]
+        "fig2 --method cg --n 30 --init near", "dense cg_extreme_eigen --n 1000",
+        "dense rqi --n 1000"]
 CLI = "import sys; from riemopt.cli import main; sys.exit(main(sys.argv[1:]))"
 THREADS = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
 
@@ -112,8 +115,9 @@ def wall_timer(src, out):
 
     def timed(k):
         name = WALL[k]
-        cmd = ["-c", name] if name.startswith("import ") else ["-c", CLI, *name.split(),
-                                                                "--out", out]
+        cmd = (["-c", name] if name.startswith("import ") else
+               [os.path.abspath(__file__), "--dense", name] if name in DENSE else
+               ["-c", CLI, *name.split(), "--out", out])
         t0 = time.perf_counter()
         proc = subprocess.Popen([sys.executable, *cmd], env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
@@ -156,6 +160,9 @@ def report(names, runs, rss):
 if __name__ == "__main__":
     if sys.argv[1] == "--worker":
         sys.exit(worker())
+    if sys.argv[1] == "--dense":
+        dense_solve(sys.argv[2])()
+        sys.exit()
     wall = sys.argv[1] == "--wall"
     args = sys.argv[2:] if wall else sys.argv[1:]
     rounds = int(args[2]) if len(args) > 2 else 11

@@ -182,7 +182,8 @@ def dense():
     problem, and of ``rqi`` and ``newton_rayleigh`` on each of the
     :func:`edge_cases`: its every iterate, which a trace does not keep and a
     second run's ``error_fn`` records, then its values, gradient norms,
-    errors and steps."""
+    errors and steps; and, as ``name-ends``, of the two points the trace
+    keeps, the start and the last iterate."""
     import numpy as np
 
     from riemopt import RayleighObjective, cg_extreme_eigen, newton, newton_rayleigh, rqi
@@ -200,17 +201,20 @@ def dense():
         sha = hashlib.sha256()
         for rows in (points, trace.values, trace.grad_norms, trace.errors, trace.steps):
             sha.update(np.asarray(rows, dtype=float).tobytes())
-        return sha.hexdigest()
+        ends = hashlib.sha256(np.asarray(trace.points, dtype=float).tobytes())
+        return sha.hexdigest(), ends.hexdigest()
 
     digests = {}
     for n, seed in DENSE:
         Q = random_symmetric(rng_from_seed(seed), n)
         x0 = random_unit_vector(rng_from_seed(seed + 1), n)
         for name, solve in drivers.items():
-            digests[f"{name}-n{n}-s{seed}"] = digest(solve, Q, x0)
+            key = f"{name}-n{n}-s{seed}"
+            digests[key], digests[f"{key}-ends"] = digest(solve, Q, x0)
     for case, (Q, x0, config) in edge_cases().items():
         for name in ("rqi", "newton_rayleigh"):
-            digests[f"{name}-{case}"] = digest(drivers[name], Q, x0, config=config)
+            key = f"{name}-{case}"
+            digests[key], digests[f"{key}-ends"] = digest(drivers[name], Q, x0, config=config)
     return digests
 
 
