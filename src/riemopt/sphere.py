@@ -233,13 +233,12 @@ def _shift_solve(objective, rho, x):
 
 def _reflect(objective, y, trans):
     """``P^T y`` (``trans="T"``) or ``P y`` (``"N"``) on rows 2..n of a copy of the
-    vector ``y``, by one unblocked ormqr call; ``y`` itself when ``P = I``, for a
-    tridiagonal ``Q`` (gtsv, its one reader there, copies it)."""
+    vector ``y``, by one unblocked ormqr call; the plain copy when ``P = I``, for a
+    tridiagonal ``Q``."""
     V, tau = objective._reduction()[:2]
-    if V is None:
-        return y
     y = np.array(y, dtype=float)
-    y[1:] = _scipy("lapack").dormqr("L", trans, V, tau, y[1:], 1)[0]
+    if V is not None:
+        y[1:] = _scipy("lapack").dormqr("L", trans, V, tau, y[1:], 1)[0]
     return y
 
 
