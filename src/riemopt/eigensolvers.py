@@ -42,10 +42,10 @@ def _on_quotient(solver, Q, x0, config, error_fn, which="max") -> EigenResult:
     ``|Qx - rho x|``, converged once the gradient ``2(Qx - rho x)`` drops below
     ``max(2 grad_tol |Q|_F, gradient_floor)``.  It runs on ``T`` for
     ``Q = P T P^T`` from ``P^T x``, O(n) per step; a tridiagonal ``Q`` is its own
-    ``T``.  A loop point ``z`` is ``P z``, by one single-column ormqr, but the start,
-    which is ``x`` itself.  A caller's ``error_fn`` sees each point so, once per row
-    as the loop makes it; at every exit, a :class:`~riemopt.errors.SolverError`'s too,
-    the trace's two points are mapped so, and its default last error is the dense one."""
+    ``T``.  A loop point ``z`` maps back to ``P z`` by one single-column ormqr, the
+    start to ``x`` itself.  A caller's ``error_fn`` sees each point mapped back, once
+    per row as the loop makes it; every exit, a :class:`~riemopt.errors.SolverError`'s
+    too, maps the trace's two points back and sets its default last error to the dense one."""
     objective = RayleighObjective(Q, which)
     config = config or SolverConfig()
     # a zero Q still needs a positive tolerance (its every point is critical)
