@@ -41,20 +41,17 @@ def _on_quotient(solver, Q, x0, config, error_fn, which="max") -> EigenResult:
     """``solver`` on the Rayleigh quotient from ``x = x0 / |x0|``, default error
     ``|Qx - rho x|``, converged once the gradient ``2(Qx - rho x)`` drops below
     ``max(2 grad_tol |Q|_F, gradient_floor)``.  It runs on ``T`` for
-    ``Q = P T P^T`` from ``P^T x``, O(n) per step; a tridiagonal ``Q`` is its own
-    ``T``.  A loop point ``z`` maps back to ``P z`` by one single-column ormqr, the
-    start to ``x`` itself.  A caller's ``error_fn`` sees each point mapped back, once
-    per row as the loop makes it; every exit, a :class:`~riemopt.errors.SolverError`'s
-    too, maps the trace's two points back and sets its default last error to the dense one."""
+    ``Q = P T P^T`` from ``P^T x``, O(n) per step, ``P = I`` for a tridiagonal ``Q``.  A
+    loop point ``z`` maps back to ``P z`` by one single-column ormqr (a copy when ``P = I``),
+    the start to ``x`` itself.  A caller's ``error_fn`` sees each point mapped back, once per
+    row as the loop makes it; every exit, a :class:`~riemopt.errors.SolverError`'s too, maps
+    the trace's two points back and sets its default last error to the dense one."""
     objective = RayleighObjective(Q, which)
     config = config or SolverConfig()
     # a zero Q still needs a positive tolerance (its every point is critical)
     scale = max(objective.Q_fro, np.finfo(float).tiny)
     config = replace(config, grad_tol=2.0 * config.grad_tol * scale)
     x = normalized_start(x0)
-    if objective._reduction()[0] is None:  # its own T: nothing to map back
-        trace = solver(objective, x, config, error_fn=error_fn or objective.residual_norm)
-        return EigenResult(trace.values[-1], trace.points[-1], trace)
     reduced, z0 = _ReducedRayleigh(objective), _reflect(objective, x, "T")
 
     def back(z):  # the start is told by identity, as MatrixObjective._at tells points

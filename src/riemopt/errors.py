@@ -47,11 +47,9 @@ class StepDeclined(RiemoptError):
 # --- solvers ---
 
 class SolverError(RiemoptError):
-    """Base for iteration failures; carries the partial trace when available."""
+    """Base for iteration failures; the solvers' loop sets ``trace``, its partial trace."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    trace = None
 
 
 class LineSearchFailed(SolverError):

@@ -401,15 +401,16 @@ class RayleighObjective(MatrixObjective):
 
 
 class _Tridiagonal:
-    """``T`` by its diagonal ``d`` and off-diagonal ``e``: ``T @ x`` in O(n)."""
+    """``T @ x`` in O(n) from ``T``'s diagonals ``d`` and ``e``; ``d * x`` if ``e`` is zero."""
 
     def __init__(self, d, e):
-        self.d, self.e = d, e
+        self.d, self.e = d, (e if np.any(e) else None)
 
     def __matmul__(self, x):
         y = self.d * x
-        y[1:] += self.e * x[:-1]
-        y[:-1] += self.e * x[1:]
+        if self.e is not None:
+            y[1:] += self.e * x[:-1]
+            y[:-1] += self.e * x[1:]
         return y
 
 

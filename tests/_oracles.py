@@ -12,7 +12,7 @@ equation by dense solves) and its error ``SingularMatrix``,
 ``reference_steepest_descent`` (steepest descent as a loop of its own),
 ``reference_newton_direction`` (the SO(n) Newton direction by a
 preconditioned conjugate gradient of its own), ``reduced_eigen_trace``
-(the trace an eigen driver reports on a ``Q`` it reduces, by that trace's
+(the trace an eigen driver reports on any ``Q``, by that trace's
 definition) and ``tridiagonal_quotient`` (the quotient and residual on ``T``),
 ``recording`` (an error function that keeps every iterate, which a trace
 does not), ``commutator`` (``AB - BA`` as two dense products),
@@ -394,23 +394,30 @@ def tridiagonal_quotient(d, e, z):
 
 
 def reduced_eigen_trace(loop, Q, x0, config, error_fn=None):
-    """The trace an eigen driver reports on a ``Q`` that is not tridiagonal,
-    by its definition: the solver ``loop`` run on the quotient of ``T`` for
-    ``Q = P T P^T`` (the objective's sytrd), with ``config`` as given, from
-    ``P^T x0 / |x0|``.  Its first point is ``x0 / |x0|`` itself, and every
-    later point is the loop's mapped back by ``P`` in an unblocked ormqr call
-    of its own on that one column; its values, gradient norms and steps are
-    the loop's.  Its errors are ``error_fn`` on the points mapped back, or
-    else :func:`tridiagonal_quotient`'s residual of each loop point but the
-    last, whose error is the dense ``|Qx - rho x|`` of the point mapped back.
-    The quotient is maximized.  Returns ``(trace, points, failure)``: the
-    trace, which keeps the first and the last point, every point mapped back,
-    and the type of the :class:`SolverError` that stopped the loop, or None."""
+    """The trace an eigen driver reports on any ``Q``, by its definition: the
+    solver ``loop`` run on the quotient of ``T`` for ``Q = P T P^T`` (the
+    objective's sytrd, or ``P = I`` and ``Q``'s own diagonals for a tridiagonal
+    ``Q``), with ``config`` as given, from ``P^T x0 / |x0|``.  Its first point
+    is ``x0 / |x0|`` itself, and every later point is the loop's mapped back by
+    ``P`` in an unblocked ormqr call of its own on that one column, or copied
+    when ``P = I``; its values, gradient norms and steps are the loop's.  Its
+    errors are ``error_fn`` on the points mapped back, or else
+    :func:`tridiagonal_quotient`'s residual of each loop point but the last,
+    whose error is the dense ``|Qx - rho x|`` of the point mapped back.  The
+    quotient is maximized.  Returns ``(trace, points, failure)``: the trace,
+    which keeps the first and the last point, every point mapped back, and the
+    type of the :class:`SolverError` that stopped the loop, or None."""
     objective = RayleighObjective(Q)
     V, tau, d, e = objective._reduction()
+
+    def mapped(z, trans):
+        z = z.copy()
+        if V is not None:
+            z[1:] = lapack.dormqr("L", trans, V, tau, z[1:], 1)[0]
+        return z
+
     x = x0 / np.linalg.norm(x0)
-    z0 = x.copy()
-    z0[1:] = lapack.dormqr("L", "T", V, tau, z0[1:], 1)[0]
+    z0 = mapped(x, "T")
     record, seen = recording(lambda z: tridiagonal_quotient(d, e, z)[1])
     try:
         trace, failure = loop(_ReducedRayleigh(objective), z0, config, record), None
@@ -419,8 +426,7 @@ def reduced_eigen_trace(loop, Q, x0, config, error_fn=None):
     out = IterationTrace(converged=trace.converged)
     if not seen:
         return out, [], failure
-    points = [x] + [np.concatenate([z[:1], lapack.dormqr("L", "N", V, tau, z[1:], 1)[0]])
-                    for z in seen[1:]]
+    points = [x] + [mapped(z, "N") for z in seen[1:]]
     x = points[-1]
     rho = float(x @ (Q @ x))
     errors = trace.errors[:-1] + [float(np.linalg.norm(Q @ x - rho * x))]

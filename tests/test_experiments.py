@@ -77,6 +77,18 @@ def test_spec_validation():
         ExperimentSpec("fig1", method="sd", line_search="foo")
 
 
+def test_spec_rejects_an_unknown_init():
+    with pytest.raises(ValueError, match="unknown init mode 'bogus'"):
+        ExperimentSpec("fig1", init="bogus")
+
+
+def test_trace_rejects_a_negative_error():
+    trace = IterationTrace()
+    with pytest.raises(ValueError, match="nonnegative"):
+        trace.append(np.ones(3), 0.0, 0.0, -1.0)
+    assert len(trace) == 0
+
+
 # (experiment, method): iteration cap, default line search, default start
 # and the scale of a near start
 _RESOLVED = {
@@ -395,7 +407,9 @@ def test_cli_solver_error_exit_code(tmp_path, capsys, monkeypatch):
         trace = IterationTrace()
         trace.append(x0, objective.report_value(x0), 1.0, error_fn(x0))
         trace.append(x0, objective.report_value(x0), 1.0, error_fn(x0))
-        raise LineSearchFailed("no sampled step decreased the objective", trace=trace)
+        exc = LineSearchFailed("no sampled step decreased the objective")
+        exc.trace = trace
+        raise exc
 
     monkeypatch.setattr(riemopt.experiments, "steepest_descent", failing_descent)
     code = main(["fig1", "--n", "6", "--method", "sd", "--seed", "0", "--out", str(tmp_path)])

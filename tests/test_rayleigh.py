@@ -33,6 +33,11 @@ def test_problem_requires_exact_symmetry():
         RayleighObjective(A, "min")
 
 
+def test_problem_rejects_an_unknown_which():
+    with pytest.raises(ValueError, match="which must be 'max' or 'min'"):
+        RayleighObjective(np.eye(3), which="mid")
+
+
 def test_value_at_eigenvector():
     obj = RayleighObjective(np.diag([2.0, 1.0]), "min")
     assert obj.report_value(e(2, 0)) == 2.0

@@ -47,6 +47,11 @@ def test_exp_rejects_non_skew():
         skew_exp(np.eye(3))
 
 
+def test_rotation_group_needs_n_of_at_least_2():
+    with pytest.raises(ValueError, match="n >= 2"):
+        SpecialOrthogonal(1)
+
+
 def test_geodesic_at_zero():
     rng = np.random.default_rng(3)
     T = rand_rotation(rng, 5)

@@ -318,6 +318,13 @@ def test_public_shift_entry_points_reject_a_bad_shift_or_point(bad):
         call()
 
 
+def test_the_private_shift_solve_rejects_a_nan_shift():
+    # the drivers pass rho unchecked: a nan shift would never leave the
+    # spectrum, so the solve raises rather than nudge it without end
+    with pytest.raises(ValueError, match="shift must be finite, got nan"):
+        _shift_solve(RayleighObjective(_Q3), float("nan"), _X3)
+
+
 @pytest.mark.parametrize("n", [2, 30, 250])
 def test_an_exactly_singular_shift_solves_without_an_svd(monkeypatch, n):
     # Q = diag(A, c) with a dense A: the reduction keeps the last row and

@@ -192,23 +192,20 @@ def test_reduced_drivers_agree_with_the_dense_loop(n, seed, kind):
 @PROPERTY
 @given(n=st.integers(2, 120), seed=SEEDS, driver=st.sampled_from([rqi, cg_extreme_eigen]))
 def test_default_error_is_the_residual_bit_for_bit(n, seed, driver):
-    # on a reduced Q, as reduced_eigen_trace defines it: the residual
-    # |Tz - rho z| of each loop point but the last, whose error is the dense
-    # |Qx - rho x| of the eigenvector; a 2-by-2 Q is tridiagonal, its own T,
-    # and every row's value and error are the dense ones
+    # as reduced_eigen_trace defines it on every Q, a tridiagonal one (P = I,
+    # rows from T's three-term product) too: the residual |Tz - rho z| of each
+    # loop point but the last, whose error is the dense |Qx - rho x| of the
+    # eigenvector; a 2-by-2 Q is tridiagonal
     rng = np.random.default_rng(seed)
-    Q = rand_sym(rng, n)
+    A = rand_sym(rng, n)
     x0 = rng.normal(size=n)
-    res = driver(Q, x0)
-    points = _iterates(driver, Q, x0)
-    if n == 2:
-        assert res.trace.errors == [_residual(Q)(p) for p in points]
-        assert res.trace.values == [float(p @ (Q @ p)) for p in points]
-    else:
+    for Q in (A, np.triu(np.tril(A, 1), -1)):
+        res = driver(Q, x0)
+        points = _iterates(driver, Q, x0)
         want, want_points, failure = reduced_eigen_trace(_LOOPS[driver], Q, x0, _config(Q, driver))
         assert failure is None
         _assert_same_trace(res.trace, want, points, want_points)
-    assert res.trace.errors[-1] == _residual(Q)(res.eigenvector)
+        assert res.trace.errors[-1] == _residual(Q)(res.eigenvector)
 
 
 @PROPERTY

@@ -157,7 +157,8 @@ def edge_cases():
     """``{name: (Q, x0, config)}`` of the shift drivers' edge cases: random
     ``Q`` at n = 2 and 3, budgets of 0 and 1 steps, the 2-cycle of
     ``diag(1, 0, -1)`` from ``(e1 + e3)/sqrt 2``, a start on an exact
-    eigenvector and a zero ``Q``."""
+    eigenvector, a zero ``Q`` and a random tridiagonal ``Q`` at n = 60, which
+    the drivers run on its own diagonals (``P = I``) with no reduction."""
     import numpy as np
 
     from riemopt import SolverConfig
@@ -168,12 +169,16 @@ def edge_cases():
         return (random_symmetric(rng_from_seed(seed), n),
                 random_unit_vector(rng_from_seed(seed + 1), n), config)
 
+    rng = rng_from_seed(0)
+    d, off = rng.normal(size=60), rng.normal(size=59)
+    tridiagonal = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
     e = np.eye(5)
     return {"n2-s0": problem(2, 0), "n3-s3": problem(3, 3),
             "n60-s0-max_iter0": problem(60, 0, 0), "n60-s0-max_iter1": problem(60, 0, 1),
             "two-cycle": (np.diag([1.0, 0.0, -1.0]), np.array([1.0, 0.0, 1.0]), None),
             "eigenvector": (np.diag(np.arange(5, 0, -1.0)), e[1], None),
-            "zero-q": (np.zeros((5, 5)), e.sum(axis=0), None)}
+            "zero-q": (np.zeros((5, 5)), e.sum(axis=0), None),
+            "tridiagonal-n60": (tridiagonal, random_unit_vector(rng_from_seed(1), 60), None)}
 
 
 def dense():
