@@ -165,11 +165,11 @@ class MatrixObjective(GeodesicObjective):
     with a finite ``Q_fro = |Q|_F`` (ValueError otherwise) on the manifold
     ``manifold(n)`` for ``Q`` of size n.
 
-    :meth:`_at` keeps ``form(Q, p)`` for the last point ``p`` it saw,
-    keyed on identity, for the one ``form`` an objective uses.  The entry
-    is one tuple that holds its key, read once and replaced whole, so
-    threads that share an objective never pair a point with the value
-    formed at another.
+    :meth:`_at` keeps ``form(_op, p)``, ``_op`` being ``Q`` unless a subclass
+    sets a product that costs less, for the last point ``p`` it saw, keyed on
+    identity, for the one ``form`` an objective uses.  The entry is one tuple
+    that holds its key, read once and replaced whole, so threads that share
+    an objective never pair a point with the value formed at another.
     """
 
     def __init__(self, Q, manifold):
@@ -187,12 +187,13 @@ class MatrixObjective(GeodesicObjective):
         if math.isinf(self.Q_fro):
             raise ValueError("|Q|_F overflows to inf; scale Q down")
         self.manifold = manifold(Q.shape[0])
+        self._op = Q
         self._last = (None, None)
 
     def _at(self, p, form):
         key, w = self._last
         if key is not p:
-            w = form(self.Q, p)
+            w = form(self._op, p)
             self._last = (p, w)
         return w
 

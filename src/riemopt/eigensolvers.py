@@ -41,8 +41,8 @@ def _on_quotient(solver, Q, x0, config, error_fn, which="max") -> EigenResult:
     """``solver`` on the Rayleigh quotient from ``x = x0 / |x0|``, default error
     ``|Qx - rho x|``, converged once the gradient ``2(Qx - rho x)`` drops below
     ``max(2 grad_tol |Q|_F, gradient_floor)``.  It runs on ``T`` for
-    ``Q = P T P^T`` from ``P^T x``, O(n) per step, ``P = I`` for a tridiagonal ``Q``.  A
-    loop point ``z`` maps back to ``P z`` by one single-column ormqr (a copy when ``P = I``),
+    ``Q = P T P^T`` from ``P^T x``, O(n) per step, ``P = I`` for a tridiagonal ``Q``.  A loop
+    point ``z`` maps back to ``P z`` once, by one single-column ormqr (a copy when ``P = I``),
     the start to ``x`` itself.  A caller's ``error_fn`` sees each point mapped back, once per
     row as the loop makes it; every exit, a :class:`~riemopt.errors.SolverError`'s too, maps
     the trace's two points back and sets its default last error to the dense one."""
@@ -53,9 +53,15 @@ def _on_quotient(solver, Q, x0, config, error_fn, which="max") -> EigenResult:
     config = replace(config, grad_tol=2.0 * config.grad_tol * scale)
     x = normalized_start(x0)
     reduced, z0 = _ReducedRayleigh(objective), _reflect(objective, x, "T")
+    last = (None, None)  # the last loop point mapped back, and its image
 
-    def back(z):  # the start is told by identity, as MatrixObjective._at tells points
-        return x if z is z0 else _reflect(objective, z, "N")
+    def back(z):  # points are told by identity, as MatrixObjective._at tells them
+        nonlocal last
+        if z is z0:
+            return x
+        if z is not last[0]:
+            last = (z, _reflect(objective, z, "N"))
+        return last[1]
 
     def mapped_back(trace):
         trace.points[:] = [back(z) for z in trace.points]

@@ -179,43 +179,17 @@ class Sphere(Manifold):
 # Rayleigh quotient
 
 
-def shift_solve(Q, rho, x):
-    """Solve ``(Q - rho I) y = x`` for ``Q`` as :class:`RayleighObjective`
-    takes it (ValueError otherwise: finite, exactly symmetric, n >= 2 and
-    ``|Q|_F`` finite), a finite ``rho`` and a finite n-vector ``x``
-    (ValueError otherwise), by :func:`_shift_solve` on a throwaway
-    objective of ``Q``: one reduction ``Q = P T P^T`` per call unless ``Q``
-    is tridiagonal, then ``y = P (T - rho I)^{-1} P^T x``.  A kept
-    :class:`RayleighObjective` reduces once for all its shifts.
-
-    Near an eigenvalue the shift is nearly singular and ``y`` is large,
-    but the solve is backward stable and ``y`` is dominated by the target
-    eigenvector, which is all the Newton and quotient iterations need.  An
-    exactly singular ``Q - rho I`` is in general not exactly singular
-    after the reduction's rounding: ``y`` is then a large finite vector
-    whose direction is a null vector to round-off.  When ``T - rho I`` has
-    an exactly zero pivot or the solve overflows, the shift is moved by a
-    unit of round-off, as inverse iteration does, and ``y`` is again a
-    large finite vector along the null vector.
-    """
-    objective = RayleighObjective(Q)
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(rho):
-        raise ValueError(f"shift must be finite, rho = {rho!r}")
-    if x.shape != (objective.Q.shape[0],) or not np.all(np.isfinite(x)):
-        raise ValueError(f"x must be a finite vector of length {objective.Q.shape[0]}")
-    return _shift_solve(objective, float(rho), x)
-
-
 def _shift_solve(objective, rho, x):
     """``y = P (T - rho I)^{-1} P^T x`` on ``objective``'s one reduction: one
-    gtsv, O(n), and two ormqr calls, O(n^2), unless ``Q`` is tridiagonal.  On
-    an exactly zero pivot or a non-finite ``y`` the shift moves by
-    ``eps max(|Q|_F, tiny)``, doubled until the solve succeeds (it does for
-    a finite ``rho`` and ``x``), as inverse iteration does: below the
-    reduction's backward error, so ``y`` lies along the null vector to
-    working accuracy.  A shift that is not finite (a NaN ``rho``, or a
-    nudge grown past overflow by a non-finite ``x``) raises ValueError."""
+    gtsv, O(n), and two ormqr calls, O(n^2), none for a tridiagonal ``Q``.
+    Near an eigenvalue ``y`` is large, but the solve is backward stable and
+    ``y`` is dominated by the target eigenvector.  On an exactly zero pivot
+    or a non-finite ``y`` the shift moves by ``eps max(|Q|_F, tiny)``,
+    doubled until the solve succeeds (it does for a finite ``rho`` and
+    ``x``), as inverse iteration does: below the reduction's backward error,
+    so ``y`` lies along the null vector to working accuracy.  A shift that
+    is not finite (a NaN ``rho``, or a nudge grown past overflow by a
+    non-finite ``x``) raises ValueError."""
     d, e = objective._reduction()[2:]
     b = _reflect(objective, x, "T")
     shift, nudge = rho, 0.0
@@ -246,11 +220,11 @@ def rayleigh_newton_step(Q, x, objective=None):
     """Newton direction ``H = -x + y / (x^T y)`` with ``y = (Q - rho I)^{-1} x``
     and ``rho = x^T (Qx)``, projected onto the tangent space.
 
-    ``Q`` is checked and reduced for this one call, as by
-    :func:`shift_solve`, unless the :class:`RayleighObjective` of this
-    ``Q`` passes itself as ``objective``: it has checked ``Q`` and keeps
-    one reduction for all its steps; without it, an ``x`` off the unit
-    sphere raises :class:`NotUnitDirection`.  Raises :class:`StepDeclined`
+    ``Q`` is checked, and reduced unless it is tridiagonal, for this one
+    call, unless the :class:`RayleighObjective` of this ``Q`` passes itself
+    as ``objective``: it has checked ``Q`` and keeps one reduction for all
+    its steps; without it, an ``x`` off the unit sphere raises
+    :class:`NotUnitDirection`.  Raises :class:`StepDeclined`
     when the pivot is degenerate: ``|x^T y| < 1e-14 |y|``.
     """
     x = np.asarray(x, dtype=float)
@@ -321,20 +295,23 @@ class RayleighObjective(MatrixObjective):
         super().__init__(Q, Sphere)
         self._sign = -1.0 if which == "max" else 1.0
         self.gradient_floor = 6.0 * np.sqrt(self.Q.shape[0]) * EPS * self.Q_fro
-        self._reduced = None
+        # a tridiagonal Q is its own T, as sytrd finds it (every tau = 0, a zero's
+        # sign aside): column 0 settles a dense Q, else a count of nonzeros, with
+        # no copy of Q; a diagonal Q then multiplies by its diagonal alone
+        Q, self._reduced = self.Q, None
+        if not np.any(Q[2:, 0]) and np.count_nonzero(Q) == (
+                np.count_nonzero(np.diag(Q)) + 2 * np.count_nonzero(np.diag(Q, -1))):
+            self._reduced = (None, None, np.diag(Q).copy(), np.diag(Q, -1).copy())
+            if (T := _Tridiagonal(*self._reduced[2:])).e is None:
+                self._op = T
 
     def _reduction(self):
         """``Q = P T P^T`` as ``(V, tau, d, e)``: ``T``'s diagonals and ``P``'s
-        reflectors on coordinates 2..n, for ormqr.  A tridiagonal ``Q`` is its own
-        ``T``, ``(None, None, diag(Q), diag(Q, -1))``, as sytrd finds it (every
-        ``tau = 0``, a zero's sign aside): column 0 settles a dense ``Q``, else a
-        count of nonzeros, with no copy of ``Q``.  Any other takes one sytrd in
+        reflectors on coordinates 2..n, for ormqr; ``V = tau = None`` for a
+        tridiagonal ``Q``, set at construction.  Any other takes one sytrd in
         8-column panels, 0.82 of the default 32-column time at n = 200 to 300.
         Built on first use and assigned whole, so threads never see half of one."""
         reduction, Q = self._reduced, self.Q
-        if reduction is None and not np.any(Q[2:, 0]) and np.count_nonzero(Q) == (
-                np.count_nonzero(np.diag(Q)) + 2 * np.count_nonzero(np.diag(Q, -1))):
-            reduction = self._reduced = (None, None, np.diag(Q).copy(), np.diag(Q, -1).copy())
         if reduction is None:
             n, lapack = Q.shape[0], _scipy("lapack")
             # a fresh Fortran-ordered copy for sytrd's blocked code (lwork / n = 8-column
@@ -377,7 +354,7 @@ class RayleighObjective(MatrixObjective):
         """Signed second-covariant-differential operator
         ``2 (I - xx^T)(Q - rho I) u``."""
         u = check_tangent(x, u)
-        w = 2.0 * (self.Q @ u - self.report_value(x) * u)
+        w = 2.0 * (self._op @ u - self.report_value(x) * u)
         return self._sign * project_tangent(x, w)
 
     def newton_direction(self, x):
@@ -393,7 +370,7 @@ class RayleighObjective(MatrixObjective):
         nh = _fro(h)
         if nh == 0.0:
             raise ZeroTangent("line search direction is zero")
-        a, b = _line_coefficients(self.Q, x, h / nh, self._at(x, _qx_rho)[0])
+        a, b = _line_coefficients(self._op, x, h / nh, self._at(x, _qx_rho)[0])
         # the maximizer of -value; t in (-pi/2, pi), and rho has period pi
         c, s, _ = _line_rotation(-self._sign * a, -self._sign * b)
         t = float(np.arctan2(s, c))
@@ -420,5 +397,5 @@ class _ReducedRayleigh(RayleighObjective):
 
     def __init__(self, objective):
         d, e = objective._reduction()[2:]
-        vars(self).update(vars(objective), Q=_Tridiagonal(d, e), _last=(None, None),
+        vars(self).update(vars(objective), _op=_Tridiagonal(d, e), _last=(None, None),
                           _reduced=(None, None, d, e))

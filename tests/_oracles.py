@@ -15,7 +15,8 @@ preconditioned conjugate gradient of its own), ``reduced_eigen_trace``
 (the trace an eigen driver reports on any ``Q``, by that trace's
 definition) and ``tridiagonal_quotient`` (the quotient and residual on ``T``),
 ``recording`` (an error function that keeps every iterate, which a trace
-does not), ``commutator`` (``AB - BA`` as two dense products),
+does not), ``DenseRayleigh`` (a Rayleigh objective whose every product is
+with the dense ``Q``), ``commutator`` (``AB - BA`` as two dense products),
 ``read_trace_csv`` (a trace file read back) and ``experiment_objective``
 (the objective of a CLI experiment).
 """
@@ -380,6 +381,16 @@ def recording(error_fn=None):
         return 0.0 if error_fn is None else error_fn(p)
 
     return record, points
+
+
+class DenseRayleigh(RayleighObjective):
+    """:class:`RayleighObjective` whose product operator is the dense ``Q``
+    whatever ``Q``'s structure: the oracle for the objective's O(n) product
+    on a diagonal ``Q``.  Its shift solves are the objective's own."""
+
+    def __init__(self, Q, which="max"):
+        super().__init__(Q, which)
+        self._op = self.Q
 
 
 def tridiagonal_quotient(d, e, z):

@@ -485,3 +485,22 @@ def test_shift_drivers_keep_every_row(method, seed, monkeypatch):
         assert trace.steps[-2] == arc
     assert arc == pytest.approx(last_step, rel=1e-6, abs=1e-30)
     assert trace.steps[-1] == 0.0
+
+
+@pytest.mark.parametrize("with_error_fn", [False, True])
+def test_each_point_is_mapped_back_once(with_error_fn, monkeypatch):
+    # a caller's error_fn sees P z for each row after the start, and the exit
+    # reuses the last of those maps: 6 maps for 7 rows, and 1 without it
+    Q = random_symmetric(rng_from_seed(0), 60)
+    x0 = random_unit_vector(rng_from_seed(1), 60)
+    maps = []
+    reflect = riemopt.eigensolvers._reflect
+
+    def counting(objective, y, trans):
+        maps.append(trans)
+        return reflect(objective, y, trans)
+
+    monkeypatch.setattr(riemopt.eigensolvers, "_reflect", counting)
+    res = rqi(Q, x0, error_fn=(lambda p: 0.0) if with_error_fn else None)
+    assert len(res.trace) == 7
+    assert maps.count("N") == (6 if with_error_fn else 1)

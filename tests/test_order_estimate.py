@@ -92,6 +92,14 @@ def test_all_below_floor_rejected():
         estimate_order([tiny * 0.9, tiny * 0.5, tiny * 0.1])
 
 
+def test_a_window_into_the_floor_is_rejected():
+    # the whole sequence trims its tail; a window given by hand is not trimmed
+    errs = [1e-1, 1e-3, 1e-6, 1e-12, 0.5 * STAGNATION_FLOOR]
+    assert estimate_order(errs).window == (0, 4)
+    with pytest.raises(OrderFitError, match="window reaches into the stagnation floor"):
+        estimate_order(errs, window=(0, 5))
+
+
 def test_stagnated_tail_autotrimmed():
     errs = [1e-1, 1e-2, 1e-3, 1e-4, 1e-16, 9e-17]
     rep = estimate_order(errs)

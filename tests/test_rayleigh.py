@@ -18,7 +18,7 @@ from riemopt import (
     sphere_exp,
     sphere_transport,
 )
-from riemopt.errors import NotTangent, StepDeclined
+from riemopt.errors import NotTangent, StepDeclined, ZeroTangent
 
 
 def e(n, i):
@@ -292,6 +292,12 @@ def test_line_max_stationary_at_optimum():
 def test_line_max_degenerate_circle():
     c, s, v = rayleigh_line_max(np.eye(3), e(3, 0), e(3, 1))
     assert (c, s, v) == (1.0, 0.0, 0.0)
+
+
+def test_line_step_along_a_zero_direction_is_rejected():
+    objective = RayleighObjective(np.diag([2.0, 1.0, 0.5]))
+    with pytest.raises(ZeroTangent, match="line search direction is zero"):
+        objective.exact_line_step(e(3, 0), np.zeros(3))
 
 
 def test_line_max_identities_and_scan():

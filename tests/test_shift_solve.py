@@ -1,6 +1,6 @@
 """The shift solve ``(Q - rho I) y = x`` behind every Newton and quotient
 step on the sphere, the Newton tangent formed from it, and the entry checks
-of the eigenpair drivers and of the public shift entry points."""
+of the eigenpair drivers, of the Newton step and of the shift solve."""
 
 import os
 import subprocess
@@ -28,7 +28,7 @@ from riemopt import (
 from riemopt.core import _scipy
 from riemopt.errors import NotUnitDirection, StepDeclined
 from riemopt.experiments import ExperimentSpec, run_fig1
-from riemopt.sphere import _shift_solve, normalized_start, shift_solve
+from riemopt.sphere import _shift_solve, normalized_start
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -52,7 +52,7 @@ def test_shift_solve_residual_and_flag(n, seed, kind, frac):
     x = rand_unit(rng, n)
     A = Q - rho * np.eye(n)
 
-    y = shift_solve(Q, rho, x)
+    y = _shift_solve(RayleighObjective(Q), rho, x)
 
     assert np.all(np.isfinite(y))
     a_norm = np.linalg.norm(A, 2)
@@ -107,7 +107,7 @@ def test_shift_solve_is_one_reduced_solve_bit_for_bit(n, seed, layout, frac):
     expected = _tridiagonal_solve(np.array(Q), rho, x)
     assume(expected is not None)  # a zero pivot moves the shift, as the residual test checks
 
-    y = shift_solve(Q, rho, x)
+    y = _shift_solve(RayleighObjective(Q), rho, x)
 
     assert y.tobytes() == expected.tobytes()
     assert Q.tobytes() == before.tobytes()
@@ -131,7 +131,7 @@ def test_shift_solve_runs_the_blocked_factorization(monkeypatch, n):
 
     monkeypatch.setattr(kernels, "dsytrd", recording)
     rng = np.random.default_rng(n)
-    shift_solve(rand_sym(rng, n), 0.25, rand_unit(rng, n))
+    _shift_solve(RayleighObjective(rand_sym(rng, n)), 0.25, rand_unit(rng, n))
     assert seen == [8 * n]
 
 
@@ -189,7 +189,7 @@ def test_sytrd_leaves_a_tridiagonal_q_as_it_is(n, seed, kind, zeros):
     x = rand_unit(rng, n)
     expected = _tridiagonal_solve(np.array(Q), 0.25, x)
     assume(expected is not None)
-    assert shift_solve(Q, 0.25, x).tobytes() == expected.tobytes()
+    assert _shift_solve(RayleighObjective(Q), 0.25, x).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 60])
@@ -201,7 +201,7 @@ def test_a_lone_entry_off_column_0_is_reduced(monkeypatch, n):
     Q[n - 1, 1] = Q[1, n - 1] = 1.0
     calls = _counting(monkeypatch, "dsytrd")
     x = rand_unit(rng, n)
-    y = shift_solve(Q, 0.25, x)
+    y = _shift_solve(RayleighObjective(Q), 0.25, x)
     assert calls == {"dsytrd": 1}
     A = Q - 0.25 * np.eye(n)
     assert np.linalg.norm(A @ y - x) <= 1e-12 * np.linalg.norm(A, 2) * np.linalg.norm(y)
@@ -210,7 +210,7 @@ def test_a_lone_entry_off_column_0_is_reduced(monkeypatch, n):
 @pytest.mark.parametrize("kind", ["diagonal", "tridiagonal"])
 def test_a_tridiagonal_q_is_never_reduced(monkeypatch, kind):
     # a tridiagonal Q is its own T: no driver, no generic newton on its
-    # objective and no public shift solve calls sytrd, or ormqr to apply a P
+    # objective and no shift solve on it calls sytrd, or ormqr to apply a P
     calls = _counting(monkeypatch, "dsytrd", "dormqr")
     rng = np.random.default_rng(5)
     Q = _tridiagonal(rng, 40, kind, "below")
@@ -218,7 +218,7 @@ def test_a_tridiagonal_q_is_never_reduced(monkeypatch, kind):
     for solver in (rqi, newton_rayleigh, cg_extreme_eigen):
         assert solver(Q, x0).converged
     assert newton(RayleighObjective(Q), x0).converged
-    shift_solve(Q, 0.25, x0)
+    _shift_solve(RayleighObjective(Q), 0.25, x0)
     rayleigh_newton_step(Q, x0)
     assert calls == {"dsytrd": 0, "dormqr": 0}
 
@@ -266,7 +266,7 @@ def test_shift_solve_on_a_zero_diagonal_indefinite_matrix(m):
     Q = np.block([[np.zeros((m, m)), B], [B.T, np.zeros((m, m))]])
     x = rand_unit(rng, 2 * m)
 
-    y = shift_solve(Q, 0.0, x)
+    y = _shift_solve(RayleighObjective(Q), 0.0, x)
 
     ref = np.linalg.solve(Q, x)
     assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -283,10 +283,11 @@ _BAD = {"non-square": (np.ones((3, 2)), "square"),
 @pytest.mark.parametrize("entry", ["shift_solve", "rayleigh_newton_step"])
 def test_public_shift_entry_points_reject_a_bad_matrix(entry, bad):
     # a non-symmetric Q would otherwise solve the transposed system; the
-    # rest are rejected as every objective and driver rejects them
+    # rest are rejected as every objective and driver rejects them; a shift
+    # solve runs on the objective its caller keeps, which checks Q
     Q, match = _BAD[bad]
     x = normalized_start(np.ones(Q.shape[0]))
-    call = {"shift_solve": lambda: shift_solve(Q, 0.5, x),
+    call = {"shift_solve": lambda: _shift_solve(RayleighObjective(Q), 0.5, x),
             "rayleigh_newton_step": lambda: rayleigh_newton_step(Q, x)}[entry]
     with pytest.raises(ValueError, match=match):
         call()
@@ -294,14 +295,11 @@ def test_public_shift_entry_points_reject_a_bad_matrix(entry, bad):
 
 _Q3 = np.diag([3.0, 2.0, 1.0])
 _X3 = np.ones(3) / np.sqrt(3.0)
-#: a bad shift or point at the public entries -> (call, exception, message)
+_SOLVE3 = RayleighObjective(_Q3)
+#: a bad shift or point at the shift entries -> (call, exception, message)
 _BAD_ARGUMENTS = {
-    "nan shift": (lambda: shift_solve(_Q3, np.nan, _X3), ValueError, "shift must be finite"),
-    "inf shift": (lambda: shift_solve(_Q3, np.inf, _X3), ValueError, "shift must be finite"),
-    "nan x": (lambda: shift_solve(_Q3, 0.5, [np.nan, 0.0, 0.0]), ValueError, "finite vector"),
-    "inf x": (lambda: shift_solve(_Q3, 0.5, [np.inf, 0.0, 0.0]), ValueError, "finite vector"),
-    "short x": (lambda: shift_solve(_Q3, 0.5, _X3[:2]), ValueError, "finite vector"),
-    "column x": (lambda: shift_solve(_Q3, 0.5, _X3[:, None]), ValueError, "finite vector"),
+    "nan shift": (lambda: _shift_solve(_SOLVE3, np.nan, _X3), ValueError, "shift must be finite"),
+    "inf shift": (lambda: _shift_solve(_SOLVE3, np.inf, _X3), ValueError, "shift must be finite"),
     "newton nan x": (lambda: rayleigh_newton_step(_Q3, [np.nan, 0.0, 0.0]), NotUnitDirection, None),
     "newton x off the sphere": (lambda: rayleigh_newton_step(_Q3, [2.0, 0.0, 0.0]),
                                 NotUnitDirection, None),
@@ -312,7 +310,7 @@ _BAD_ARGUMENTS = {
 def test_public_shift_entry_points_reject_a_bad_shift_or_point(bad):
     # LAPACK turns each of these into a wrong vector, a LinAlgError or an
     # argument error on stderr, and a nan shift would never leave the
-    # spectrum: the entries reject them before any solve
+    # spectrum: they are rejected before any solve
     call, error, match = _BAD_ARGUMENTS[bad]
     with pytest.raises(error, match=match):
         call()
@@ -342,7 +340,7 @@ def test_an_exactly_singular_shift_solves_without_an_svd(monkeypatch, n):
     Q[-1, -1] = c
     x = rand_unit(rng, n)
 
-    y = shift_solve(Q, c, x)
+    y = _shift_solve(RayleighObjective(Q), c, x)
 
     assert np.all(np.isfinite(y))
     assert np.linalg.norm(y[:-1]) <= 1e-12 * abs(y[-1])
@@ -465,7 +463,7 @@ def test_tiny_pivot_stops_both_newton_drivers():
     x = x / np.linalg.norm(x)
     rho = float(x @ Q @ x)
     assert np.linalg.cond(Q - rho * np.eye(2)) <= 1.0 + 1e-12
-    y = shift_solve(Q, rho, x)
+    y = _shift_solve(RayleighObjective(Q), rho, x)
     assert 0.0 < abs(float(x @ y)) < 1e-14 * np.linalg.norm(y)
     with pytest.raises(StepDeclined, match="vanishes; no tangent step"):
         rayleigh_newton_step(Q, x)

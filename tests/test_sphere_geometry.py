@@ -165,6 +165,27 @@ def test_log_antipodal_rejected():
         sphere_log(x, -x)
 
 
+def test_log_of_points_one_rounding_apart():
+    # y differs from x in its last bit: the perpendicular part is exactly 0,
+    # so y is x itself to the log, and -y is antipodal before its cosine is
+    # read (the existing antipodal test reaches only the cosine's check)
+    x = np.array([0.6, 0.8, 0.0])
+    y = x * (1.0 - 2.0**-53)
+    assert not np.array_equal(x, y)
+    v, d = sphere_log(x, y)
+    assert d == 0.0 and v.tobytes() == np.zeros(3).tobytes()
+    with pytest.raises(AntipodalPoints):
+        sphere_log(x, -y)
+
+
+def test_transport_along_a_zero_direction_is_a_copy():
+    x = rand_unit(np.random.default_rng(10), 6)
+    w = rand_tangent(np.random.default_rng(11), x)
+    got = Sphere(6).transport(x, np.zeros(6), 0.7, w)
+    assert got is not w
+    assert got.tobytes() == w.tobytes()
+
+
 def test_manifold_contract():
     rng = np.random.default_rng(9)
     M = Sphere(6)

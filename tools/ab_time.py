@@ -27,6 +27,7 @@ import tempfile
 import time
 
 CLASSES = ["fig1 --method sd --n 21", "fig1 --method cg --n 21", "fig1 --method cg --n 200",
+           "fig1 --method sd --n 1000",
            "fig1 --method cg --n 1000", "fig1 --method rqi --n 21",
            "fig1 --method sd --n 21 --line-search golden", "fig2 --method sd --n 10",
            "fig2 --method sd --n 10 --init random",
