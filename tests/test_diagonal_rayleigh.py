@@ -33,7 +33,8 @@ def _run(solver, objective, x0, config):
        which=st.sampled_from(["max", "min"]))
 def test_a_diagonal_q_runs_the_dense_iterates_bit_for_bit(n, seed, which):
     # repeated, zero and negative entries; each entry of the dense product
-    # has one nonzero term, so d * x rounds as Q @ x does
+    # has at most one nonzero term, so d * x rounds as Q @ x does, but for
+    # the sign of a zero entry, which no row or point shows
     rng = np.random.default_rng(seed)
     d = rng.choice([-2.5, -1.0, 0.0, 0.5, 1.0, 3.0], size=n) * rng.choice([1.0, rng.normal()])
     Q, x0 = np.diag(d), rand_unit(rng, n)
